@@ -31,6 +31,7 @@ from .designs import (
     complete_graph_optimum,
     optimality_certificate,
     path_usage_counts,
+    shortest_path_optimum,
     tree_optimum,
 )
 from .optimize import (

@@ -1,11 +1,14 @@
-"""Closed-form optimal weightings for complete graphs and trees.
+"""Closed-form optimal weightings of a single node's vulnerability.
 
-Both families admit exact minimizers of a single node's vulnerability over
-the unit weight simplex: a uniform star centered at the node for complete
-graphs, and square-root path-usage weights for trees. The per-edge
-certificate `gradient_l + measure >= 0` is sufficient for global optimality
-of any candidate point and is exposed for arbitrary graphs; a pass is a
-sufficient-condition verdict, never a necessary one.
+Minimizing L+_kk over the unit weight simplex is a c-optimal design
+problem with c = e_k - 1/n, solved exactly by Elfving's theorem: the
+optimum is (mean hop distance from k)^2, attained by weights proportional
+to any shortest-path flow routing c (`shortest_path_optimum`). Complete
+graphs (a uniform star centered at the node) and trees (square-root
+path-usage weights) are the special cases kept as independent closed
+forms. The per-edge certificate `gradient_l + measure >= 0` is sufficient
+for global optimality of any candidate point and is exposed for arbitrary
+graphs; a pass is a sufficient-condition verdict, never a necessary one.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightedGraph, complete_graph_edges
+from .graphs import DisconnectedGraphError, WeightedGraph, complete_graph_edges
 from .vulnerability import vulnerability_gradient, vulnerability_measure
 
 __all__ = [
@@ -21,6 +24,7 @@ __all__ = [
     "CertificateResult",
     "complete_graph_optimum",
     "path_usage_counts",
+    "shortest_path_optimum",
     "tree_optimum",
     "optimality_certificate",
 ]
@@ -77,20 +81,25 @@ def complete_graph_optimum(n: int, k: int) -> np.ndarray:
     return b
 
 
-def _tree_adjacency(tree: WeightedGraph) -> list[list[tuple[int, int]]]:
+def _adjacency(g: WeightedGraph) -> list[list[tuple[int, int]]]:
     """Adjacency lists (neighbor, edge index) of the edge structure.
 
-    Weights are ignored: the input is a topology. Raises NotATreeError if
-    the structure is not a spanning tree.
+    Weights are ignored: the input is a topology.
     """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for l, (i, j) in enumerate(g.edges):
+        adj[i].append((j, l))
+        adj[j].append((i, l))
+    return adj
+
+
+def _tree_adjacency(tree: WeightedGraph) -> list[list[tuple[int, int]]]:
+    """Adjacency lists of a spanning tree; raises NotATreeError otherwise."""
     if tree.m != tree.n - 1:
         raise NotATreeError(
             f"tree needs m = n - 1 edges, got m={tree.m} with n={tree.n}"
         )
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(tree.n)]
-    for l, (i, j) in enumerate(tree.edges):
-        adj[i].append((j, l))
-        adj[j].append((i, l))
+    adj = _adjacency(tree)
     # m = n - 1 plus full reachability rules out cycles.
     seen = [False] * tree.n
     stack = [0]
@@ -153,6 +162,52 @@ def tree_optimum(tree: WeightedGraph, k: int) -> np.ndarray:
     counts = path_usage_counts(tree, k)
     s = np.sqrt(tree.n * counts.a_k - counts.a)
     return s / s.sum()
+
+
+def shortest_path_optimum(g: WeightedGraph, k: int) -> np.ndarray:
+    """Optimal unit-budget weights for node k on any connected topology.
+
+    Routes the demand e_k - 1/n over the breadth-first shortest-path DAG
+    from k. Nodes are taken in decreasing hop distance; each node's
+    throughput (1/n plus what its successors send up) is split evenly over
+    all its edges to nodes one hop closer to k. The weights are the flows,
+    normalized to unit total, and the measure there is (mean hop distance
+    from k)^2.
+
+    Why it is optimal: by Thomson's principle L+_kk = min over flows f
+    routing e_k - 1/n of sum f_l^2 / b_l, and by Cauchy-Schwarz that is at
+    least (sum |f_l|)^2 on the unit simplex, with equality at b = |f| / sum |f|.
+    Shortest-path flows minimize sum |f_l| = sum_j hop(k, j) / n.
+
+    Optima are not unique when shortest paths tie; the even split depends
+    only on the graph's structure, so relabelling nodes or reordering edges
+    permutes the weights and leaves every measure unchanged. Weights are
+    ignored; raises DisconnectedGraphError if the topology is disconnected.
+    """
+    if not 1 <= k <= g.n:
+        raise ValueError(f"node {k} out of range 1..{g.n}")
+    adj = _adjacency(g)
+    dist = [-1] * g.n
+    dist[k - 1] = 0
+    order = [k - 1]
+    for v in order:  # breadth-first: order grows while it is scanned
+        for u, _ in adj[v]:
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                order.append(u)
+    if len(order) < g.n:
+        raise DisconnectedGraphError(
+            f"node {k} reaches {len(order)} of {g.n} nodes"
+        )
+    throughput = [1.0 / g.n] * g.n
+    flow = np.zeros(g.m)
+    for v in reversed(order[1:]):
+        preds = [(u, l) for u, l in adj[v] if dist[u] == dist[v] - 1]
+        share = throughput[v] / len(preds)
+        for u, l in preds:
+            flow[l] = share
+            throughput[u] += share
+    return flow / flow.sum()
 
 
 def optimality_certificate(

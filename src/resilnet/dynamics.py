@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .graphs import WeightedGraph, spectral_bundle
 
@@ -113,6 +112,10 @@ def make_noise(spec: NoiseSpec, h: float, T: float, seed: int) -> np.ndarray:
     if spec.kind == "box":
         return np.where((times >= spec.t0) & (times < spec.t0 + spec.duration),
                         spec.delta, 0.0)
+    # Imported here: scipy.signal dominates the package's import time and
+    # only OU noise needs it.
+    from scipy.signal import lfilter
+
     rho = math.exp(-h / spec.tau)
     q = spec.sigma * math.sqrt(1.0 - rho * rho)
     rng = np.random.default_rng(seed)

@@ -68,6 +68,9 @@ class GridCase:
             dup = next(i for i in ids if ids.count(i) > 1)
             raise CaseError(f"duplicate bus id {dup}")
         object.__setattr__(self, "buses", tuple(sorted(self.buses, key=lambda b: b.id)))
+        object.__setattr__(
+            self, "_node_index", {b.id: idx + 1 for idx, b in enumerate(self.buses)}
+        )
         known = set(ids)
         for b in self.buses:
             if b.kind not in (GENERATOR, LOAD):
@@ -99,10 +102,10 @@ class GridCase:
 
     def node_of(self, bus_id: int) -> int:
         """1-based node index of a bus id."""
-        for idx, b in enumerate(self.buses):
-            if b.id == bus_id:
-                return idx + 1
-        raise CaseError(f"unknown bus id {bus_id}")
+        try:
+            return self._node_index[bus_id]
+        except KeyError:
+            raise CaseError(f"unknown bus id {bus_id}") from None
 
     def bus_of(self, node: int) -> int:
         return self.buses[node - 1].id

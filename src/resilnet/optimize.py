@@ -1,17 +1,26 @@
-"""Edge-weight design problem and its first-order reference solver.
+"""Edge-weight design problem and its two solution methods.
 
 The problem: minimize the worst-case vulnerability over a node set, over
 the simplex of nonnegative edge weights with fixed total, subject to a
 spectral floor lambda_2(b) >= epsilon that keeps the network connected and
 synchronizable.
 
-The solver minimizes a log-sum-exp smoothing of
+Exact method (single node only). `solve_single_node` first builds the
+shortest-path flow design of resilnet.designs.shortest_path_optimum, which
+minimizes the node's measure over the whole simplex (Elfving's theorem).
+It returns that design, with iterations = 0, whenever the topology is
+connected, the design meets the spectral floor, and the regularized
+Laplacian factorizes there.
+
+Iterative method (min-max, and single node when the exact design misses
+the floor). It minimizes a log-sum-exp smoothing of
 max_k e_k^T (L + 11^T/n)^{-1} e_k plus a log-det barrier on
 L + 11^T/n - eps*I, by projected gradient descent on the simplex with
 backtracking line search; the smoothing parameter and the barrier weight
 are annealed downward between phases. Exact analytic gradients make this
 reliable; the SDP exporter (resilnet.sdp) preserves interoperability with
-external conic solvers.
+external conic solvers. For a single node the exact design's value stays
+a lower bound on what this method returns.
 """
 from __future__ import annotations
 
@@ -22,8 +31,8 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .designs import optimality_certificate
-from .graphs import WeightedGraph, build_graph
+from .designs import optimality_certificate, shortest_path_optimum
+from .graphs import DisconnectedGraphError, WeightedGraph, build_graph
 
 __all__ = [
     "InfeasibleDesignError",
@@ -191,7 +200,8 @@ class SolverResult:
     ``objective`` and ``per_node`` are vulnerability measures (pseudoinverse
     diagonal entries); ``kkt_gap`` is the simplex stationarity gap of the
     final point (zero at an exact optimum with inactive spectral floor);
-    ``feasibility`` is lambda_2(b_star) - epsilon.
+    ``feasibility`` is lambda_2(b_star) - epsilon. ``iterations`` is 0 when
+    the exact single-node design was returned.
     """
 
     b_star: np.ndarray
@@ -413,23 +423,32 @@ def _solve(problem: DesignProblem, targets: Sequence[int],
 
     final_state = obj.state(best_b)
     assert final_state is not None
-    f = final_state[2]
+    return _result(problem, obj, targets0, best_b, final_state, total_iters,
+                   converged, cfg, tau_final)
+
+
+def _result(problem: DesignProblem, obj: _Objective, targets0: list[int],
+            b: np.ndarray, state, iterations: int, converged: bool,
+            cfg: SolverConfig, tau: float) -> SolverResult:
+    """Diagnostics of the unit-budget point b, rescaled to the budget."""
+    n, budget = problem.n, problem.budget
+    f = state[2]
     # Stationarity gap over the simplex at the (tiny-tau) smoothed objective.
-    _, w = obj.composite(final_state, max(tau_final, 1e-12), 0.0)
-    g = obj.gradient(final_state, w, 0.0)
-    kkt_gap = float(g @ best_b - g.min())
+    _, w = obj.composite(state, max(tau, 1e-12), 0.0)
+    g = obj.gradient(state, w, 0.0)
+    kkt_gap = float(g @ b - g.min())
     # The gap certifies suboptimality of the convex objective even when the
     # phase-exit criteria were not all met.
     converged = converged or kkt_gap <= cfg.tol * max(1.0, float(f.max()))
 
-    b_star = best_b * budget
+    b_star = b * budget
     per_node = {
         k + 1: (float(fv) - 1.0 / n) / budget
         for k, fv in zip(targets0, f)
     }
-    lam2 = obj.lambda2(best_b) * budget
+    lam2 = obj.lambda2(b) * budget
     certificate = None
-    if l == 1 and abs(budget - 1.0) < 1e-12:
+    if len(targets0) == 1 and abs(budget - 1.0) < 1e-12:
         graph = problem.graph(b_star)
         # Residual tolerance tied to the solve accuracy: the sufficient
         # condition may hold with equality at the exact optimum.
@@ -440,7 +459,7 @@ def _solve(problem: DesignProblem, targets: Sequence[int],
         b_star=b_star,
         objective=max(per_node.values()),
         per_node=per_node,
-        iterations=total_iters,
+        iterations=iterations,
         kkt_gap=kkt_gap,
         feasibility=lam2 - problem.epsilon,
         converged=converged,
@@ -450,10 +469,27 @@ def _solve(problem: DesignProblem, targets: Sequence[int],
 
 def solve_single_node(problem: DesignProblem, k: int,
                       config: SolverConfig | None = None) -> SolverResult:
-    """Minimize the vulnerability of node k over the feasible weight set."""
+    """Minimize the vulnerability of node k over the feasible weight set.
+
+    Returns the exact shortest-path flow design (iterations = 0) when it
+    meets the spectral floor, and the iterative solver's result otherwise;
+    see the module docstring.
+    """
     if not 1 <= k <= problem.n:
         raise ValueError(f"node {k} out of range 1..{problem.n}")
-    return _solve(problem, [k], config or SolverConfig())
+    cfg = config or SolverConfig()
+    try:
+        b = shortest_path_optimum(problem.graph(np.ones(len(problem.edges))), k)
+    except DisconnectedGraphError:
+        return _solve(problem, [k], cfg)
+    eps = problem.epsilon / problem.budget
+    edges0 = tuple((i - 1, j - 1) for i, j in problem.edges)
+    obj = _Objective(problem.n, edges0, [k - 1], eps)
+    state = obj.state(b) if obj.lambda2(b) >= eps else None
+    if state is None:
+        return _solve(problem, [k], cfg)
+    return _result(problem, obj, [k - 1], b, state, iterations=0,
+                   converged=True, cfg=cfg, tau=0.0)
 
 
 def solve_min_max(problem: DesignProblem,

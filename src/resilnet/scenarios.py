@@ -10,8 +10,6 @@ measures and weights are in physical per-unit terms.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -130,13 +128,6 @@ class ScenarioReport:
         )
 
 
-def _thread_count(jobs: int, threads: int | None) -> int:
-    if threads is None:
-        env = os.environ.get("RESILNET_THREADS", "")
-        threads = int(env) if env.strip() else (os.cpu_count() or 1)
-    return max(1, min(threads, jobs))
-
-
 def _normalized_epsilon(case: GridCase, gamma: float,
                         epsilon: float | None) -> tuple[float, float]:
     """(physical, unit-budget) spectral floor for a case."""
@@ -176,7 +167,6 @@ def scenario_one(
     gamma: float = DEFAULT_GAMMA,
     epsilon: float | None = None,
     config: SolverConfig | None = None,
-    threads: int | None = None,
 ) -> ScenarioReport:
     """Rank candidate buses by vulnerability before and after reallocation.
 
@@ -202,21 +192,13 @@ def scenario_one(
     )
     before = {c: vulnerability_measure(graph0, nodes[c]) for c in candidates}
 
-    def solve_one(c: int):
-        try:
-            return c, solve_single_node(problem, nodes[c], config)
-        except InfeasibleDesignError as exc:
-            return c, exc
-
-    with ThreadPoolExecutor(_thread_count(len(candidates), threads)) as pool:
-        raw = dict(pool.map(solve_one, candidates))
-
     outcomes = []
     b_out: dict[str, tuple[float, ...]] = {}
     after: dict[int, float] = {}
     for c in candidates:
-        res = raw[c]
-        if isinstance(res, InfeasibleDesignError):
+        try:
+            res = solve_single_node(problem, nodes[c], config)
+        except InfeasibleDesignError:
             outcomes.append(NodeOutcome(node=c, before=before[c], after=None,
                                         feasible=False, increased=False))
             continue

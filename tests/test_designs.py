@@ -1,19 +1,31 @@
 """Closed-form optima, path-usage counts, and the optimality certificate."""
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from resilnet import (
+    DisconnectedGraphError,
+    algebraic_connectivity,
     build_graph,
     complete_graph_edges,
     complete_graph_optimum,
+    design_problem,
+    load_case,
     optimality_certificate,
     path_usage_counts,
+    shortest_path_optimum,
+    solve_single_node,
     tree_optimum,
     vulnerability_measure,
 )
 from resilnet.designs import NotATreeError
 
-from conftest import batched_measure, random_tree, simplex_grid
+from conftest import batched_measure, random_connected_graph, random_tree, simplex_grid
+
+CASES_DIR = Path(__file__).resolve().parents[1] / "cases"
 
 
 def _path_counts_oracle(tree, k):
@@ -192,3 +204,90 @@ def test_certificate_uniform_complete_graph_fails():
     cert = optimality_certificate(g, 1)
     assert not cert.optimal
     assert cert.min_residual == pytest.approx(-2.4, abs=1e-10)
+
+
+def _mean_hop(g, k):
+    """Independent oracle: mean hop distance from node k (scipy BFS)."""
+    rows = [i for i, _ in g.edges]
+    cols = [j for _, j in g.edges]
+    adj = csr_matrix((np.ones(g.m), (rows, cols)), shape=(g.n, g.n))
+    hops = shortest_path(adj, directed=False, unweighted=True, indices=k - 1)
+    return float(hops.sum()) / g.n
+
+
+def test_shortest_path_optimum_matches_tree_and_complete_graph():
+    rng = np.random.default_rng(25)
+    for _ in range(60):
+        n = int(rng.integers(2, 11))
+        tree = random_tree(rng, n)
+        k = int(rng.integers(1, n + 1))
+        assert np.abs(shortest_path_optimum(tree, k) - tree_optimum(tree, k)).max() < 1e-12
+    for n in (3, 4, 5, 6):
+        g = build_graph(n, complete_graph_edges(n), np.ones(n * (n - 1) // 2))
+        for k in range(1, n + 1):
+            assert np.abs(shortest_path_optimum(g, k)
+                          - complete_graph_optimum(n, k)).max() < 1e-15
+    forest = build_graph(4, [(1, 2), (3, 4)], np.ones(2))
+    with pytest.raises(DisconnectedGraphError):
+        shortest_path_optimum(forest, 1)
+    with pytest.raises(ValueError):
+        shortest_path_optimum(forest, 5)
+
+
+def test_shortest_path_optimum_attains_mean_hop_squared():
+    case = load_case(CASES_DIR / "ny57_substitute.json")
+    graphs = [(case.graph(), [case.node_of(c) for c in case.generator_ids])]
+    assert len(graphs[0][1]) == 29
+    rng = np.random.default_rng(26)
+    for _ in range(40):
+        g = random_connected_graph(rng, int(rng.integers(3, 12)))
+        graphs.append((g, [int(rng.integers(1, g.n + 1))]))
+    for g, nodes in graphs:
+        for k in nodes:
+            b = shortest_path_optimum(g, k)
+            assert b.min() >= 0.0
+            assert b.sum() == pytest.approx(1.0, abs=1e-12)
+            design = g.with_weights(b)
+            assert vulnerability_measure(design, k) == pytest.approx(
+                _mean_hop(g, k) ** 2, rel=1e-12)
+            assert optimality_certificate(design, k).optimal
+
+
+def test_shortest_path_optimum_relabel_invariance():
+    case = load_case(CASES_DIR / "ny57_substitute.json")
+    g = case.graph()
+    rng = np.random.default_rng(27)
+    for _ in range(5):
+        perm = rng.permutation(g.n)           # old 0-based node -> new
+        order = rng.permutation(g.m)          # new edge position -> old index
+        edges = [(int(perm[g.edges[l][1]]) + 1, int(perm[g.edges[l][0]]) + 1)
+                 for l in order]
+        relabelled = build_graph(g.n, edges, np.ones(g.m))
+        for bus in case.generator_ids:
+            k = case.node_of(bus)
+            b = shortest_path_optimum(g, k)
+            b_new = shortest_path_optimum(relabelled, int(perm[k - 1]) + 1)
+            assert np.abs(b_new - b[order]).max() < 1e-12
+
+
+def test_solve_single_node_falls_back_when_floor_binds():
+    edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)]
+    g = build_graph(6, edges, np.ones(len(edges)))
+    k = 1
+    b = shortest_path_optimum(g, k)
+    bound = _mean_hop(g, k) ** 2
+    lam2 = algebraic_connectivity(g.with_weights(b))
+
+    exact = solve_single_node(design_problem(6, edges, v_prime=[k]), k)
+    assert exact.iterations == 0 and exact.converged
+    assert exact.certificate_optimal
+    assert exact.kkt_gap == pytest.approx(0.0, abs=1e-12)
+    assert exact.feasibility >= 0.0
+    assert np.array_equal(exact.b_star, b)
+    assert exact.objective == pytest.approx(bound, rel=1e-12)
+
+    floored = design_problem(6, edges, v_prime=[k], epsilon=1.2 * lam2)
+    res = solve_single_node(floored, k)
+    assert res.iterations > 0
+    assert res.feasibility >= -1e-7
+    assert res.objective >= bound * (1 - 1e-12)

@@ -193,7 +193,6 @@ def test_feasible_set_convexity_probe():
         mix = build_graph(4, edges, sigma * b1 + (1 - sigma) * b2)
         assert mix.b.min() >= 0
         assert mix.b.sum() == pytest.approx(1.0, abs=1e-12)
-        assert algebraic_connectivity(mix) >= eps - 1e-9 or True
         # connectivity of the mixture is guaranteed; the spectral floor
         # itself is concave in the weights, hence also preserved
         assert algebraic_connectivity(mix) >= min(
@@ -203,7 +202,9 @@ def test_feasible_set_convexity_probe():
 def test_nonconvergence_returns_best_iterate():
     cfg = SolverConfig(max_iters=2, phase_iters=1)
     edges = [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]
-    prob = design_problem(6, edges, v_prime=[1])
+    # the floor lies between lambda_2 of the exact flow design (0.0543) and
+    # of the uniform start (0.0764), so the iterative solver must run
+    prob = design_problem(6, edges, v_prime=[1], epsilon=0.07)
     res = solve_single_node(prob, 1, cfg)
     assert not res.converged
     assert res.iterations <= 2
