@@ -25,6 +25,7 @@ from .dynamics import (
     integrate_nonlinear,
     steady_state,
 )
+from .graphs import spectral_bundle
 from .gridcase import CaseError, GridCase, load_case
 from .optimize import DEFAULT_GAMMA, InfeasibleDesignError, design_problem
 from .scenarios import emit_report, scenario_one, scenario_two, _normalized_epsilon
@@ -160,7 +161,7 @@ def cmd_simulate(args) -> int:
         spec = NoiseSpec.ou(node, sigma=default_ou_sigma(omega))
     else:
         spec = NoiseSpec.box(node)
-    lam_n = _laplacian_max(graph)
+    lam_n = float(spectral_bundle(graph).eigenvalues[-1])
     h = DEFAULT_H
     if h * lam_n >= 0.5:
         h = 0.4 / lam_n
@@ -188,11 +189,6 @@ def cmd_simulate(args) -> int:
           f"+/- {stderr:.2g}")
     print(f"wrote {out_dir / 'trajectories.csv'}")
     return 0
-
-
-def _laplacian_max(graph) -> float:
-    from .graphs import laplacian
-    return float(np.linalg.eigvalsh(laplacian(graph))[-1])
 
 
 def cmd_export_sdp(args) -> int:

@@ -4,9 +4,17 @@ Nodes are labelled 1..n at the public API (matching bus numbering in grid
 cases); rows/columns of matrices and entries of weight vectors are 0-based.
 The edge order given at construction is fixed and defines the index l used
 by every weight vector, gradient, and constraint matrix in the package.
+
+Edge l joins nodes ``g.ei[l]`` and ``g.ej[l]``; these read-only index arrays
+are built once per topology and shared by ``with_weights``. They and
+``laplacian(g, b)`` are the package's one edge-to-matrix path: every
+Laplacian (regularized, cosine-weighted, or the spectral bundle's) comes
+from ``laplacian``, and per-edge differences of a node vector x are
+``x[g.ei] - x[g.ej]``.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -35,6 +43,9 @@ __all__ = [
 # connectivity; the relative threshold survives rescaling of the budget.
 CONNECTIVITY_RTOL = 1e-9
 
+# Laplacian contributions of one edge, matching WeightedGraph._scatter.
+_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
 
 class GraphConstructionError(ValueError):
     """Invalid node count, edge list, or weight vector."""
@@ -53,7 +64,8 @@ class WeightedGraph:
     """Immutable weighted graph on nodes 1..n.
 
     ``edges`` holds 0-based pairs (i, j) with i < j, in construction order;
-    ``b`` is the matching vector of nonnegative edge weights.
+    ``b`` is the matching vector of nonnegative edge weights. ``ei`` and
+    ``ej`` are the read-only arrays of the pairs' first and second nodes.
     """
 
     n: int
@@ -61,10 +73,17 @@ class WeightedGraph:
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        b = np.array(self.b, dtype=float)
-        b.setflags(write=False)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "b", _frozen(np.array(self.b, dtype=float)))
         object.__setattr__(self, "_bundle", None)
+        ei = _frozen(np.array([e[0] for e in self.edges], dtype=np.intp))
+        ej = _frozen(np.array([e[1] for e in self.edges], dtype=np.intp))
+        object.__setattr__(self, "ei", ei)
+        object.__setattr__(self, "ej", ej)
+        # Flat positions of (i,i), (j,j), (i,j), (j,i) for each edge in turn,
+        # so laplacian() accumulates every entry in edge order.
+        n = self.n
+        flat = np.stack([ei * n + ei, ej * n + ej, ei * n + ej, ej * n + ei], axis=1)
+        object.__setattr__(self, "_scatter", _frozen(flat.ravel()))
 
     @property
     def m(self) -> int:
@@ -76,16 +95,32 @@ class WeightedGraph:
         return tuple((i + 1, j + 1) for i, j in self.edges)
 
     def with_weights(self, b: Sequence[float]) -> "WeightedGraph":
-        """Same topology with a new weight vector."""
-        b = np.asarray(b, dtype=float)
-        if b.shape != (self.m,):
-            raise GraphConstructionError(
-                f"weight vector has length {b.size}, expected {self.m}"
-            )
-        if np.any(b < 0):
-            idx = int(np.argmin(b))
-            raise GraphConstructionError(f"negative weight at edge index {idx + 1}")
-        return WeightedGraph(self.n, self.edges, b)
+        """Same topology, and the same index arrays, with a new weight vector."""
+        g = copy.copy(self)
+        object.__setattr__(g, "b", _frozen(_checked_weights(b, self.m)))
+        object.__setattr__(g, "_bundle", None)
+        return g
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _checked_weights(b: Iterable[float], m: int) -> np.ndarray:
+    """b as a float vector of length m, finite and nonnegative."""
+    weights = np.array(list(b), dtype=float)
+    if weights.shape != (m,):
+        raise GraphConstructionError(
+            f"weight vector has length {weights.size}, expected {m}"
+        )
+    if not np.all(np.isfinite(weights)):
+        idx = int(np.flatnonzero(~np.isfinite(weights))[0])
+        raise GraphConstructionError(f"non-finite weight at edge index {idx + 1}")
+    neg = np.flatnonzero(weights < 0)
+    if neg.size:
+        raise GraphConstructionError(f"negative weight at edge index {int(neg[0]) + 1}")
+    return weights
 
 
 @dataclass(frozen=True)
@@ -133,18 +168,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], b: Sequence[float]) ->
             )
         seen.add(pair)
         pairs.append(pair)
-    weights = np.asarray(list(b), dtype=float)
-    if weights.shape != (len(pairs),):
-        raise GraphConstructionError(
-            f"weight vector has length {weights.size}, expected {len(pairs)}"
-        )
-    if not np.all(np.isfinite(weights)):
-        idx = int(np.flatnonzero(~np.isfinite(weights))[0])
-        raise GraphConstructionError(f"non-finite weight at edge index {idx + 1}")
-    neg = np.flatnonzero(weights < 0)
-    if neg.size:
-        raise GraphConstructionError(f"negative weight at edge index {int(neg[0]) + 1}")
-    return WeightedGraph(n, tuple(pairs), weights)
+    return WeightedGraph(n, tuple(pairs), _checked_weights(b, len(pairs)))
 
 
 def complete_graph_edges(n: int) -> list[tuple[int, int]]:
@@ -152,15 +176,11 @@ def complete_graph_edges(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def laplacian(g: WeightedGraph) -> np.ndarray:
-    """Dense weighted Laplacian L(b)."""
-    L = np.zeros((g.n, g.n))
-    for (i, j), w in zip(g.edges, g.b):
-        L[i, j] -= w
-        L[j, i] -= w
-        L[i, i] += w
-        L[j, j] += w
-    return L
+def laplacian(g: WeightedGraph, b: np.ndarray | None = None) -> np.ndarray:
+    """Dense weighted Laplacian of g's topology at weights b (default g.b)."""
+    w = g.b if b is None else b
+    signed = (np.asarray(w, dtype=float)[:, None] * _SIGNS).ravel()
+    return np.bincount(g._scatter, signed, g.n * g.n).reshape(g.n, g.n)
 
 
 def spectral_bundle(g: WeightedGraph) -> SpectralBundle:
@@ -245,10 +265,8 @@ def commute_time(g: WeightedGraph, i: int, j: int) -> float:
 
 def transition_matrix(g: WeightedGraph) -> np.ndarray:
     """Random-walk transition matrix P = D^{-1} B; rows sum to 1."""
-    B = np.zeros((g.n, g.n))
-    for (i, j), w in zip(g.edges, g.b):
-        B[i, j] += w
-        B[j, i] += w
+    L = laplacian(g)
+    B = np.diag(np.diag(L)) - L
     deg = B.sum(axis=1)
     dead = np.flatnonzero(deg <= 0.0)
     if dead.size:

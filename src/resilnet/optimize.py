@@ -25,14 +25,14 @@ a lower bound on what this method returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .designs import optimality_certificate, shortest_path_optimum
-from .graphs import DisconnectedGraphError, WeightedGraph, build_graph
+from .designs import shortest_path_optimum
+from .graphs import DisconnectedGraphError, WeightedGraph, build_graph, laplacian
 
 __all__ = [
     "InfeasibleDesignError",
@@ -76,9 +76,8 @@ def epsilon_from_sync(
     if not 0.0 < gamma < math.pi / 2:
         raise ValueError(f"gamma must lie in (0, pi/2), got {gamma}")
     w = np.asarray(omega, dtype=float)
-    spread = 0.0
-    for i, j in edges:
-        spread = max(spread, abs(w[i - 1] - w[j - 1]))
+    e = np.array(list(edges), dtype=int).reshape(-1, 2) - 1
+    spread = float(np.abs(w[e[:, 0]] - w[e[:, 1]]).max(initial=0.0))
     return spread * math.sin(gamma)
 
 
@@ -103,6 +102,7 @@ class DesignProblem:
     set of nodes where disturbances are expected. ``epsilon`` is the
     spectral floor; when omitted it is derived from ``omega`` and ``gamma``
     (floored at a small positive default) or set to the default scale.
+    ``template`` is the validated topology at unit weights.
     """
 
     n: int
@@ -112,10 +112,12 @@ class DesignProblem:
     gamma: float = DEFAULT_GAMMA
     epsilon: float = 0.0
     budget: float = 1.0
+    template: WeightedGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Validates pairs, self-loops, duplicates, and normalizes to i < j.
         template = build_graph(self.n, self.edges, np.ones(len(self.edges)))
+        object.__setattr__(self, "template", template)
         object.__setattr__(self, "edges", template.edge_pairs)
         if not self.v_prime:
             raise ValueError("v_prime must be a nonempty node set")
@@ -144,7 +146,7 @@ class DesignProblem:
             )
 
     def graph(self, b: Sequence[float]) -> WeightedGraph:
-        return build_graph(self.n, self.edges, b)
+        return self.template.with_weights(b)
 
 
 def design_problem(
@@ -220,28 +222,23 @@ class SolverResult:
 class _Objective:
     """Smoothed worst-case objective with spectral barrier on one topology.
 
-    Works at unit budget; callers rescale. ``targets`` are 0-based node
-    indices whose reg-inverse diagonal entries are being minimized.
+    Works at unit budget; callers rescale. ``template`` fixes the topology;
+    ``targets`` are 0-based node indices whose reg-inverse diagonal entries
+    are being minimized.
     """
 
-    def __init__(self, n: int, edges: tuple[tuple[int, int], ...],
-                 targets: Sequence[int], eps: float):
-        self.n = n
-        self.m = len(edges)
-        self.ei = np.array([e[0] for e in edges], dtype=int)
-        self.ej = np.array([e[1] for e in edges], dtype=int)
+    def __init__(self, template: WeightedGraph, targets: Sequence[int], eps: float):
+        self.template = template
+        self.n = template.n
+        self.m = template.m
+        self.ei, self.ej = template.ei, template.ej
         self.targets = np.asarray(targets, dtype=int)
         self.eps = eps
-        inc = np.zeros((self.m, n))
-        inc[np.arange(self.m), self.ei] = 1.0
-        inc[np.arange(self.m), self.ej] = -1.0
-        self.incidence = inc
-        self.ones_n = np.full((n, n), 1.0 / n)
-        self.rhs = np.eye(n)[:, self.targets]
-        self.eye = np.eye(n)
+        self.rhs = np.eye(self.n)[:, self.targets]
+        self.eye = np.eye(self.n)
 
     def reg_laplacian(self, b: np.ndarray) -> np.ndarray:
-        return self.incidence.T @ (b[:, None] * self.incidence) + self.ones_n
+        return laplacian(self.template, b) + 1.0 / self.n
 
     def state(self, b: np.ndarray):
         """Factorizations and target columns at b, or None when infeasible."""
@@ -279,8 +276,7 @@ class _Objective:
         return grad
 
     def lambda2(self, b: np.ndarray) -> float:
-        L = self.incidence.T @ (b[:, None] * self.incidence)
-        return float(np.linalg.eigvalsh(L)[1])
+        return float(np.linalg.eigvalsh(laplacian(self.template, b))[1])
 
 
 def _phase1_max_lambda2(obj: _Objective, b0: np.ndarray, iters: int
@@ -290,8 +286,7 @@ def _phase1_max_lambda2(obj: _Objective, b0: np.ndarray, iters: int
     best_b, best_val = b, obj.lambda2(b)
     step = 1.0
     for _ in range(iters):
-        L = obj.incidence.T @ (b[:, None] * obj.incidence)
-        vals, vecs = np.linalg.eigh(L)
+        vals, vecs = np.linalg.eigh(laplacian(obj.template, b))
         lam = float(vals[1])
         v2 = vecs[:, 1]
         g = (v2[obj.ei] - v2[obj.ej]) ** 2
@@ -315,10 +310,9 @@ def _phase1_max_lambda2(obj: _Objective, b0: np.ndarray, iters: int
 def _solve(problem: DesignProblem, targets: Sequence[int],
            config: SolverConfig) -> SolverResult:
     cfg = config
-    n, budget, eps = problem.n, problem.budget, problem.epsilon / problem.budget
-    edges0 = tuple((i - 1, j - 1) for i, j in problem.edges)
+    budget, eps = problem.budget, problem.epsilon / problem.budget
     targets0 = sorted(set(int(k) - 1 for k in targets))
-    obj = _Objective(n, edges0, targets0, eps)
+    obj = _Objective(problem.template, targets0, eps)
     l = len(targets0)
 
     b = np.full(obj.m, 1.0 / obj.m)
@@ -449,12 +443,11 @@ def _result(problem: DesignProblem, obj: _Objective, targets0: list[int],
     lam2 = obj.lambda2(b) * budget
     certificate = None
     if len(targets0) == 1 and abs(budget - 1.0) < 1e-12:
-        graph = problem.graph(b_star)
-        # Residual tolerance tied to the solve accuracy: the sufficient
-        # condition may hold with equality at the exact optimum.
-        certificate = optimality_certificate(
-            graph, targets0[0] + 1, tol=max(1e-8, cfg.tol)
-        ).optimal
+        # designs.optimality_certificate from the solve in hand: g is the
+        # measure's gradient. Residual tolerance tied to the solve accuracy:
+        # the sufficient condition may hold with equality at the optimum.
+        residuals = g + (float(f[0]) - 1.0 / n)
+        certificate = float(residuals.min()) >= -max(1e-8, cfg.tol)
     return SolverResult(
         b_star=b_star,
         objective=max(per_node.values()),
@@ -479,12 +472,11 @@ def solve_single_node(problem: DesignProblem, k: int,
         raise ValueError(f"node {k} out of range 1..{problem.n}")
     cfg = config or SolverConfig()
     try:
-        b = shortest_path_optimum(problem.graph(np.ones(len(problem.edges))), k)
+        b = shortest_path_optimum(problem.template, k)
     except DisconnectedGraphError:
         return _solve(problem, [k], cfg)
     eps = problem.epsilon / problem.budget
-    edges0 = tuple((i - 1, j - 1) for i, j in problem.edges)
-    obj = _Objective(problem.n, edges0, [k - 1], eps)
+    obj = _Objective(problem.template, [k - 1], eps)
     state = obj.state(b) if obj.lambda2(b) >= eps else None
     if state is None:
         return _solve(problem, [k], cfg)

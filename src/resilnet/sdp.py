@@ -15,11 +15,13 @@ semantics: a value v at (i, j), i < j, means the matrix holds v at both
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
 
+from .graphs import build_graph, laplacian
 from .optimize import DesignProblem
 
 __all__ = [
@@ -96,20 +98,19 @@ class SdpData:
 
 
 def _edge_coefficient_entries(
-    diag_block: int, edges: tuple[tuple[int, int], ...], i: int, j: int
-) -> list[tuple[int, int, int, float]]:
-    """Entries canceling the (i, j) Laplacian term against the b block.
+    diag_block: int, edges: tuple[tuple[int, int], ...]
+) -> dict[tuple[int, int], list[tuple[int, int, int, float]]]:
+    """Map (i, j) to the entries canceling that Laplacian term against the b block.
 
-    i, j are 1-based matrix positions with i <= j; for edge l = (p, q) the
-    Laplacian holds +b_l at (p, p) and (q, q) and -b_l at (p, q).
+    Keys are 1-based matrix positions with i <= j; for edge l = (p, q),
+    p < q, the Laplacian holds +b_l at (p, p) and (q, q) and -b_l at (p, q).
+    Each list is in edge order.
     """
-    out = []
-    for l, (p, q) in enumerate(edges):
-        if i == j:
-            if i in (p, q):
-                out.append((diag_block, l + 1, l + 1, -1.0))
-        elif (i, j) == (p, q):
-            out.append((diag_block, l + 1, l + 1, 1.0))
+    out = defaultdict(list)
+    for l, (p, q) in enumerate(edges, start=1):
+        out[p, p].append((diag_block, l, l, -1.0))
+        out[q, q].append((diag_block, l, l, -1.0))
+        out[p, q].append((diag_block, l, l, 1.0))
     return out
 
 
@@ -141,14 +142,14 @@ def assemble_sdp(problem: DesignProblem) -> SdpData:
     def add(entries: Iterable[tuple[int, int, int, float]], rhs: float) -> None:
         constraints.append((SparseSymmetric(tuple(entries)), rhs))
 
+    ties = _edge_coefficient_entries(diag_block, edges)
+
     for k_idx, k in enumerate(targets):
         # Laplacian part of S_k is affine in the edge-weight block.
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 own = 1.0 if i == j else 0.5
-                entries = [(k_idx, i, j, own)]
-                entries += _edge_coefficient_entries(diag_block, edges, i, j)
-                add(entries, 1.0 / n)
+                add([(k_idx, i, j, own), *ties.get((i, j), ())], 1.0 / n)
         # Border column of S_k is the basis vector of node k.
         for i in range(1, n + 1):
             add([(k_idx, i, n + 1, 0.5)], 1.0 if i == k else 0.0)
@@ -162,9 +163,8 @@ def assemble_sdp(problem: DesignProblem) -> SdpData:
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             own = 1.0 if i == j else 0.5
-            entries = [(e_block, i, j, own)]
-            entries += _edge_coefficient_entries(diag_block, edges, i, j)
-            add(entries, 1.0 / n - (eps if i == j else 0.0))
+            add([(e_block, i, j, own), *ties.get((i, j), ())],
+                1.0 / n - (eps if i == j else 0.0))
 
     return SdpData(
         dimension=dimension,
@@ -189,12 +189,7 @@ def encode_point(sdp: SdpData, b: np.ndarray, t: float) -> np.ndarray:
     if b.shape != (sdp.m,):
         raise ValueError(f"b has shape {b.shape}, expected ({sdp.m},)")
     n = sdp.n
-    M = np.full((n, n), 1.0 / n)
-    for (p, q), w in zip(sdp.edges, b):
-        M[p - 1, q - 1] -= w
-        M[q - 1, p - 1] -= w
-        M[p - 1, p - 1] += w
-        M[q - 1, q - 1] += w
+    M = laplacian(build_graph(n, sdp.edges, np.ones(sdp.m)), b) + 1.0 / n
     Z = np.zeros((sdp.dimension, sdp.dimension))
     offs = sdp.block_offsets()
     for k_idx, k in enumerate(sdp.v_prime):
@@ -214,7 +209,7 @@ def decode_point(sdp: SdpData, Z: np.ndarray) -> tuple[np.ndarray, float]:
     """Extract (b, t) from any Z satisfying the coupling constraints."""
     offs = sdp.block_offsets()
     od = offs[len(sdp.v_prime)]
-    b = np.array([Z[od + i, od + i] for i in range(sdp.m)])
+    b = np.diagonal(Z)[od:od + sdp.m].copy()
     t = float(Z[offs[0] + sdp.n, offs[0] + sdp.n])
     return b, t
 

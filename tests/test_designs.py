@@ -8,6 +8,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from resilnet import (
     DisconnectedGraphError,
+    SolverConfig,
     algebraic_connectivity,
     build_graph,
     complete_graph_edges,
@@ -22,6 +23,8 @@ from resilnet import (
     vulnerability_measure,
 )
 from resilnet.designs import NotATreeError
+from resilnet.optimize import DEFAULT_GAMMA
+from resilnet.scenarios import _normalized_epsilon
 
 from conftest import batched_measure, random_connected_graph, random_tree, simplex_grid
 
@@ -291,3 +294,27 @@ def test_solve_single_node_falls_back_when_floor_binds():
     assert res.iterations > 0
     assert res.feasibility >= -1e-7
     assert res.objective >= bound * (1 - 1e-12)
+
+
+def test_solver_certificate_matches_optimality_certificate():
+    # certificate_optimal comes from the solver's own state; the public
+    # check recomputes it from a fresh spectral bundle of the result.
+    tol = max(1e-8, SolverConfig().tol)
+    case = load_case(CASES_DIR / "ny57_substitute.json")
+    _, eps = _normalized_epsilon(case, DEFAULT_GAMMA, None)
+    runs = []
+    for bus in case.generator_ids:
+        k = case.node_of(bus)
+        problem = design_problem(case.n, case.edge_pairs(), v_prime=[k],
+                                 omega=case.omega(), epsilon=eps)
+        runs.append((problem, k, solve_single_node(problem, k)))
+    assert len(runs) == 29
+    edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)]
+    g = build_graph(6, edges, np.ones(len(edges)))
+    lam2 = algebraic_connectivity(g.with_weights(shortest_path_optimum(g, 1)))
+    floored = design_problem(6, edges, v_prime=[1], epsilon=1.2 * lam2)
+    runs.append((floored, 1, solve_single_node(floored, 1)))
+    assert runs[-1][2].iterations > 0
+    for problem, k, res in runs:
+        expected = optimality_certificate(problem.graph(res.b_star), k, tol=tol)
+        assert res.certificate_optimal is expected.optimal

@@ -17,8 +17,15 @@ from resilnet import (
     transition_matrix,
 )
 from resilnet.designs import complete_graph_optimum
+from resilnet.graphs import laplacian
 
-from conftest import pinv_resistance, random_connected_graph, random_tree, traversal_connected
+from conftest import (
+    pinv_resistance,
+    random_connected_graph,
+    random_tree,
+    reference_laplacian,
+    traversal_connected,
+)
 
 
 def test_build_smallest_graph():
@@ -53,6 +60,42 @@ def test_self_loop_rejected():
 def test_negative_weight_rejected():
     with pytest.raises(GraphConstructionError, match="edge index 2"):
         build_graph(3, [(1, 2), (2, 3)], [0.5, -0.5])
+
+
+def test_with_weights_validates_like_build_graph():
+    g = build_graph(3, [(1, 2), (2, 3)], [1.0, 1.0])
+    for bad in ([np.nan, 1.0], [1.0, np.inf], [1.0, -np.inf]):
+        with pytest.raises(GraphConstructionError) as exc:
+            build_graph(3, [(1, 2), (2, 3)], bad)
+        with pytest.raises(GraphConstructionError, match="non-finite") as exc_ww:
+            g.with_weights(bad)
+        assert str(exc_ww.value) == str(exc.value)
+    with pytest.raises(GraphConstructionError, match="negative weight at edge index 1"):
+        g.with_weights([-0.5, -1.0])
+    with pytest.raises(GraphConstructionError, match="length"):
+        g.with_weights([1.0])
+
+
+def test_with_weights_shares_index_arrays():
+    g = build_graph(4, [(2, 1), (3, 4), (1, 3)], [1.0, 2.0, 3.0])
+    h = g.with_weights([0.5, 0.0, 0.25])
+    assert h.ei is g.ei and h.ej is g.ej
+    assert g.ei.tolist() == [0, 2, 0] and g.ej.tolist() == [1, 3, 2]
+    assert g.b.tolist() == [1.0, 2.0, 3.0] and h.b.tolist() == [0.5, 0.0, 0.25]
+    with pytest.raises(ValueError):
+        g.ei[0] = 1
+
+
+def test_laplacian_matches_reference_loop():
+    rng = np.random.default_rng(404)
+    for _ in range(200):
+        g = random_connected_graph(rng, int(rng.integers(2, 16)))
+        b = rng.uniform(0.0, 2.0, size=g.m)
+        b[rng.random(g.m) < 0.3] = 0.0
+        g0 = g.with_weights(np.where(rng.random(g.m) < 0.3, 0.0, g.b))
+        assert np.abs(laplacian(g0) - reference_laplacian(g0)).max() <= 1e-14
+        expected = reference_laplacian(g.with_weights(b))
+        assert np.abs(laplacian(g, b) - expected).max() <= 1e-14
 
 
 def test_length_mismatch_rejected():

@@ -1,5 +1,7 @@
 """Standard-form SDP assembly, encode/decode, and SDPA export."""
+import hashlib
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +14,15 @@ from resilnet import (
     decode_point,
     design_problem,
     encode_point,
+    load_case,
     vulnerability_measure,
     write_sdpa,
 )
+from resilnet.optimize import DEFAULT_GAMMA
+from resilnet.scenarios import _normalized_epsilon
 from resilnet.sdp import format_sdpa
+
+CASES_DIR = Path(__file__).resolve().parents[1] / "cases"
 
 TOPOLOGIES = {
     "triangle": (3, [(1, 2), (2, 3), (1, 3)]),
@@ -166,3 +173,22 @@ def test_seventeen_digit_values_round_trip():
             continue
         value = ln.split()[4]
         assert float(value) == float(f"{float(value):.17g}")
+
+
+@pytest.mark.parametrize("buses, size, sha256", [
+    ((4, 6, 15), 269_949,
+     "90ed1790068655ec2342a9b21e83e46f0a17e88492ab009e74a14928d7f4bc2e"),
+    (None, 2_122_039,  # all generators
+     "587d6639a3923c420d30376ff561bf6e2f181814814df0afda8cf46fa9f50ac9"),
+])
+def test_ny57_export_bytes_are_pinned(buses, size, sha256):
+    # The floor is derived as `resilnet export-sdp` derives it.
+    case = load_case(CASES_DIR / "ny57_substitute.json")
+    buses = buses or case.generator_ids
+    _, eps = _normalized_epsilon(case, DEFAULT_GAMMA, None)
+    problem = design_problem(case.n, case.edge_pairs(),
+                             v_prime=[case.node_of(b) for b in buses],
+                             omega=case.omega(), epsilon=eps, budget=1.0)
+    text = format_sdpa(assemble_sdp(problem)).encode()
+    assert len(text) == size
+    assert hashlib.sha256(text).hexdigest() == sha256
