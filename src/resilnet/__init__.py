@@ -37,7 +37,6 @@ from .designs import (
 from .optimize import (
     DesignProblem,
     InfeasibleDesignError,
-    SolverConfig,
     SolverResult,
     design_problem,
     epsilon_from_sync,

@@ -27,8 +27,8 @@ from .dynamics import (
 )
 from .graphs import spectral_bundle
 from .gridcase import CaseError, GridCase, load_case
-from .optimize import DEFAULT_GAMMA, InfeasibleDesignError, design_problem
-from .scenarios import emit_report, scenario_one, scenario_two, _normalized_epsilon
+from .optimize import DEFAULT_GAMMA, InfeasibleDesignError
+from .scenarios import emit_report, scenario_one, scenario_two, unit_budget_problem
 from .sdp import assemble_sdp, write_sdpa
 from .vulnerability import vulnerability_measure, worst_case
 
@@ -167,13 +167,15 @@ def cmd_simulate(args) -> int:
         h = 0.4 / lam_n
         print(f"step reduced to h={h:.3g} for stiffness lambda_n={lam_n:.4g}")
     steps = int(round(DEFAULT_T / h))
-    batch = max(1, min(DEFAULT_R, int(1.25e7 // (case.n * (steps + 1)))))
+    # The box pulse ignores the seed, so its realizations would be identical.
+    total = DEFAULT_R if args.noise == "ou" else 1
+    batch = max(1, min(total, int(1.25e7 // (case.n * (steps + 1)))))
     per_real: list[float] = []
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     done = 0
-    while done < DEFAULT_R:
-        r = min(batch, DEFAULT_R - done)
+    while done < total:
+        r = min(batch, total - done)
         traj = integrate_nonlinear(graph, omega, ss.theta0, spec,
                                    h=h, T=DEFAULT_T, R=r, seed=args.seed + done)
         per_real.extend(empirical_vulnerability(traj).per_realization)
@@ -194,16 +196,11 @@ def cmd_simulate(args) -> int:
 def cmd_export_sdp(args) -> int:
     case = load_case(args.case)
     nodes = _parse_nodes(args.nodes, case)
-    eps_phys, eps_norm = _normalized_epsilon(case, args.gamma, args.epsilon)
-    problem = design_problem(
-        case.n, case.edge_pairs(),
-        v_prime=[case.node_of(b) for b in nodes],
-        omega=case.omega(), gamma=args.gamma, epsilon=eps_norm, budget=1.0,
-    )
+    problem, eps_phys = unit_budget_problem(case, nodes, args.gamma, args.epsilon)
     sdp = assemble_sdp(problem)
     write_sdpa(sdp, args.out)
     print(f"wrote {args.out}: dimension {sdp.dimension}, "
-          f"{1 + len(sdp.constraints)} constraints, eps {eps_norm:.6g} "
+          f"{1 + len(sdp.constraints)} constraints, eps {problem.epsilon:.6g} "
           f"(physical {eps_phys:.6g})")
     return 0
 

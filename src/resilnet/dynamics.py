@@ -362,8 +362,9 @@ def empirical_vulnerability(traj: TrajectoryEnsemble) -> EmpiricalMeasure:
     Averages sum_i (freq_i - mean_j freq_j)^2 over the samples at or after
     the disturbance onset, then over realizations.
     """
-    mask = traj.times >= traj.onset - 1e-12
-    f = traj.freq[:, :, mask]
+    # The samples at or after the onset are a suffix of the sorted times.
+    start = int(np.searchsorted(traj.times, traj.onset - 1e-12))
+    f = traj.freq[:, :, start:]
     spread = f - f.mean(axis=1, keepdims=True)
     per_real = (spread * spread).sum(axis=1).mean(axis=1)
     value = float(per_real.mean())

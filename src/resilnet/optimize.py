@@ -1,9 +1,11 @@
 """Edge-weight design problem and its two solution methods.
 
 The problem: minimize the worst-case vulnerability over a node set, over
-the simplex of nonnegative edge weights with fixed total, subject to a
+the simplex of nonnegative edge weights summing to one, subject to a
 spectral floor lambda_2(b) >= epsilon that keeps the network connected and
-synchronizable.
+synchronizable. Callers with another budget c normalize first and rescale
+by homogeneity: measure(c*b) = measure(b)/c and lambda_2(c*b) = c*lambda_2(b)
+(resilnet.scenarios.unit_budget_problem does this for grid cases).
 
 Exact method (single node only). `solve_single_node` first builds the
 shortest-path flow design of resilnet.designs.shortest_path_optimum, which
@@ -17,10 +19,11 @@ the floor). It minimizes a log-sum-exp smoothing of
 max_k e_k^T (L + 11^T/n)^{-1} e_k plus a log-det barrier on
 L + 11^T/n - eps*I, by projected gradient descent on the simplex with
 backtracking line search; the smoothing parameter and the barrier weight
-are annealed downward between phases. Exact analytic gradients make this
-reliable; the SDP exporter (resilnet.sdp) preserves interoperability with
-external conic solvers. For a single node the exact design's value stays
-a lower bound on what this method returns.
+are annealed downward between phases. Its tunables are the module
+constants below; there is no config object. Exact analytic gradients make
+this reliable; the SDP exporter (resilnet.sdp) preserves interoperability
+with external conic solvers. For a single node the exact design's value
+stays a lower bound on what this method returns.
 """
 from __future__ import annotations
 
@@ -37,7 +40,6 @@ from .graphs import DisconnectedGraphError, WeightedGraph, build_graph, laplacia
 __all__ = [
     "InfeasibleDesignError",
     "DesignProblem",
-    "SolverConfig",
     "SolverResult",
     "design_problem",
     "epsilon_from_sync",
@@ -51,6 +53,19 @@ DEFAULT_GAMMA = math.pi / 16
 # small enough to leave the optimum unaffected, positive to force
 # connectivity.
 DEFAULT_EPSILON_SCALE = 1e-4
+
+# Iterative solver; these values suit n up to a few hundred.
+SOLVER_TOL = 1e-6      # target accuracy of the objective
+MAX_ITERS = 60000      # global cap on projected-gradient steps
+PHASE_ITERS = 5000     # cap per annealing phase
+REL_OBJ_TOL = 1e-9     # relative objective stall threshold
+STALL_WINDOW = 20      # iterations over which the stall is measured
+PG_NORM_TOL = 1e-7     # projected-gradient norm threshold
+MU_INIT = 1e-2         # initial barrier weight
+MU_FINAL = 1e-8
+ANNEAL = 0.1           # decay of mu and tau per phase
+ZERO_CLIP = 1e-7       # weight below which edges report 0
+PHASE1_ITERS = 200     # supergradient steps for the feasibility check
 
 
 class InfeasibleDesignError(RuntimeError):
@@ -98,20 +113,17 @@ def project_simplex(v: Sequence[float], budget: float = 1.0) -> np.ndarray:
 class DesignProblem:
     """A vulnerability-minimization instance on a fixed topology.
 
-    ``edges`` are 1-based node pairs; weights are free. ``v_prime`` is the
-    set of nodes where disturbances are expected. ``epsilon`` is the
-    spectral floor; when omitted it is derived from ``omega`` and ``gamma``
-    (floored at a small positive default) or set to the default scale.
-    ``template`` is the validated topology at unit weights.
+    ``edges`` are 1-based node pairs; weights are free and sum to one.
+    ``v_prime`` is the set of nodes where disturbances are expected.
+    ``epsilon`` is the spectral floor at unit budget (see design_problem
+    for its derivation). ``template`` is the validated topology at unit
+    weights.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     v_prime: tuple[int, ...]
-    omega: np.ndarray | None = None
-    gamma: float = DEFAULT_GAMMA
-    epsilon: float = 0.0
-    budget: float = 1.0
+    epsilon: float
     template: WeightedGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -125,25 +137,10 @@ class DesignProblem:
         if vp[0] < 1 or vp[-1] > self.n:
             raise ValueError(f"v_prime {vp} not contained in 1..{self.n}")
         object.__setattr__(self, "v_prime", vp)
-        if self.omega is not None:
-            omega = np.asarray(self.omega, dtype=float)
-            if omega.shape != (self.n,):
-                raise ValueError(
-                    f"omega has shape {omega.shape}, expected ({self.n},)"
-                )
-            omega.setflags(write=False)
-            object.__setattr__(self, "omega", omega)
-        if not 0.0 < self.gamma < math.pi / 2:
-            raise ValueError(f"gamma must lie in (0, pi/2), got {self.gamma}")
-        if self.budget <= 0:
-            raise ValueError(f"budget must be positive, got {self.budget}")
-        # The 11^T/n direction of L + 11^T/n carries eigenvalue exactly
-        # budget/budget = 1 after normalization, so the floor must stay
-        # strictly below the budget.
-        if not 0.0 < self.epsilon < self.budget:
-            raise ValueError(
-                f"epsilon must lie in (0, budget={self.budget}), got {self.epsilon}"
-            )
+        # The 11^T/n direction of L + 11^T/n carries eigenvalue exactly 1,
+        # so the floor must stay strictly below the unit budget.
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
     def graph(self, b: Sequence[float]) -> WeightedGraph:
         return self.template.with_weights(b)
@@ -156,43 +153,26 @@ def design_problem(
     omega: Sequence[float] | None = None,
     gamma: float = DEFAULT_GAMMA,
     epsilon: float | None = None,
-    budget: float = 1.0,
 ) -> DesignProblem:
-    """Build a DesignProblem, deriving the spectral floor when not given."""
+    """Build a unit-budget DesignProblem, deriving the floor when not given.
+
+    Without ``epsilon`` the floor is epsilon_from_sync(omega, edges, gamma),
+    at least DEFAULT_EPSILON_SCALE, or that default when there is no
+    ``omega``.
+    """
+    if not 0.0 < gamma < math.pi / 2:
+        raise ValueError(f"gamma must lie in (0, pi/2), got {gamma}")
     edges = tuple((int(i), int(j)) for i, j in edges)
+    if omega is not None:
+        omega = np.asarray(omega, dtype=float)
+        if omega.shape != (n,):
+            raise ValueError(f"omega has shape {omega.shape}, expected ({n},)")
     if epsilon is None:
-        floor = DEFAULT_EPSILON_SCALE * budget
+        epsilon = DEFAULT_EPSILON_SCALE
         if omega is not None:
-            epsilon = max(epsilon_from_sync(omega, edges, gamma), floor)
-        else:
-            epsilon = floor
-    return DesignProblem(
-        n=n,
-        edges=edges,
-        v_prime=tuple(v_prime),
-        omega=None if omega is None else np.asarray(omega, dtype=float),
-        gamma=gamma,
-        epsilon=float(epsilon),
-        budget=float(budget),
-    )
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tunables of the reference solver; defaults suit n up to a few hundred."""
-
-    tol: float = 1e-6              # target accuracy of the objective
-    max_iters: int = 60000         # global cap on projected-gradient steps
-    phase_iters: int = 5000        # cap per annealing phase
-    rel_obj_tol: float = 1e-9      # relative objective stall threshold
-    stall_window: int = 20         # iterations over which the stall is measured
-    pg_norm_tol: float = 1e-7      # projected-gradient norm threshold
-    mu_init: float = 1e-2          # initial barrier weight
-    mu_final: float = 1e-8
-    tau_final: float | None = None  # smoothing floor; derived from tol if None
-    anneal: float = 0.1            # decay of mu and tau per phase
-    zero_clip: float = 1e-7        # relative weight below which edges report 0
-    phase1_iters: int = 200        # supergradient steps for the feasibility check
+            epsilon = max(epsilon_from_sync(omega, edges, gamma), epsilon)
+    return DesignProblem(n=n, edges=edges, v_prime=tuple(v_prime),
+                         epsilon=float(epsilon))
 
 
 @dataclass(frozen=True)
@@ -222,7 +202,7 @@ class SolverResult:
 class _Objective:
     """Smoothed worst-case objective with spectral barrier on one topology.
 
-    Works at unit budget; callers rescale. ``template`` fixes the topology;
+    Works at unit budget. ``template`` fixes the topology;
     ``targets`` are 0-based node indices whose reg-inverse diagonal entries
     are being minimized.
     """
@@ -307,33 +287,29 @@ def _phase1_max_lambda2(obj: _Objective, b0: np.ndarray, iters: int
     return best_b, best_val
 
 
-def _solve(problem: DesignProblem, targets: Sequence[int],
-           config: SolverConfig) -> SolverResult:
-    cfg = config
-    budget, eps = problem.budget, problem.epsilon / problem.budget
+def _solve(problem: DesignProblem, targets: Sequence[int]) -> SolverResult:
+    eps = problem.epsilon
     targets0 = sorted(set(int(k) - 1 for k in targets))
     obj = _Objective(problem.template, targets0, eps)
     l = len(targets0)
 
     b = np.full(obj.m, 1.0 / obj.m)
     if obj.lambda2(b) <= eps:
-        b, attained = _phase1_max_lambda2(obj, b, cfg.phase1_iters)
+        b, attained = _phase1_max_lambda2(obj, b, PHASE1_ITERS)
         if attained <= eps * (1.0 + 1e-12):
-            raise InfeasibleDesignError(problem.epsilon, attained * budget)
+            raise InfeasibleDesignError(eps, attained)
 
     state = obj.state(b)
     if state is None:
-        raise InfeasibleDesignError(problem.epsilon, obj.lambda2(b) * budget)
+        raise InfeasibleDesignError(eps, obj.lambda2(b))
     f_scale = max(float(state[2].max()), 1e-3)
-    tau_final = cfg.tau_final
-    if tau_final is None:
-        # Smoothing bias is tau*log(l); keep it below the objective target.
-        tau_final = max(1e-9, cfg.tol * max(1.0, f_scale) / (8.0 * math.log(max(l, 2))))
+    # Smoothing bias is tau*log(l); keep it below the objective target.
+    tau_final = max(1e-9, SOLVER_TOL * max(1.0, f_scale) / (8.0 * math.log(max(l, 2))))
     if l > 1:
         tau = max(0.1 * f_scale, tau_final)
     else:
         tau = tau_final
-    mu = cfg.mu_init
+    mu = MU_INIT
 
     best_b = b.copy()
     best_true = float(state[2].max())
@@ -343,12 +319,12 @@ def _solve(problem: DesignProblem, targets: Sequence[int],
     while True:
         # One projected-gradient phase at fixed (tau, mu).
         F, weights = obj.composite(state, tau, mu)
-        final_phase = tau <= tau_final and mu <= cfg.mu_final
+        final_phase = tau <= tau_final and mu <= MU_FINAL
         step = 1.0
         history = [F]
         pg_norm = math.inf
-        for _ in range(cfg.phase_iters):
-            if total_iters >= cfg.max_iters:
+        for _ in range(PHASE_ITERS):
+            if total_iters >= MAX_ITERS:
                 converged = False
                 break
             total_iters += 1
@@ -357,7 +333,7 @@ def _solve(problem: DesignProblem, targets: Sequence[int],
                 # convex objective; exit once it certifies the target.
                 g0 = obj.gradient(state, weights, 0.0)
                 gap = float(g0 @ b - g0.min())
-                if gap <= 0.5 * cfg.tol * max(1.0, abs(F)):
+                if gap <= 0.5 * SOLVER_TOL * max(1.0, abs(F)):
                     break
             grad = obj.gradient(state, weights, mu)
             pg_norm = float(np.linalg.norm(b - project_simplex(b - grad, 1.0)))
@@ -383,28 +359,28 @@ def _solve(problem: DesignProblem, targets: Sequence[int],
             if not accepted:
                 break
             history.append(F)
-            if len(history) > cfg.stall_window:
+            if len(history) > STALL_WINDOW:
                 history.pop(0)
                 spread = max(history) - min(history)
-                if spread < cfg.rel_obj_tol * max(1.0, abs(F)):
+                if spread < REL_OBJ_TOL * max(1.0, abs(F)):
                     # Intermediate phases hand off on stall alone; the final
                     # phase also needs a stationary point.
-                    if not final_phase or pg_norm < cfg.pg_norm_tol:
+                    if not final_phase or pg_norm < PG_NORM_TOL:
                         break
         else:
             converged = False
-        if total_iters >= cfg.max_iters:
+        if total_iters >= MAX_ITERS:
             converged = False
             break
         if final_phase:
             break
-        tau = max(tau * cfg.anneal, tau_final)
-        mu = max(mu * cfg.anneal, cfg.mu_final)
+        tau = max(tau * ANNEAL, tau_final)
+        mu = max(mu * ANNEAL, MU_FINAL)
 
     # Final polish: clip numerically-zero weights, renormalize, keep if it
     # does not hurt the objective or the spectral floor.
     polished = best_b.copy()
-    polished[polished < cfg.zero_clip] = 0.0
+    polished[polished < ZERO_CLIP] = 0.0
     total = polished.sum()
     if total > 0.0:
         polished /= total
@@ -418,14 +394,14 @@ def _solve(problem: DesignProblem, targets: Sequence[int],
     final_state = obj.state(best_b)
     assert final_state is not None
     return _result(problem, obj, targets0, best_b, final_state, total_iters,
-                   converged, cfg, tau_final)
+                   converged, tau_final)
 
 
 def _result(problem: DesignProblem, obj: _Objective, targets0: list[int],
             b: np.ndarray, state, iterations: int, converged: bool,
-            cfg: SolverConfig, tau: float) -> SolverResult:
-    """Diagnostics of the unit-budget point b, rescaled to the budget."""
-    n, budget = problem.n, problem.budget
+            tau: float) -> SolverResult:
+    """Diagnostics of the point b."""
+    n = problem.n
     f = state[2]
     # Stationarity gap over the simplex at the (tiny-tau) smoothed objective.
     _, w = obj.composite(state, max(tau, 1e-12), 0.0)
@@ -433,35 +409,29 @@ def _result(problem: DesignProblem, obj: _Objective, targets0: list[int],
     kkt_gap = float(g @ b - g.min())
     # The gap certifies suboptimality of the convex objective even when the
     # phase-exit criteria were not all met.
-    converged = converged or kkt_gap <= cfg.tol * max(1.0, float(f.max()))
+    converged = converged or kkt_gap <= SOLVER_TOL * max(1.0, float(f.max()))
 
-    b_star = b * budget
-    per_node = {
-        k + 1: (float(fv) - 1.0 / n) / budget
-        for k, fv in zip(targets0, f)
-    }
-    lam2 = obj.lambda2(b) * budget
+    per_node = {k + 1: float(fv) - 1.0 / n for k, fv in zip(targets0, f)}
     certificate = None
-    if len(targets0) == 1 and abs(budget - 1.0) < 1e-12:
+    if len(targets0) == 1:
         # designs.optimality_certificate from the solve in hand: g is the
         # measure's gradient. Residual tolerance tied to the solve accuracy:
         # the sufficient condition may hold with equality at the optimum.
         residuals = g + (float(f[0]) - 1.0 / n)
-        certificate = float(residuals.min()) >= -max(1e-8, cfg.tol)
+        certificate = float(residuals.min()) >= -max(1e-8, SOLVER_TOL)
     return SolverResult(
-        b_star=b_star,
+        b_star=b,
         objective=max(per_node.values()),
         per_node=per_node,
         iterations=iterations,
         kkt_gap=kkt_gap,
-        feasibility=lam2 - problem.epsilon,
+        feasibility=obj.lambda2(b) - problem.epsilon,
         converged=converged,
         certificate_optimal=certificate,
     )
 
 
-def solve_single_node(problem: DesignProblem, k: int,
-                      config: SolverConfig | None = None) -> SolverResult:
+def solve_single_node(problem: DesignProblem, k: int) -> SolverResult:
     """Minimize the vulnerability of node k over the feasible weight set.
 
     Returns the exact shortest-path flow design (iterations = 0) when it
@@ -470,21 +440,19 @@ def solve_single_node(problem: DesignProblem, k: int,
     """
     if not 1 <= k <= problem.n:
         raise ValueError(f"node {k} out of range 1..{problem.n}")
-    cfg = config or SolverConfig()
     try:
         b = shortest_path_optimum(problem.template, k)
     except DisconnectedGraphError:
-        return _solve(problem, [k], cfg)
-    eps = problem.epsilon / problem.budget
+        return _solve(problem, [k])
+    eps = problem.epsilon
     obj = _Objective(problem.template, [k - 1], eps)
     state = obj.state(b) if obj.lambda2(b) >= eps else None
     if state is None:
-        return _solve(problem, [k], cfg)
+        return _solve(problem, [k])
     return _result(problem, obj, [k - 1], b, state, iterations=0,
-                   converged=True, cfg=cfg, tau=0.0)
+                   converged=True, tau=0.0)
 
 
-def solve_min_max(problem: DesignProblem,
-                  config: SolverConfig | None = None) -> SolverResult:
+def solve_min_max(problem: DesignProblem) -> SolverResult:
     """Minimize the worst-case vulnerability over the problem's node set."""
-    return _solve(problem, problem.v_prime, config or SolverConfig())
+    return _solve(problem, problem.v_prime)

@@ -3,15 +3,17 @@
 Scenario "single" asks which candidate bus tolerates a new disturbance
 best, before and after reallocating the susceptance budget for each
 candidate separately. Scenario "minmax" reallocates once to protect a
-whole node set. Internally the budget is normalized to one and results
-are rescaled by homogeneity (measure(c*b) = measure(b)/c), so reported
-measures and weights are in physical per-unit terms.
+whole node set. Both solve the unit-budget problem of unit_budget_problem,
+whose budget is the case's total susceptance, and rescale the results by
+homogeneity (measure(c*b) = measure(b)/c), so reported measures and
+weights are in physical per-unit terms.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -21,8 +23,8 @@ from .gridcase import GridCase
 from .optimize import (
     DEFAULT_EPSILON_SCALE,
     DEFAULT_GAMMA,
+    DesignProblem,
     InfeasibleDesignError,
-    SolverConfig,
     design_problem,
     epsilon_from_sync,
     solve_min_max,
@@ -34,6 +36,7 @@ __all__ = [
     "NodeOutcome",
     "SyncCheck",
     "ScenarioReport",
+    "unit_budget_problem",
     "scenario_one",
     "scenario_two",
     "emit_report",
@@ -47,6 +50,10 @@ def _argmin_node(values: dict[int, float]) -> int:
     vmin = min(values.values())
     cut = vmin + _IMPROVE_TOL * max(1.0, abs(vmin))
     return min(k for k, v in values.items() if v <= cut)
+
+
+def _field_dict(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 @dataclass(frozen=True)
@@ -98,12 +105,11 @@ class ScenarioReport:
     sync_check: SyncCheck
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["edges"] = [list(e) for e in self.edges]
-        d["per_node"] = [asdict(o) for o in self.per_node]
-        d["b0"] = list(self.b0)
-        d["b_out"] = {k: list(v) for k, v in self.b_out.items()}
-        d["sync_check"] = asdict(self.sync_check)
+        """Fields as a JSON-ready dict; its tuples serialize as lists."""
+        d = _field_dict(self)
+        d["per_node"] = [_field_dict(o) for o in self.per_node]
+        d["b_out"] = dict(self.b_out)
+        d["sync_check"] = _field_dict(self.sync_check)
         return d
 
     @classmethod
@@ -139,6 +145,20 @@ def _normalized_epsilon(case: GridCase, gamma: float,
     return epsilon, epsilon / scale
 
 
+def unit_budget_problem(case: GridCase, buses: Iterable[int], gamma: float,
+                        epsilon: float | None) -> tuple[DesignProblem, float]:
+    """The case's unit-budget design problem over ``buses``, and its physical floor.
+
+    ``epsilon`` is a physical floor, derived from the case when None. The
+    problem's weights and measures scale back by the total susceptance.
+    """
+    eps_phys, eps_norm = _normalized_epsilon(case, gamma, epsilon)
+    problem = design_problem(case.n, case.edge_pairs(),
+                             v_prime=[case.node_of(b) for b in buses],
+                             gamma=gamma, epsilon=eps_norm)
+    return problem, eps_phys
+
+
 def _sync_check(case: GridCase, weights_phys: np.ndarray, gamma: float,
                 eps_phys: float) -> SyncCheck:
     graph = case.graph(weights_phys)
@@ -166,7 +186,6 @@ def scenario_one(
     candidates: tuple[int, ...] | list[int],
     gamma: float = DEFAULT_GAMMA,
     epsilon: float | None = None,
-    config: SolverConfig | None = None,
 ) -> ScenarioReport:
     """Rank candidate buses by vulnerability before and after reallocation.
 
@@ -182,14 +201,10 @@ def scenario_one(
     if rogue:
         raise ValueError(f"candidates must be generator buses; {rogue} are not")
     scale = case.total_susceptance
-    eps_phys, eps_norm = _normalized_epsilon(case, gamma, epsilon)
+    problem, eps_phys = unit_budget_problem(case, candidates, gamma, epsilon)
     b0_phys = case.susceptances()
     graph0 = case.graph()
     nodes = {c: case.node_of(c) for c in candidates}
-    problem = design_problem(
-        case.n, case.edge_pairs(), v_prime=[nodes[c] for c in candidates],
-        omega=case.omega(), gamma=gamma, epsilon=eps_norm, budget=1.0,
-    )
     before = {c: vulnerability_measure(graph0, nodes[c]) for c in candidates}
 
     outcomes = []
@@ -197,7 +212,7 @@ def scenario_one(
     after: dict[int, float] = {}
     for c in candidates:
         try:
-            res = solve_single_node(problem, nodes[c], config)
+            res = solve_single_node(problem, nodes[c])
         except InfeasibleDesignError:
             outcomes.append(NodeOutcome(node=c, before=before[c], after=None,
                                         feasible=False, increased=False))
@@ -241,7 +256,6 @@ def scenario_two(
     v_prime: tuple[int, ...] | list[int],
     gamma: float = DEFAULT_GAMMA,
     epsilon: float | None = None,
-    config: SolverConfig | None = None,
 ) -> ScenarioReport:
     """Distribute the susceptance budget to protect a whole bus set.
 
@@ -253,15 +267,11 @@ def scenario_two(
     if not v_prime:
         raise ValueError("v_prime is empty")
     scale = case.total_susceptance
-    eps_phys, eps_norm = _normalized_epsilon(case, gamma, epsilon)
+    problem, eps_phys = unit_budget_problem(case, v_prime, gamma, epsilon)
     b0_phys = case.susceptances()
     graph0 = case.graph()
     nodes = {c: case.node_of(c) for c in v_prime}
-    problem = design_problem(
-        case.n, case.edge_pairs(), v_prime=[nodes[c] for c in v_prime],
-        omega=case.omega(), gamma=gamma, epsilon=eps_norm, budget=1.0,
-    )
-    result = solve_min_max(problem, config)
+    result = solve_min_max(problem)
     before = {c: vulnerability_measure(graph0, nodes[c]) for c in v_prime}
     after = {c: result.per_node[nodes[c]] / scale for c in v_prime}
     weights_phys = result.b_star * scale

@@ -58,8 +58,9 @@ class SparseSymmetric:
 class SdpData:
     """Exact standard form min Tr(WZ) s.t. Tr(AZ)=1, couplings, Z >= 0.
 
-    Always expressed at unit budget; problems with another budget are
-    rescaled by homogeneity before assembly.
+    Expressed at unit budget, as every DesignProblem is; the caller
+    normalizes a physical budget first (see
+    resilnet.scenarios.unit_budget_problem).
     """
 
     dimension: int
@@ -121,7 +122,7 @@ def assemble_sdp(problem: DesignProblem) -> SdpData:
     m = len(edges)
     targets = problem.v_prime
     l = len(targets)
-    eps = problem.epsilon / problem.budget
+    eps = problem.epsilon
     dimension = l * (n + 1) + m + n
 
     blocks = tuple(

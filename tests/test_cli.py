@@ -94,6 +94,21 @@ def test_simulate_writes_trajectories(tmp_path, capsys, monkeypatch):
     assert header == "time,realization,node,theta,freq"
 
 
+@pytest.mark.parametrize("noise, realizations", [("box", 1), ("ou", 8)])
+def test_simulate_realization_count(tmp_path, capsys, monkeypatch,
+                                    noise, realizations):
+    # The box pulse is deterministic, so one realization says it all.
+    import resilnet.cli as cli
+    monkeypatch.setattr(cli, "DEFAULT_T", 20.0)
+    monkeypatch.setattr(cli, "DEFAULT_R", 8)
+    weights = tmp_path / "w.csv"
+    weights.write_text("edge,b_star\n" + "e,0.1\n" * 10)
+    code = main(["simulate", "--case", K5, "--weights", str(weights),
+                 "--noise", noise, "--node", "1", "--out", str(tmp_path)])
+    assert code == 0
+    assert f"R={realizations})" in capsys.readouterr().out
+
+
 def test_simulate_bad_weights_exit_3(tmp_path, capsys):
     weights = tmp_path / "w.csv"
     weights.write_text("edge,b_star\n1-2,0.5\n")

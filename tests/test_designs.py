@@ -8,7 +8,6 @@ from scipy.sparse.csgraph import shortest_path
 
 from resilnet import (
     DisconnectedGraphError,
-    SolverConfig,
     algebraic_connectivity,
     build_graph,
     complete_graph_edges,
@@ -23,7 +22,7 @@ from resilnet import (
     vulnerability_measure,
 )
 from resilnet.designs import NotATreeError
-from resilnet.optimize import DEFAULT_GAMMA
+from resilnet.optimize import DEFAULT_GAMMA, SOLVER_TOL
 from resilnet.scenarios import _normalized_epsilon
 
 from conftest import batched_measure, random_connected_graph, random_tree, simplex_grid
@@ -299,7 +298,7 @@ def test_solve_single_node_falls_back_when_floor_binds():
 def test_solver_certificate_matches_optimality_certificate():
     # certificate_optimal comes from the solver's own state; the public
     # check recomputes it from a fresh spectral bundle of the result.
-    tol = max(1e-8, SolverConfig().tol)
+    tol = max(1e-8, SOLVER_TOL)
     case = load_case(CASES_DIR / "ny57_substitute.json")
     _, eps = _normalized_epsilon(case, DEFAULT_GAMMA, None)
     runs = []

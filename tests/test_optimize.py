@@ -6,7 +6,6 @@ import pytest
 
 from resilnet import (
     InfeasibleDesignError,
-    SolverConfig,
     algebraic_connectivity,
     build_graph,
     complete_graph_edges,
@@ -19,6 +18,7 @@ from resilnet import (
     tree_optimum,
     vulnerability_measure,
 )
+from resilnet import optimize
 
 from conftest import random_tree
 
@@ -199,13 +199,13 @@ def test_feasible_set_convexity_probe():
             algebraic_connectivity(g1), algebraic_connectivity(g2)) - 1e-9
 
 
-def test_nonconvergence_returns_best_iterate():
-    cfg = SolverConfig(max_iters=2, phase_iters=1)
+def test_nonconvergence_returns_best_iterate(monkeypatch):
+    monkeypatch.setattr(optimize, "MAX_ITERS", 2)
     edges = [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]
     # the floor lies between lambda_2 of the exact flow design (0.0543) and
     # of the uniform start (0.0764), so the iterative solver must run
     prob = design_problem(6, edges, v_prime=[1], epsilon=0.07)
-    res = solve_single_node(prob, 1, cfg)
+    res = solve_single_node(prob, 1)
     assert not res.converged
     assert res.iterations <= 2
     # still feasible and no worse than the uniform start

@@ -1,5 +1,6 @@
 """Scenario workflows and report emission."""
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,15 @@ def test_report_json_round_trip(tmp_path):
     paths = emit_report(report, tmp_path)
     loaded = json.loads(paths["report.json"].read_text())
     assert ScenarioReport.from_dict(loaded) == report
+
+
+def test_to_dict_serializes_like_asdict():
+    ny57 = load_case(CASES_DIR / "ny57_substitute.json")
+    reports = [scenario_one(ny57, ny57.generator_ids[::6]),
+               scenario_two(_p3_case(), [1, 3])]
+    for report in reports:
+        assert (json.dumps(report.to_dict(), indent=2)
+                == json.dumps(asdict(report), indent=2))
 
 
 def test_emit_report_file_set(tmp_path):

@@ -188,7 +188,7 @@ def test_ny57_export_bytes_are_pinned(buses, size, sha256):
     _, eps = _normalized_epsilon(case, DEFAULT_GAMMA, None)
     problem = design_problem(case.n, case.edge_pairs(),
                              v_prime=[case.node_of(b) for b in buses],
-                             omega=case.omega(), epsilon=eps, budget=1.0)
+                             omega=case.omega(), epsilon=eps)
     text = format_sdpa(assemble_sdp(problem)).encode()
     assert len(text) == size
     assert hashlib.sha256(text).hexdigest() == sha256
