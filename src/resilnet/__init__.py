@@ -40,7 +40,6 @@ from .optimize import (
     SolverResult,
     design_problem,
     epsilon_from_sync,
-    project_simplex,
     solve_min_max,
     solve_single_node,
 )

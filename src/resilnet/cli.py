@@ -137,6 +137,10 @@ def cmd_design(args) -> int:
     skipped = [o.node for o in report.per_node if not o.feasible]
     if skipped:
         print(f"infeasible spectral floor for buses {skipped}; excluded from ranking")
+    unconverged = report.unconverged()
+    if unconverged:
+        print(f"uncertified design for buses {unconverged}; "
+              f"certified gap above tolerance (see report.json)")
     increased = [o.node for o in report.per_node if o.increased]
     if increased:
         print(f"measure increased at buses {increased}")

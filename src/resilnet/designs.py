@@ -24,6 +24,7 @@ __all__ = [
     "CertificateResult",
     "complete_graph_optimum",
     "path_usage_counts",
+    "shortest_path_flow",
     "shortest_path_optimum",
     "tree_optimum",
     "optimality_certificate",
@@ -167,12 +168,8 @@ def tree_optimum(tree: WeightedGraph, k: int) -> np.ndarray:
 def shortest_path_optimum(g: WeightedGraph, k: int) -> np.ndarray:
     """Optimal unit-budget weights for node k on any connected topology.
 
-    Routes the demand e_k - 1/n over the breadth-first shortest-path DAG
-    from k. Nodes are taken in decreasing hop distance; each node's
-    throughput (1/n plus what its successors send up) is split evenly over
-    all its edges to nodes one hop closer to k. The weights are the flows,
-    normalized to unit total, and the measure there is (mean hop distance
-    from k)^2.
+    The weights are the flows of ``shortest_path_flow``, normalized to unit
+    total, and the measure there is (mean hop distance from k)^2.
 
     Why it is optimal: by Thomson's principle L+_kk = min over flows f
     routing e_k - 1/n of sum f_l^2 / b_l, and by Cauchy-Schwarz that is at
@@ -183,6 +180,19 @@ def shortest_path_optimum(g: WeightedGraph, k: int) -> np.ndarray:
     only on the graph's structure, so relabelling nodes or reordering edges
     permutes the weights and leaves every measure unchanged. Weights are
     ignored; raises DisconnectedGraphError if the topology is disconnected.
+    """
+    flow = shortest_path_flow(g, k)
+    return flow / flow.sum()
+
+
+def shortest_path_flow(g: WeightedGraph, k: int) -> np.ndarray:
+    """Flows routing the demand e_k - 1/n over the shortest-path DAG from k.
+
+    Nodes are taken in decreasing hop distance from k; each node's
+    throughput (1/n plus what its successors send up) is split evenly over
+    all its edges to nodes one hop closer to k. The flows sum to the mean
+    hop distance from k, whose square is Elfving's lower bound on L+_kk
+    over the unit simplex.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"node {k} out of range 1..{g.n}")
@@ -207,7 +217,7 @@ def shortest_path_optimum(g: WeightedGraph, k: int) -> np.ndarray:
         for u, l in preds:
             flow[l] = share
             throughput[u] += share
-    return flow / flow.sum()
+    return flow
 
 
 def optimality_certificate(

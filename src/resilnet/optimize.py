@@ -7,23 +7,25 @@ synchronizable. Callers with another budget c normalize first and rescale
 by homogeneity: measure(c*b) = measure(b)/c and lambda_2(c*b) = c*lambda_2(b)
 (resilnet.scenarios.unit_budget_problem does this for grid cases).
 
-Exact method (single node only). `solve_single_node` first builds the
-shortest-path flow design of resilnet.designs.shortest_path_optimum, which
-minimizes the node's measure over the whole simplex (Elfving's theorem).
-It returns that design, with iterations = 0, whenever the topology is
-connected, the design meets the spectral floor, and the regularized
-Laplacian factorizes there.
+Exact method (single node): the shortest-path flow design of
+resilnet.designs (Elfving), with lower bound (mean hop)^2, whenever it
+meets the floor. Barrier method (min-max, and single node otherwise): with
+M = L(b) + 11^T/n and f_k = e_k^T M^-1 e_k, path following (Boyd and
+Vandenberghe 2004, ch. 11) on the SDP min t s.t. [M e_k; e_k^T t] >= 0 per
+target k and M - eps*I >= 0. Each block's barrier is -log det M -
+log(t - f_k); t is eliminated through sum_k 1/(t - f_k) = s, and Newton
+steps on b use the Schur-complemented Hessian in a diag(b)-scaled KKT
+system. s grows PATH_STEP-fold per centering until neither objective nor
+bound moves by STALL_RTOL; MAX_ITERS caps each path's Newton steps.
 
-Iterative method (min-max, and single node when the exact design misses
-the floor). It minimizes a log-sum-exp smoothing of
-max_k e_k^T (L + 11^T/n)^{-1} e_k plus a log-det barrier on
-L + 11^T/n - eps*I, by projected gradient descent on the simplex with
-backtracking line search; the smoothing parameter and the barrier weight
-are annealed downward between phases. Its tunables are the module
-constants below; there is no config object. Exact analytic gradients make
-this reliable; the SDP exporter (resilnet.sdp) preserves interoperability
-with external conic solvers. For a single node the exact design's value
-stays a lower bound on what this method returns.
+The lower bound is never nu/s: with A = M - eps*I and Z = P A^-1 P /
+tr(P A^-1 P) (P = I - 11^T/n), h(b') = sum_k pi_k f_k(b') - zeta tr(Z A(b'))
+is convex and at most max_k f_k(b') where the floor holds, for pi on the
+simplex and zeta >= 0; a small LP picks pi and zeta for the best
+linearization bound. ``converged`` means a relative gap <= SOLVER_TOL.
+When the uniform start misses the floor, phase 1 maximizes lambda_2 the
+same way (Ghosh and Boyd 2006); failing that, its dual Z (Z >= 0, tr Z = 1,
+Z1 = 0) certifies lambda_2 <= max_l a_l^T Z a_l for InfeasibleDesignError.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .designs import shortest_path_optimum
+from .designs import shortest_path_flow
 from .graphs import DisconnectedGraphError, WeightedGraph, build_graph, laplacian
 
 __all__ = [
@@ -43,7 +45,6 @@ __all__ = [
     "SolverResult",
     "design_problem",
     "epsilon_from_sync",
-    "project_simplex",
     "solve_single_node",
     "solve_min_max",
 ]
@@ -54,30 +55,24 @@ DEFAULT_GAMMA = math.pi / 16
 # connectivity.
 DEFAULT_EPSILON_SCALE = 1e-4
 
-# Iterative solver; these values suit n up to a few hundred.
-SOLVER_TOL = 1e-6      # target accuracy of the objective
-MAX_ITERS = 60000      # global cap on projected-gradient steps
-PHASE_ITERS = 5000     # cap per annealing phase
-REL_OBJ_TOL = 1e-9     # relative objective stall threshold
-STALL_WINDOW = 20      # iterations over which the stall is measured
-PG_NORM_TOL = 1e-7     # projected-gradient norm threshold
-MU_INIT = 1e-2         # initial barrier weight
-MU_FINAL = 1e-8
-ANNEAL = 0.1           # decay of mu and tau per phase
-ZERO_CLIP = 1e-7       # weight below which edges report 0
-PHASE1_ITERS = 200     # supergradient steps for the feasibility check
+SOLVER_TOL = 1e-6      # certified relative gap of a converged design
+MAX_ITERS = 400        # cap on the Newton steps of one path
+PATH_STEP = 10.0       # growth of the path parameter s per centering
+STALL_RTOL = 1e-10     # a path ends once a centering gains less than this
 
 
 class InfeasibleDesignError(RuntimeError):
-    """No weight vector on the simplex reaches the spectral floor."""
+    """No weight vector reaches the floor; lambda_2 found and its certified bound."""
 
-    def __init__(self, epsilon: float, attained: float):
+    def __init__(self, epsilon: float, attained: float, upper_bound: float):
         super().__init__(
             f"spectral floor epsilon={epsilon:.6g} is unreachable; "
-            f"maximum attained lambda_2 = {attained:.6g}"
+            f"maximum attained lambda_2 = {attained:.6g} "
+            f"(certified upper bound {upper_bound:.6g})"
         )
         self.epsilon = epsilon
         self.attained = attained
+        self.upper_bound = upper_bound
 
 
 def epsilon_from_sync(
@@ -94,19 +89,6 @@ def epsilon_from_sync(
     e = np.array(list(edges), dtype=int).reshape(-1, 2) - 1
     spread = float(np.abs(w[e[:, 0]] - w[e[:, 1]]).max(initial=0.0))
     return spread * math.sin(gamma)
-
-
-def project_simplex(v: Sequence[float], budget: float = 1.0) -> np.ndarray:
-    """Euclidean projection onto {b >= 0, sum(b) = budget}."""
-    if budget <= 0:
-        raise ValueError(f"budget must be positive, got {budget}")
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, v.size + 1)
-    rho = int(np.nonzero(u + (budget - css) / idx > 0)[0][-1])
-    theta = (css[rho] - budget) / (rho + 1)
-    return np.maximum(v - theta, 0.0)
 
 
 @dataclass(frozen=True)
@@ -179,11 +161,10 @@ def design_problem(
 class SolverResult:
     """Optimal weights plus convergence and feasibility diagnostics.
 
-    ``objective`` and ``per_node`` are vulnerability measures (pseudoinverse
-    diagonal entries); ``kkt_gap`` is the simplex stationarity gap of the
-    final point (zero at an exact optimum with inactive spectral floor);
-    ``feasibility`` is lambda_2(b_star) - epsilon. ``iterations`` is 0 when
-    the exact single-node design was returned.
+    ``objective`` and ``per_node`` are vulnerability measures; ``lower_bound``
+    certifies the optimum from below and ``kkt_gap`` is objective minus it.
+    ``feasibility`` is lambda_2(b_star) - epsilon; ``iterations`` counts the
+    Newton steps of ``method`` ("exact-flow" or "barrier").
     """
 
     b_star: np.ndarray
@@ -193,264 +174,282 @@ class SolverResult:
     kkt_gap: float
     feasibility: float
     converged: bool
+    lower_bound: float
+    method: str
     certificate_optimal: bool | None = None
 
     def __post_init__(self) -> None:
         self.b_star.setflags(write=False)
 
 
-class _Objective:
-    """Smoothed worst-case objective with spectral barrier on one topology.
+def _eliminate(c: np.ndarray, s: float) -> tuple[float, np.ndarray]:
+    """u = t - max(c) at the root of sum_k 1/(t - c_k) = s, and the gaps t - c.
 
-    Works at unit budget. ``template`` fixes the topology;
-    ``targets`` are 0-based node indices whose reg-inverse diagonal entries
-    are being minimized.
+    Newton on the concave, increasing 1/sum_k 1/(t - c_k) climbs from u = 1/s.
     """
+    d = c.max() - c
+    u = 1.0 / s
+    for _ in range(100):
+        w = 1.0 / (u + d)
+        step = w.sum() * (w.sum() / s - 1.0) / (w @ w)
+        if step <= 1e-15 * u:
+            break
+        u += step
+    return u, u + d
+
+
+class _MinMax:
+    """Barrier of the targets' blocks and the floor; ``targets`` are 0-based."""
 
     def __init__(self, template: WeightedGraph, targets: Sequence[int], eps: float):
-        self.template = template
-        self.n = template.n
-        self.m = template.m
+        self.template, self.n, self.eps = template, template.n, eps
         self.ei, self.ej = template.ei, template.ej
         self.targets = np.asarray(targets, dtype=int)
-        self.eps = eps
-        self.rhs = np.eye(self.n)[:, self.targets]
+        self.l = self.targets.size
         self.eye = np.eye(self.n)
-
-    def reg_laplacian(self, b: np.ndarray) -> np.ndarray:
-        return laplacian(self.template, b) + 1.0 / self.n
+        self.rhs = self.eye[:, self.targets]
+        self.nu = self.l * (self.n + 1) + self.n + template.m
 
     def state(self, b: np.ndarray):
-        """Factorizations and target columns at b, or None when infeasible."""
-        M = self.reg_laplacian(b)
-        A = M - self.eps * self.eye
+        """Factors of M and M - eps*I and the target columns of M^-1, or None."""
+        M = laplacian(self.template, b) + 1.0 / self.n
         try:
-            cA = cho_factor(A, lower=True, check_finite=False)
+            cA = cho_factor(M - self.eps * self.eye, lower=True, check_finite=False)
             cM = cho_factor(M, lower=True, check_finite=False)
         except LinAlgError:
             return None
         U = cho_solve(cM, self.rhs, check_finite=False)
-        f = U[self.targets, np.arange(self.targets.size)]
-        logdet = 2.0 * float(np.sum(np.log(np.diag(cA[0]))))
-        return cA, U, f, logdet
+        return cM, cA, U, U[self.targets, np.arange(self.l)]
 
-    def composite(self, state, tau: float, mu: float) -> tuple[float, np.ndarray]:
-        """(smoothed objective value, softmax weights over targets)."""
-        _, _, f, logdet = state
-        if f.size == 1:
-            return float(f[0]) - mu * logdet, np.ones(1)
-        fmax = float(f.max())
-        ex = np.exp((f - fmax) / tau)
-        sw = float(ex.sum())
-        return fmax + tau * math.log(sw) - mu * logdet, ex / sw
+    def objective(self, state) -> float:
+        return float(state[3].max()) - 1.0 / self.n
 
-    def gradient(self, state, weights: np.ndarray, mu: float) -> np.ndarray:
-        cA, U, _, _ = state
-        diff = U[self.ei, :] - U[self.ej, :]
-        grad = -(diff * diff) @ weights
-        if mu > 0.0:
-            a_inv = cho_solve(cA, self.eye, check_finite=False)
-            quad = (np.diag(a_inv)[self.ei] + np.diag(a_inv)[self.ej]
-                    - 2.0 * a_inv[self.ei, self.ej])
-            grad = grad - mu * quad
-        return grad
+    def _inverse(self, factor) -> tuple[np.ndarray, np.ndarray]:
+        """X^-1 and B^T X^-1 B (B the incidence matrix) from a factor of X."""
+        inv = cho_solve(factor, self.eye, check_finite=False)
+        X = inv[:, self.ei] - inv[:, self.ej]
+        return inv, X[self.ei] - X[self.ej]
 
-    def lambda2(self, b: np.ndarray) -> float:
-        return float(np.linalg.eigvalsh(laplacian(self.template, b))[1])
+    def barrier(self, state, s: float, derivs: bool):
+        cM, cA, U, f = state
+        u, gaps = _eliminate(f, s)
+        logdet_M = 2.0 * np.log(np.diag(cM[0])).sum()
+        logdet_A = 2.0 * np.log(np.diag(cA[0])).sum()
+        value = s * (f.max() + u) - np.log(gaps).sum() - self.l * logdet_M - logdet_A
+        if not derivs:
+            return value
+        w = 1.0 / gaps
+        w2 = w * w
+        D = U[self.ei] - U[self.ej]          # df_k/db_l = -D[l, k]^2
+        S = D * D
+        R, RA = self._inverse(cM)[1], self._inverse(cA)[1]
+        # Schur complement over t of the w^2 terms, centred against cancellation.
+        Sc = S - ((S @ w2) / w2.sum())[:, None]
+        hess = 2.0 * ((D * w) @ D.T) * R + (Sc * w2) @ Sc.T + self.l * R * R + RA * RA
+        return value, -S @ w - self.l * np.diag(R) - np.diag(RA), hess
+
+    def lower_bound(self, state, s: float) -> float:
+        _, cA, U, f = state
+        D = U[self.ei] - U[self.ej]
+        A_inv, RA = self._inverse(cA)
+        # tr(P A^-1 P), since A^-1 1 = 1 / (1 - eps).
+        z = np.diag(RA) / (np.trace(A_inv) - 1.0 / (1.0 - self.eps))
+        # (1 - 1/n)^2 bounds every L+_kk at unit budget (vulnerability.lower_bound).
+        return max((1.0 - 1.0 / self.n) ** 2,
+                   _lp_bound(2.0 * (f - 1.0 / self.n), D * D, z, self.eps))
 
 
-def _phase1_max_lambda2(obj: _Objective, b0: np.ndarray, iters: int
-                        ) -> tuple[np.ndarray, float]:
-    """Approximately maximize lambda_2 over the simplex (concave problem)."""
-    b = b0.copy()
-    best_b, best_val = b, obj.lambda2(b)
-    step = 1.0
-    for _ in range(iters):
-        vals, vecs = np.linalg.eigh(laplacian(obj.template, b))
-        lam = float(vals[1])
-        v2 = vecs[:, 1]
-        g = (v2[obj.ei] - v2[obj.ej]) ** 2
-        moved = False
-        while step > 1e-14:
-            cand = project_simplex(b + step * g, 1.0)
-            if obj.lambda2(cand) > lam:
-                b = cand
-                step *= 1.5
-                moved = True
-                break
-            step *= 0.5
-        val = obj.lambda2(b)
-        if val > best_val:
-            best_val, best_b = val, b.copy()
-        if not moved:
+class _Connectivity:
+    """Barrier of min t s.t. Q^T L(b) Q + t I >= 0, Q a basis of 1's complement."""
+
+    def __init__(self, template: WeightedGraph):
+        n = template.n
+        Q = np.linalg.qr(np.eye(n, n - 1) - 1.0 / n)[0]
+        self.QB = (Q[template.ei] - Q[template.ej]).T   # Q^T a_l per column
+        self.nu = n - 1 + template.m
+
+    def state(self, b: np.ndarray):
+        return np.linalg.eigh((self.QB * b) @ self.QB.T)
+
+    def objective(self, state) -> float:
+        return -float(state[0][0])
+
+    def barrier(self, state, s: float, derivs: bool):
+        lam, V = state
+        u, gaps = _eliminate(-lam, s)
+        value = s * (u - lam[0]) - np.log(gaps).sum()
+        if not derivs:
+            return value
+        w = 1.0 / gaps
+        Y = V.T @ self.QB
+        S = (Y * Y).T
+        h_bt = S @ (w * w)
+        C = (Y.T * w) @ Y
+        return value, -S @ w, C * C - np.outer(h_bt, h_bt) / (w @ w)
+
+    def lower_bound(self, state, s: float) -> float:
+        """-max_l a_l^T Z a_l, Z = Q (Q^T L Q + tI)^-1 Q^T normalized to trace 1."""
+        lam, V = state
+        w = 1.0 / _eliminate(-lam, s)[1]
+        return -float((((V.T @ self.QB) ** 2).T @ w).max() / w.sum())
+
+
+def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    neg = dv < 0
+    return min(1.0, float(np.min(-v[neg] / dv[neg]))) if neg.any() else 1.0
+
+
+def _lp_bound(c: np.ndarray, S: np.ndarray, z: np.ndarray, eps: float) -> float:
+    """Best c.pi + eps*zeta - max_l (S pi + zeta z)_l over pi in the simplex, zeta >= 0.
+
+    Every such (pi, zeta) gives a valid bound. Candidates are the dual
+    iterates of Mehrotra's predictor-corrector on min tau over mu in the
+    simplex with z.mu >= eps and tau >= c_k - (S^T mu)_k (standard form with
+    tau shifted to be nonnegative); each is scored exactly.
+    """
+    m, l = S.shape
+    A = np.zeros((l + 2, m + l + 2))
+    A[:l, :m], A[:l, m], A[:l, m + 1:-1] = S.T, 1.0, -np.eye(l)
+    A[l, :m], A[l, -1], A[l + 1, :m] = z, -1.0, 1.0
+    b = np.concatenate([c + max(0.0, float((S.max(axis=0) - c).min())), [eps, 1.0]])
+    cost = np.eye(1, m + l + 2, m)[0]
+    gram = cho_factor(A @ A.T)
+    x, y = A.T @ cho_solve(gram, b), cho_solve(gram, A @ cost)
+    r = cost - A.T @ y
+    x, r = x + max(-1.5 * x.min(), 0.0), r + max(-1.5 * r.min(), 0.0)
+    x, r = x + 0.5 * (x @ r) / r.sum(), r + 0.5 * (x @ r) / x.sum()
+    best = -math.inf
+    for _ in range(50):
+        rp, rd, mu = b - A @ x, cost - A.T @ y - r, x @ r / x.size
+        if mu <= 1e-14 * (1.0 + abs(b @ y)):
             break
-    return best_b, best_val
+        d = x / r
+        K = (A * d) @ A.T
+
+        def direction(rxr):
+            dy = np.linalg.solve(K, rp + A @ (d * rd - rxr / r))
+            dr = rd - A.T @ dy
+            return (rxr - x * dr) / r, dy, dr
+
+        try:
+            dx, dy, dr = direction(-x * r)
+            sigma = ((x + _max_step(x, dx) * dx) @ (r + _max_step(r, dr) * dr)
+                     / (x.size * mu)) ** 3
+            dx, dy, dr = direction(sigma * mu - x * r - dx * dr)
+        except LinAlgError:
+            break
+        ap, ad = 0.995 * _max_step(x, dx), 0.995 * _max_step(r, dr)
+        x, y, r = x + ap * dx, y + ad * dy, r + ad * dr
+        pi = np.maximum(y[:l], 0.0)
+        if pi.sum() > 0.0:  # the bound is jointly homogeneous in (pi, zeta)
+            pi, zeta = pi / pi.sum(), max(float(y[l]), 0.0) / pi.sum()
+            best = max(best, float(c @ pi + eps * zeta - (S @ pi + zeta * z).max()))
+    return best
+
+
+def _follow_path(model, b: np.ndarray, scale: float, goal: float = -math.inf):
+    """Follow the central path of ``model`` plus -sum(log b) from b > 0.
+
+    Returns the best point visited, its state and objective, the best lower
+    bound and the Newton steps; stops early at an objective below ``goal``.
+    """
+    state = model.state(b)
+    best = (model.objective(state), b, state)
+    m, s = b.size, model.nu / scale
+    lower, steps, previous = -math.inf, 0, math.inf
+    while True:
+        while steps < MAX_ITERS:
+            value, grad, hess = model.barrier(state, s, True)
+            value, grad = value - np.log(b).sum(), grad - 1.0 / b
+            kkt = np.zeros((m + 1, m + 1))
+            kkt[:m, :m] = hess * np.outer(b, b) + np.eye(m)
+            kkt[:m, m] = kkt[m, :m] = b
+            try:
+                dx = b * np.linalg.solve(kkt, np.append(-b * grad, 0.0))[:m]
+            except LinAlgError:
+                break
+            decrement2 = -float(grad @ dx)
+            if decrement2 <= 1e-10:
+                break
+            steps += 1
+            t = 1.0
+            for _ in range(60):
+                cand = (b + t * dx) / (b + t * dx).sum()
+                cand_state = model.state(cand) if cand.min() > 0.0 else None
+                # Near the centre take full steps: at large s the
+                # sufficient-decrease test drowns in round-off.
+                if cand_state is not None and (
+                        decrement2 < 1e-2
+                        or model.barrier(cand_state, s, False) - np.log(cand).sum()
+                        <= value - 0.25 * t * decrement2):
+                    break
+                t *= 0.5
+            else:
+                break
+            b, state = cand, cand_state
+            if model.objective(state) < best[0]:
+                best = (model.objective(state), b, state)
+        objective = model.objective(state)
+        bound = max(lower, model.lower_bound(state, s))
+        if (objective < goal or steps >= MAX_ITERS
+                or max(previous - objective, bound - lower) <= STALL_RTOL * scale):
+            return best[1], best[2], best[0], bound, steps
+        previous, lower, s = objective, bound, s * PATH_STEP
+
+
+def _lambda2(problem: DesignProblem, b: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(laplacian(problem.template, b))[1])
+
+
+def _result(problem: DesignProblem, model: _MinMax, b: np.ndarray, state,
+            lower: float, iterations: int, method: str) -> SolverResult:
+    """Diagnostics of the point b with certified lower bound ``lower``."""
+    per_node = {int(k) + 1: float(fv) - 1.0 / problem.n
+                for k, fv in zip(model.targets, state[3])}
+    objective = max(per_node.values())
+    certificate = None
+    if model.l == 1:
+        # designs.optimality_certificate from the solve in hand.
+        U = state[2]
+        residuals = objective - (U[model.ei, 0] - U[model.ej, 0]) ** 2
+        certificate = float(residuals.min()) >= -max(1e-8, SOLVER_TOL)
+    return SolverResult(
+        b_star=b, objective=objective, per_node=per_node, iterations=iterations,
+        kkt_gap=objective - lower, feasibility=_lambda2(problem, b) - problem.epsilon,
+        converged=objective - lower <= SOLVER_TOL * abs(objective),
+        lower_bound=lower, method=method, certificate_optimal=certificate)
 
 
 def _solve(problem: DesignProblem, targets: Sequence[int]) -> SolverResult:
     eps = problem.epsilon
-    targets0 = sorted(set(int(k) - 1 for k in targets))
-    obj = _Objective(problem.template, targets0, eps)
-    l = len(targets0)
-
-    b = np.full(obj.m, 1.0 / obj.m)
-    if obj.lambda2(b) <= eps:
-        b, attained = _phase1_max_lambda2(obj, b, PHASE1_ITERS)
-        if attained <= eps * (1.0 + 1e-12):
-            raise InfeasibleDesignError(eps, attained)
-
-    state = obj.state(b)
-    if state is None:
-        raise InfeasibleDesignError(eps, obj.lambda2(b))
-    f_scale = max(float(state[2].max()), 1e-3)
-    # Smoothing bias is tau*log(l); keep it below the objective target.
-    tau_final = max(1e-9, SOLVER_TOL * max(1.0, f_scale) / (8.0 * math.log(max(l, 2))))
-    if l > 1:
-        tau = max(0.1 * f_scale, tau_final)
-    else:
-        tau = tau_final
-    mu = MU_INIT
-
-    best_b = b.copy()
-    best_true = float(state[2].max())
-    total_iters = 0
-    converged = True
-
-    while True:
-        # One projected-gradient phase at fixed (tau, mu).
-        F, weights = obj.composite(state, tau, mu)
-        final_phase = tau <= tau_final and mu <= MU_FINAL
-        step = 1.0
-        history = [F]
-        pg_norm = math.inf
-        for _ in range(PHASE_ITERS):
-            if total_iters >= MAX_ITERS:
-                converged = False
-                break
-            total_iters += 1
-            if final_phase and total_iters % 25 == 0:
-                # Simplex stationarity gap bounds the suboptimality of the
-                # convex objective; exit once it certifies the target.
-                g0 = obj.gradient(state, weights, 0.0)
-                gap = float(g0 @ b - g0.min())
-                if gap <= 0.5 * SOLVER_TOL * max(1.0, abs(F)):
-                    break
-            grad = obj.gradient(state, weights, mu)
-            pg_norm = float(np.linalg.norm(b - project_simplex(b - grad, 1.0)))
-            accepted = False
-            while step > 1e-18:
-                cand = project_simplex(b - step * grad, 1.0)
-                d = cand - b
-                dn = float(d @ d)
-                if dn == 0.0:
-                    break
-                cand_state = obj.state(cand)
-                if cand_state is not None:
-                    F_cand, w_cand = obj.composite(cand_state, tau, mu)
-                    if F_cand <= F + float(grad @ d) + dn / (2.0 * step):
-                        b, state, F, weights = cand, cand_state, F_cand, w_cand
-                        true_val = float(state[2].max())
-                        if true_val < best_true:
-                            best_true, best_b = true_val, b.copy()
-                        step *= 1.5
-                        accepted = True
-                        break
-                step *= 0.5
-            if not accepted:
-                break
-            history.append(F)
-            if len(history) > STALL_WINDOW:
-                history.pop(0)
-                spread = max(history) - min(history)
-                if spread < REL_OBJ_TOL * max(1.0, abs(F)):
-                    # Intermediate phases hand off on stall alone; the final
-                    # phase also needs a stationary point.
-                    if not final_phase or pg_norm < PG_NORM_TOL:
-                        break
-        else:
-            converged = False
-        if total_iters >= MAX_ITERS:
-            converged = False
-            break
-        if final_phase:
-            break
-        tau = max(tau * ANNEAL, tau_final)
-        mu = max(mu * ANNEAL, MU_FINAL)
-
-    # Final polish: clip numerically-zero weights, renormalize, keep if it
-    # does not hurt the objective or the spectral floor.
-    polished = best_b.copy()
-    polished[polished < ZERO_CLIP] = 0.0
-    total = polished.sum()
-    if total > 0.0:
-        polished /= total
-        pol_state = obj.state(polished)
-        if pol_state is not None:
-            pol_true = float(pol_state[2].max())
-            if (pol_true <= best_true + 1e-12
-                    and obj.lambda2(polished) >= eps - 1e-7):
-                best_b, best_true = polished, pol_true
-
-    final_state = obj.state(best_b)
-    assert final_state is not None
-    return _result(problem, obj, targets0, best_b, final_state, total_iters,
-                   converged, tau_final)
-
-
-def _result(problem: DesignProblem, obj: _Objective, targets0: list[int],
-            b: np.ndarray, state, iterations: int, converged: bool,
-            tau: float) -> SolverResult:
-    """Diagnostics of the point b."""
-    n = problem.n
-    f = state[2]
-    # Stationarity gap over the simplex at the (tiny-tau) smoothed objective.
-    _, w = obj.composite(state, max(tau, 1e-12), 0.0)
-    g = obj.gradient(state, w, 0.0)
-    kkt_gap = float(g @ b - g.min())
-    # The gap certifies suboptimality of the convex objective even when the
-    # phase-exit criteria were not all met.
-    converged = converged or kkt_gap <= SOLVER_TOL * max(1.0, float(f.max()))
-
-    per_node = {k + 1: float(fv) - 1.0 / n for k, fv in zip(targets0, f)}
-    certificate = None
-    if len(targets0) == 1:
-        # designs.optimality_certificate from the solve in hand: g is the
-        # measure's gradient. Residual tolerance tied to the solve accuracy:
-        # the sufficient condition may hold with equality at the optimum.
-        residuals = g + (float(f[0]) - 1.0 / n)
-        certificate = float(residuals.min()) >= -max(1e-8, SOLVER_TOL)
-    return SolverResult(
-        b_star=b,
-        objective=max(per_node.values()),
-        per_node=per_node,
-        iterations=iterations,
-        kkt_gap=kkt_gap,
-        feasibility=obj.lambda2(b) - problem.epsilon,
-        converged=converged,
-        certificate_optimal=certificate,
-    )
+    model = _MinMax(problem.template, sorted(set(int(k) - 1 for k in targets)), eps)
+    b = np.full(problem.template.m, 1.0 / problem.template.m)
+    phase1_steps = 0
+    if model.state(b) is None:
+        b, _, attained, upper, phase1_steps = _follow_path(
+            _Connectivity(problem.template), b, scale=eps, goal=-eps)
+        if model.state(b) is None:
+            raise InfeasibleDesignError(eps, -attained, -upper)
+    b, state, _, lower, steps = _follow_path(
+        model, b, scale=model.objective(model.state(b)))
+    return _result(problem, model, b, state, lower, phase1_steps + steps, "barrier")
 
 
 def solve_single_node(problem: DesignProblem, k: int) -> SolverResult:
-    """Minimize the vulnerability of node k over the feasible weight set.
-
-    Returns the exact shortest-path flow design (iterations = 0) when it
-    meets the spectral floor, and the iterative solver's result otherwise;
-    see the module docstring.
-    """
+    """Minimize the vulnerability of node k over the feasible weight set."""
     if not 1 <= k <= problem.n:
         raise ValueError(f"node {k} out of range 1..{problem.n}")
     try:
-        b = shortest_path_optimum(problem.template, k)
+        flow = shortest_path_flow(problem.template, k)
     except DisconnectedGraphError:
         return _solve(problem, [k])
-    eps = problem.epsilon
-    obj = _Objective(problem.template, [k - 1], eps)
-    state = obj.state(b) if obj.lambda2(b) >= eps else None
+    b = flow / flow.sum()
+    model = _MinMax(problem.template, [k - 1], problem.epsilon)
+    state = model.state(b) if _lambda2(problem, b) >= problem.epsilon else None
     if state is None:
         return _solve(problem, [k])
-    return _result(problem, obj, [k - 1], b, state, iterations=0,
-                   converged=True, tau=0.0)
+    # The flows sum to the mean hop distance; its square is Elfving's bound.
+    return _result(problem, model, b, state, float(flow.sum()) ** 2, 0, "exact-flow")
 
 
 def solve_min_max(problem: DesignProblem) -> SolverResult:

@@ -25,6 +25,7 @@ from .optimize import (
     DEFAULT_GAMMA,
     DesignProblem,
     InfeasibleDesignError,
+    SolverResult,
     design_problem,
     epsilon_from_sync,
     solve_min_max,
@@ -34,6 +35,7 @@ from .vulnerability import vulnerability_measure
 
 __all__ = [
     "NodeOutcome",
+    "SolveDiagnostics",
     "SyncCheck",
     "ScenarioReport",
     "unit_budget_problem",
@@ -68,6 +70,31 @@ class NodeOutcome:
 
 
 @dataclass(frozen=True)
+class SolveDiagnostics:
+    """How one design was solved; bounds, gap and floor slack in physical units.
+
+    ``method`` is "exact-flow" or "barrier"; ``lower_bound`` is a certified
+    lower bound on the optimal objective and ``gap`` the objective minus it;
+    ``converged`` means the gap is at most optimize.SOLVER_TOL relative.
+    ``floor_slack`` is lambda_2 - epsilon of the design.
+    """
+
+    method: str
+    newton_steps: int
+    converged: bool
+    lower_bound: float
+    gap: float
+    floor_slack: float
+
+    @classmethod
+    def of(cls, result: SolverResult, scale: float) -> "SolveDiagnostics":
+        """Diagnostics of a unit-budget result for a case of total susceptance scale."""
+        return cls(method=result.method, newton_steps=result.iterations,
+                   converged=result.converged, lower_bound=result.lower_bound / scale,
+                   gap=result.kkt_gap / scale, floor_slack=result.feasibility * scale)
+
+
+@dataclass(frozen=True)
 class SyncCheck:
     """Synchronization audit of the reported design."""
 
@@ -84,7 +111,8 @@ class ScenarioReport:
 
     ``b_out`` maps a bus id (as a string key, JSON-friendly) to that
     candidate's optimized weights for scenario "single", or holds the
-    single shared vector under key "minmax".
+    single shared vector under key "minmax"; ``solves`` holds each of those
+    designs' solver diagnostics under the same key.
     """
 
     scenario: str
@@ -103,6 +131,14 @@ class ScenarioReport:
     b0: tuple[float, ...]
     b_out: dict[str, tuple[float, ...]]
     sync_check: SyncCheck
+    solves: dict[str, SolveDiagnostics]
+
+    def unconverged(self) -> list[int]:
+        """Buses whose design is not certified within the solver tolerance."""
+        if "minmax" in self.solves:
+            shared = self.solves["minmax"]
+            return [] if shared.converged else [o.node for o in self.per_node]
+        return [int(key) for key, d in self.solves.items() if not d.converged]
 
     def to_dict(self) -> dict:
         """Fields as a JSON-ready dict; its tuples serialize as lists."""
@@ -110,6 +146,7 @@ class ScenarioReport:
         d["per_node"] = [_field_dict(o) for o in self.per_node]
         d["b_out"] = dict(self.b_out)
         d["sync_check"] = _field_dict(self.sync_check)
+        d["solves"] = {k: _field_dict(v) for k, v in self.solves.items()}
         return d
 
     @classmethod
@@ -131,6 +168,7 @@ class ScenarioReport:
             b0=tuple(d["b0"]),
             b_out={k: tuple(v) for k, v in d["b_out"].items()},
             sync_check=SyncCheck(**d["sync_check"]),
+            solves={k: SolveDiagnostics(**v) for k, v in d["solves"].items()},
         )
 
 
@@ -209,6 +247,7 @@ def scenario_one(
 
     outcomes = []
     b_out: dict[str, tuple[float, ...]] = {}
+    solves: dict[str, SolveDiagnostics] = {}
     after: dict[int, float] = {}
     for c in candidates:
         try:
@@ -220,6 +259,7 @@ def scenario_one(
         a_phys = res.objective / scale
         after[c] = a_phys
         b_out[str(c)] = tuple(float(v) for v in res.b_star * scale)
+        solves[str(c)] = SolveDiagnostics.of(res, scale)
         outcomes.append(NodeOutcome(
             node=c, before=before[c], after=a_phys, feasible=True,
             increased=a_phys > before[c] + _IMPROVE_TOL,
@@ -248,6 +288,7 @@ def scenario_one(
         b0=tuple(float(v) for v in b0_phys),
         b_out=b_out,
         sync_check=sync,
+        solves=solves,
     )
 
 
@@ -260,8 +301,8 @@ def scenario_two(
     """Distribute the susceptance budget to protect a whole bus set.
 
     One worst-case optimization over the node set; raises
-    InfeasibleDesignError (with the attained connectivity) when the
-    spectral floor is unreachable.
+    InfeasibleDesignError, in physical units, when the spectral floor is
+    unreachable.
     """
     v_prime = sorted(set(int(c) for c in v_prime))
     if not v_prime:
@@ -271,7 +312,12 @@ def scenario_two(
     b0_phys = case.susceptances()
     graph0 = case.graph()
     nodes = {c: case.node_of(c) for c in v_prime}
-    result = solve_min_max(problem)
+    try:
+        result = solve_min_max(problem)
+    except InfeasibleDesignError as exc:
+        # lambda_2 scales with the budget, like the floor.
+        raise InfeasibleDesignError(eps_phys, exc.attained * scale,
+                                    exc.upper_bound * scale) from None
     before = {c: vulnerability_measure(graph0, nodes[c]) for c in v_prime}
     after = {c: result.per_node[nodes[c]] / scale for c in v_prime}
     weights_phys = result.b_star * scale
@@ -301,6 +347,7 @@ def scenario_two(
         b0=tuple(float(v) for v in b0_phys),
         b_out={"minmax": tuple(float(v) for v in weights_phys)},
         sync_check=_sync_check(case, weights_phys, gamma, eps_phys),
+        solves={"minmax": SolveDiagnostics.of(result, scale)},
     )
 
 

@@ -159,3 +159,45 @@ def traversal_connected(g: WeightedGraph, tol: float) -> bool:
                 seen[u] = True
                 stack.append(u)
     return all(seen)
+
+
+def floor_aware_lower_bound(g: WeightedGraph, targets, eps: float) -> float:
+    """Independent oracle: lower bound on the unit-budget min-max design.
+
+    Bounds min over weightings b' (sum 1, lambda_2 >= eps) of
+    max_{k in targets} L+_kk(b'), evaluated at g's weights normalized to
+    unit budget. With X = pinv(L + 11^T/n - eps*I) and Z = PXP / tr(PXP)
+    (P = I - 11^T/n), h(b') = sum_k pi_k L+_kk(b') - zeta tr(Z (L(b') - eps P))
+    is convex for pi on the simplex and zeta >= 0, and at most the max
+    wherever the floor holds; minimizing its linearization over the simplex
+    gives 2 sum_k pi_k L+_kk + eps*zeta - max_l (S pi + zeta z)_l, with
+    S[l, k] = ((L+ a_l)_k)^2 and z_l = a_l^T Z a_l. scipy's LP picks pi and
+    zeta; the bound is then re-evaluated exactly, so it holds whatever the
+    LP's tolerance.
+    """
+    from scipy.optimize import linprog
+
+    n = g.n
+    L = reference_laplacian(g) / g.b.sum()
+    proj = np.eye(n) - 1.0 / n
+    lp = np.linalg.pinv(L)
+    X = proj @ np.linalg.pinv(L + 1.0 / n - eps * np.eye(n)) @ proj
+    Z = X / np.trace(X)
+    inc = np.zeros((g.m, n))
+    for l, (i, j) in enumerate(g.edges):
+        inc[l, i], inc[l, j] = 1.0, -1.0
+    idx = [k - 1 for k in targets]
+    S = (inc @ lp[:, idx]) ** 2
+    z = np.einsum("li,ij,lj->l", inc, Z, inc)
+    c = 2.0 * np.diag(lp)[idx]
+    l = len(idx)
+    # Variables pi (l), zeta, sigma = max_l (S pi + zeta z)_l.
+    res = linprog(np.concatenate([-c, [-eps, 1.0]]),
+                  A_ub=np.hstack([S, z[:, None], -np.ones((g.m, 1))]),
+                  b_ub=np.zeros(g.m),
+                  A_eq=[np.concatenate([np.ones(l), [0.0, 0.0]])], b_eq=[1.0],
+                  bounds=[(0, None)] * (l + 1) + [(None, None)])
+    assert res.success, res.message
+    pi = np.maximum(res.x[:l], 0.0)
+    pi, zeta = pi / pi.sum(), max(res.x[l], 0.0)
+    return float(c @ pi + eps * zeta - (S @ pi + zeta * z).max())

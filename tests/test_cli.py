@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, outputs, exit codes."""
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from resilnet.cli import main
 
 CASES_DIR = Path(__file__).resolve().parents[1] / "cases"
 K5 = str(CASES_DIR / "k5_toy.json")
+NY57 = str(CASES_DIR / "ny57_substitute.json")
 
 
 def test_measure_prints_table(capsys):
@@ -35,6 +37,12 @@ def test_design_single_writes_reports(tmp_path, capsys):
     assert (out_dir / "weights.csv").exists()
     stdout = capsys.readouterr().out
     assert "objective" in stdout
+    assert "uncertified" not in stdout
+    assert set(report["solves"]) == {"1", "2"}
+    for solve in report["solves"].values():
+        assert solve["method"] == "exact-flow"
+        assert solve["newton_steps"] == 0 and solve["converged"]
+        assert abs(solve["gap"]) <= 1e-12 and solve["floor_slack"] > 0
 
 
 def test_design_minmax(tmp_path):
@@ -46,6 +54,22 @@ def test_design_minmax(tmp_path):
     assert report["scenario"] == "minmax"
     weights = np.array(report["b_out"]["minmax"])
     assert weights.sum() == pytest.approx(1.0, abs=1e-6)
+    solve = report["solves"]["minmax"]
+    assert solve["method"] == "barrier" and solve["converged"]
+    assert 0 <= solve["gap"] <= 1e-6 * report["objective_after"]
+    assert solve["lower_bound"] == pytest.approx(
+        report["objective_after"] - solve["gap"], rel=1e-12)
+
+
+def test_design_prints_unconverged_buses(tmp_path, capsys, monkeypatch):
+    from resilnet import optimize
+    monkeypatch.setattr(optimize, "MAX_ITERS", 1)
+    code = main(["design", "--case", K5, "--mode", "minmax",
+                 "--nodes", "1,2", "--out", str(tmp_path)])
+    assert code == 0
+    assert "uncertified design for buses [1, 2]" in capsys.readouterr().out
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert not report["solves"]["minmax"]["converged"]
 
 
 def test_design_infeasible_epsilon_exit_2(tmp_path, capsys):
@@ -54,6 +78,21 @@ def test_design_infeasible_epsilon_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_design_infeasible_reports_physical_floor(tmp_path, capsys):
+    # The floor and lambda_2 are printed in the case's units (total
+    # susceptance 1032.5), not at unit budget. The largest lambda_2 on
+    # ny57 is about 5.13: above the 4.98 that a supergradient heuristic
+    # reached, and certified from above.
+    code = main(["design", "--case", NY57, "--mode", "minmax",
+                 "--nodes", "4,6", "--epsilon", "100", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "epsilon=100 " in err
+    attained = float(re.search(r"attained lambda_2 = (\S+)", err).group(1))
+    upper = float(re.search(r"certified upper bound (\S+)\)", err).group(1))
+    assert 4.98 <= attained <= upper <= attained * (1 + 1e-5)
 
 
 def test_input_errors_exit_3(tmp_path, capsys):

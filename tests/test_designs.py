@@ -282,6 +282,8 @@ def test_solve_single_node_falls_back_when_floor_binds():
 
     exact = solve_single_node(design_problem(6, edges, v_prime=[k]), k)
     assert exact.iterations == 0 and exact.converged
+    assert exact.method == "exact-flow"
+    assert exact.lower_bound == pytest.approx(bound, rel=1e-12)
     assert exact.certificate_optimal
     assert exact.kkt_gap == pytest.approx(0.0, abs=1e-12)
     assert exact.feasibility >= 0.0
@@ -291,6 +293,8 @@ def test_solve_single_node_falls_back_when_floor_binds():
     floored = design_problem(6, edges, v_prime=[k], epsilon=1.2 * lam2)
     res = solve_single_node(floored, k)
     assert res.iterations > 0
+    assert res.method == "barrier" and res.converged
+    assert bound <= res.lower_bound <= res.objective
     assert res.feasibility >= -1e-7
     assert res.objective >= bound * (1 - 1e-12)
 

@@ -1,5 +1,6 @@
-"""Design problem, simplex projection, and the reference solver."""
+"""Design problem and the exact and barrier solvers."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,37 +13,19 @@ from resilnet import (
     complete_graph_optimum,
     design_problem,
     epsilon_from_sync,
-    project_simplex,
+    load_case,
     solve_min_max,
     solve_single_node,
     tree_optimum,
     vulnerability_measure,
 )
 from resilnet import optimize
+from resilnet.optimize import DEFAULT_GAMMA, SOLVER_TOL
+from resilnet.scenarios import unit_budget_problem
 
-from conftest import random_tree
+from conftest import floor_aware_lower_bound, random_tree
 
-
-def test_project_simplex_examples():
-    v = np.array([0.25, 0.75])
-    assert np.array_equal(project_simplex(v), v)
-    assert np.allclose(project_simplex([2.0, 0.0]), [1.0, 0.0])
-    assert np.allclose(project_simplex([0.6, 0.6]), [0.5, 0.5])
-
-
-def test_project_simplex_properties():
-    rng = np.random.default_rng(30)
-    for _ in range(300):
-        m = int(rng.integers(1, 12))
-        v = rng.normal(scale=3.0, size=m)
-        budget = float(rng.uniform(0.2, 5.0))
-        p = project_simplex(v, budget)
-        assert p.min() >= 0.0
-        assert p.sum() == pytest.approx(budget, abs=1e-9)
-        # projection optimality: no feasible point is closer
-        for _ in range(5):
-            q = rng.dirichlet(np.ones(m)) * budget
-            assert np.sum((v - p) ** 2) <= np.sum((v - q) ** 2) + 1e-9
+CASES_DIR = Path(__file__).resolve().parents[1] / "cases"
 
 
 def test_epsilon_from_sync():
@@ -168,12 +151,14 @@ def test_solver_determinism():
 
 
 def test_infeasible_spectral_floor():
-    # K5's algebraic connectivity over the unit simplex peaks at 0.5
+    # K5's algebraic connectivity over the unit simplex peaks at 0.5, at the
+    # uniform weights; Z = (I - 11^T/5)/4 certifies a_l^T Z a_l = 0.5
     prob = design_problem(5, complete_graph_edges(5), v_prime=[1], epsilon=0.8)
     with pytest.raises(InfeasibleDesignError) as exc:
         solve_single_node(prob, 1)
-    assert exc.value.attained < 0.8
-    assert exc.value.attained > 0.3
+    assert exc.value.attained == pytest.approx(0.5, abs=1e-6)
+    assert exc.value.upper_bound == pytest.approx(0.5, abs=1e-6)
+    assert exc.value.epsilon == 0.8
 
 
 def test_feasible_set_convexity_probe():
@@ -203,12 +188,62 @@ def test_nonconvergence_returns_best_iterate(monkeypatch):
     monkeypatch.setattr(optimize, "MAX_ITERS", 2)
     edges = [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]
     # the floor lies between lambda_2 of the exact flow design (0.0543) and
-    # of the uniform start (0.0764), so the iterative solver must run
+    # of the uniform start (0.0764), so the barrier method must run
     prob = design_problem(6, edges, v_prime=[1], epsilon=0.07)
     res = solve_single_node(prob, 1)
+    assert res.method == "barrier"
     assert not res.converged
     assert res.iterations <= 2
+    assert res.kkt_gap > SOLVER_TOL * res.objective
     # still feasible and no worse than the uniform start
     g_uni = build_graph(6, edges, [0.2] * 5)
     assert res.objective <= vulnerability_measure(g_uni, 1) + 1e-9
     assert res.feasibility >= -1e-7
+
+
+# Objectives of an earlier barrier prototype on the 29 ny57 generators, per
+# physical floor (None: the default floor), published to 7 decimals.
+PROTOTYPE = {None: 53.5163356, 2.0: 53.5243555, 3.0: 54.1786515,
+             4.0: 57.5068447, 4.5: 63.3660803}
+
+
+@pytest.mark.parametrize("eps_phys", list(PROTOTYPE))
+def test_minmax_ny57_floors_against_prototype_and_lp_bound(eps_phys):
+    case = load_case(CASES_DIR / "ny57_substitute.json")
+    problem, _ = unit_budget_problem(case, case.generator_ids, DEFAULT_GAMMA,
+                                     eps_phys)
+    res = solve_min_max(problem)
+    assert res.method == "barrier"
+    assert res.objective <= PROTOTYPE[eps_phys] + 0.5e-7
+    assert res.feasibility >= 0.0
+    bound = floor_aware_lower_bound(problem.graph(res.b_star),
+                                    problem.v_prime, problem.epsilon)
+    assert res.objective >= bound * (1 - 1e-12)
+    assert res.lower_bound <= res.objective
+    assert res.kkt_gap == pytest.approx(res.objective - res.lower_bound, abs=0.0)
+    assert res.converged == (res.kkt_gap <= SOLVER_TOL * res.objective)
+    if eps_phys is None:
+        # the protect input: certified, and the oracle agrees
+        assert res.converged
+        assert res.objective - bound <= SOLVER_TOL * res.objective
+        assert res.iterations < 200
+
+
+def test_minmax_relabel_invariance():
+    case = load_case(CASES_DIR / "ny57_substitute.json")
+    problem, _ = unit_budget_problem(case, case.generator_ids, DEFAULT_GAMMA, None)
+    ref = solve_min_max(problem)
+    g = problem.template
+    rng = np.random.default_rng(61)
+    perm = rng.permutation(g.n)           # old 0-based node -> new
+    order = rng.permutation(g.m)          # new edge position -> old index
+    edges = [(int(perm[g.edges[l][1]]) + 1, int(perm[g.edges[l][0]]) + 1)
+             for l in order]
+    relabelled = design_problem(g.n, edges,
+                                v_prime=[int(perm[k - 1]) + 1 for k in problem.v_prime],
+                                epsilon=problem.epsilon)
+    res = solve_min_max(relabelled)
+    assert res.objective == pytest.approx(ref.objective, rel=1e-9)
+    assert res.converged and ref.converged
+    # each run's certificate bounds the other's feasible design
+    assert res.lower_bound <= ref.objective and ref.lower_bound <= res.objective

@@ -174,3 +174,21 @@ def test_scenario_one_monotone_on_substitute_case():
         assert o.before == pytest.approx(
             vulnerability_measure(g0, case.node_of(o.node)), abs=1e-9)
         assert o.after <= o.before + 1e-9
+
+
+def test_solve_diagnostics_and_unconverged_buses(monkeypatch):
+    from resilnet import optimize
+    case = _k5_case()
+    # At unit budget the star design's lambda_2 is 0.25, below this floor,
+    # so each candidate goes to the barrier method.
+    floor = 0.3 * case.total_susceptance
+    report = scenario_one(case, [1, 2], epsilon=floor)
+    for key, d in report.solves.items():
+        assert d.method == "barrier" and d.converged and d.newton_steps > 0
+        assert d.floor_slack >= 0.0
+        after = next(o.after for o in report.per_node if str(o.node) == key)
+        assert d.lower_bound == pytest.approx(after - d.gap, rel=1e-12)
+    assert report.unconverged() == []
+    monkeypatch.setattr(optimize, "MAX_ITERS", 1)
+    report = scenario_one(case, [1, 2], epsilon=floor)
+    assert report.unconverged() == [1, 2]
