@@ -9,7 +9,7 @@ suppress the neutral rotation mode.
 """
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import IO, Sequence
@@ -43,6 +43,8 @@ DEFAULT_OU_TAU = 50.0
 DEFAULT_BOX_DELTA = 0.1
 DEFAULT_BOX_START = 10.0
 DEFAULT_BOX_DURATION = 20.0
+# Samples per block of the estimator's spread sum.
+_SPREAD_CHUNK = 2048
 
 
 class NoSynchronizedStateError(RuntimeError):
@@ -112,16 +114,17 @@ def make_noise(spec: NoiseSpec, h: float, T: float, seed: int) -> np.ndarray:
     if spec.kind == "box":
         return np.where((times >= spec.t0) & (times < spec.t0 + spec.duration),
                         spec.delta, 0.0)
-    # Imported here: scipy.signal dominates the package's import time and
-    # only OU noise needs it.
-    from scipy.signal import lfilter
-
     rho = math.exp(-h / spec.tau)
     q = spec.sigma * math.sqrt(1.0 - rho * rho)
     rng = np.random.default_rng(seed)
     eta0 = spec.sigma * rng.standard_normal()
     xi = rng.standard_normal(steps)
-    driven = lfilter([1.0], [1.0, -rho], q * xi)
+    # The zero-started recurrence y_t = q xi_t + rho y_{t-1}, in the order of
+    # operations scipy.signal.lfilter uses; importing scipy.signal would
+    # cost more time and memory than this loop.
+    driven = np.fromiter(itertools.accumulate((q * xi).tolist(),
+                                              lambda y, x: x + rho * y),
+                         float, steps)
     out = np.empty(steps + 1)
     out[0] = eta0
     out[1:] = driven + eta0 * np.power(rho, np.arange(1, steps + 1))
@@ -130,8 +133,12 @@ def make_noise(spec: NoiseSpec, h: float, T: float, seed: int) -> np.ndarray:
 
 def _noise_matrix(spec: NoiseSpec, h: float, T: float, R: int,
                   seed: int) -> np.ndarray:
-    """Per-realization disturbance rows; row r uses seed + r."""
-    return np.stack([make_noise(spec, h, T, seed + r) for r in range(R)])
+    """Per-realization disturbance rows; row r uses seed + r.
+
+    A box pulse ignores the seed, so its R realizations share one row.
+    """
+    rows = 1 if spec.kind == "box" else R
+    return np.stack([make_noise(spec, h, T, seed + r) for r in range(rows)])
 
 
 @dataclass(frozen=True)
@@ -194,8 +201,9 @@ class TrajectoryEnsemble:
 
     ``theta`` and ``freq`` have shape (realizations, nodes, len(times));
     frequencies come from central differences of the phases, one-sided at
-    the endpoints. ``onset`` marks where the disturbance starts; samples
-    before it are transient for the empirical estimator.
+    the endpoints. The integrators return read-only views of time-major
+    storage. ``onset`` marks where the disturbance starts; samples before
+    it are transient for the empirical estimator.
     """
 
     times: np.ndarray
@@ -211,12 +219,43 @@ class TrajectoryEnsemble:
         self.freq.setflags(write=False)
 
 
-def _central_differences(theta: np.ndarray, h: float) -> np.ndarray:
+def _horizon(g: WeightedGraph, noise: NoiseSpec, h: float, T: float,
+             R: int) -> tuple[int, int]:
+    """Step count and 0-based target node of a run, checked before any work."""
+    k0 = noise.node - 1
+    if k0 >= g.n:
+        raise ValueError(f"noise target {noise.node} out of range 1..{g.n}")
+    if R < 1:
+        raise ValueError(f"need at least one realization, got R={R}")
+    steps = int(round(T / h))
+    if steps < 1:
+        raise ValueError(f"horizon T={T} holds no step of h={h}")
+    return steps, k0
+
+
+def _ensemble(theta: np.ndarray, h: float, R: int, seed: int,
+              onset: float) -> TrajectoryEnsemble:
+    """Gauge time-major phases (steps+1, rows, n) and wrap them as R realizations.
+
+    Frequencies are central differences in time, one-sided at the ends.
+    With one row standing for R identical realizations (a box pulse), the
+    ensemble holds read-only broadcast views of it.
+    """
+    theta -= theta.mean(axis=2, keepdims=True)
     freq = np.empty_like(theta)
-    freq[:, :, 1:-1] = (theta[:, :, 2:] - theta[:, :, :-2]) / (2.0 * h)
-    freq[:, :, 0] = (theta[:, :, 1] - theta[:, :, 0]) / h
-    freq[:, :, -1] = (theta[:, :, -1] - theta[:, :, -2]) / h
-    return freq
+    freq[1:-1] = (theta[2:] - theta[:-2]) / (2.0 * h)
+    freq[0] = (theta[1] - theta[0]) / h
+    freq[-1] = (theta[-1] - theta[-2]) / h
+    shape = (theta.shape[0], R, theta.shape[2])
+    theta, freq = np.broadcast_to(theta, shape), np.broadcast_to(freq, shape)
+    return TrajectoryEnsemble(
+        times=np.arange(shape[0]) * h,
+        theta=theta.transpose(1, 2, 0),
+        freq=freq.transpose(1, 2, 0),
+        realizations=R,
+        seed=seed,
+        onset=onset,
+    )
 
 
 def _stability_guard(h: float, lam_n: float) -> None:
@@ -242,50 +281,45 @@ def integrate_nonlinear(
     Classical fourth-order stepping for the drift; the disturbance enters
     as a per-step constant added to the target node's natural frequency
     (exact OU updates between steps). Realization r is seeded with
-    seed + r, so results are independent of execution order.
+    seed + r, so results are independent of execution order. A box pulse
+    ignores the seed, so it is integrated once and its R realizations are
+    read-only views of that one run. Phases are stored time-major, one
+    contiguous (realizations, nodes) row per step, and ``theta`` and
+    ``freq`` are (R, n, steps + 1) views of that storage.
     """
+    steps, k0 = _horizon(g, noise, h, T, R)
     bundle = spectral_bundle(g)
     _stability_guard(h, float(bundle.eigenvalues[-1]))
     omega = np.asarray(omega, dtype=float)
     w = omega - omega.mean()
-    steps = int(round(T / h))
-    times = np.arange(steps + 1) * h
-    k0 = noise.node - 1
-    if k0 >= g.n:
-        raise ValueError(f"noise target {noise.node} out of range 1..{g.n}")
-    H = _noise_matrix(noise, h, T, R, seed)
-    # Dense incidence: the batched drift is two matmuls over all realizations.
+    H = _noise_matrix(noise, h, T, R, seed).T.copy()
+    # Dense incidence with the weights folded in: the coupling of every
+    # realization is sin(state @ incT) @ incW, pre-scaled per RK4 stage.
     inc = np.zeros((g.m, g.n))
     inc[np.arange(g.m), g.ei] = 1.0
     inc[np.arange(g.m), g.ej] = -1.0
-    wts = np.asarray(g.b)
+    incT = inc.T.copy()
+    incW = np.asarray(g.b)[:, None] * inc
+    inc_half, inc_full, inc_sixth = (0.5 * h) * incW, h * incW, (h / 6.0) * incW
 
-    def drift(state: np.ndarray, weff: np.ndarray) -> np.ndarray:
-        flow = np.sin(state @ inc.T) * wts
-        return weff - flow @ inc
-
-    theta = np.empty((R, g.n, steps + 1))
-    state = np.broadcast_to(np.asarray(theta_init, dtype=float), (R, g.n)).copy()
-    theta[:, :, 0] = state
-    base = np.tile(w, (R, 1))
+    theta = np.empty((steps + 1, H.shape[1], g.n))
+    theta[0] = np.asarray(theta_init, dtype=float)
+    # The disturbance is constant over a step: only column k0 of weff moves.
+    weff = np.tile(w, (H.shape[1], 1))
     for t in range(steps):
-        weff = base.copy()
-        weff[:, k0] += H[:, t]
-        k1 = drift(state, weff)
-        k2 = drift(state + 0.5 * h * k1, weff)
-        k3 = drift(state + 0.5 * h * k2, weff)
-        k4 = drift(state + h * k3, weff)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        theta[:, :, t + 1] = state
-    theta -= theta.mean(axis=1, keepdims=True)
-    return TrajectoryEnsemble(
-        times=times,
-        theta=theta,
-        freq=_central_differences(theta, h),
-        realizations=R,
-        seed=seed,
-        onset=noise.onset,
-    )
+        state = theta[t]
+        weff[:, k0] = w[k0] + H[t]
+        mid = state + (0.5 * h) * weff
+        end = state + h * weff
+        f1 = np.sin(state @ incT)
+        f2 = np.sin((mid - f1 @ inc_half) @ incT)
+        f3 = np.sin((mid - f2 @ inc_half) @ incT)
+        f4 = np.sin((end - f3 @ inc_full) @ incT)
+        f2 += f3
+        f1 += f4
+        f1 += 2.0 * f2
+        np.subtract(end, f1 @ inc_sixth, out=theta[t + 1])
+    return _ensemble(theta, h, R, seed, noise.onset)
 
 
 def integrate_linearized(
@@ -303,17 +337,14 @@ def integrate_linearized(
     deterministic part advances by the exact matrix exponential, with the
     disturbance held constant over each step. Phases are reported as
     steady state plus deviation, so they compare directly against the
-    nonlinear integrator.
+    nonlinear integrator. Storage and box handling are as in
+    ``integrate_nonlinear``.
     """
+    steps, k0 = _horizon(g, noise, h, T, R)
     theta0 = np.asarray(steady.theta0, dtype=float)
     lam, V = np.linalg.eigh(laplacian(g, g.b * np.cos(theta0[g.ei] - theta0[g.ej])))
     _stability_guard(h, float(lam[-1]))
-    steps = int(round(T / h))
-    times = np.arange(steps + 1) * h
-    k0 = noise.node - 1
-    if k0 >= g.n:
-        raise ValueError(f"noise target {noise.node} out of range 1..{g.n}")
-    H = _noise_matrix(noise, h, T, R, seed)
+    H = _noise_matrix(noise, h, T, R, seed).T.copy()
 
     z = np.clip(lam * h, 0.0, None)
     decay = np.exp(-z)
@@ -322,21 +353,13 @@ def integrate_linearized(
     propagator = (V * decay) @ V.T
     forcing = ((V * (h * phi1)) @ V.T)[:, k0]
 
-    theta = np.empty((R, g.n, steps + 1))
-    dev = np.zeros((R, g.n))
-    theta[:, :, 0] = theta0
+    theta = np.empty((steps + 1, H.shape[1], g.n))
+    dev = np.zeros((H.shape[1], g.n))
+    theta[0] = theta0
     for t in range(steps):
-        dev = dev @ propagator + H[:, t, None] * forcing[None, :]
-        theta[:, :, t + 1] = theta0 + dev
-    theta -= theta.mean(axis=1, keepdims=True)
-    return TrajectoryEnsemble(
-        times=times,
-        theta=theta,
-        freq=_central_differences(theta, h),
-        realizations=R,
-        seed=seed,
-        onset=noise.onset,
-    )
+        dev = dev @ propagator + H[t, :, None] * forcing[None, :]
+        np.add(theta0, dev, out=theta[t + 1])
+    return _ensemble(theta, h, R, seed, noise.onset)
 
 
 @dataclass(frozen=True)
@@ -360,13 +383,24 @@ def empirical_vulnerability(traj: TrajectoryEnsemble) -> EmpiricalMeasure:
     """Time-averaged ensemble mean of the squared frequency spread.
 
     Averages sum_i (freq_i - mean_j freq_j)^2 over the samples at or after
-    the disturbance onset, then over realizations.
+    the disturbance onset, then over realizations. The spread is summed
+    over blocks of ``_SPREAD_CHUNK`` samples, so no full-length temporary
+    is made. Raises ``ValueError`` when no sample lies at or after the
+    onset.
     """
     # The samples at or after the onset are a suffix of the sorted times.
     start = int(np.searchsorted(traj.times, traj.onset - 1e-12))
-    f = traj.freq[:, :, start:]
-    spread = f - f.mean(axis=1, keepdims=True)
-    per_real = (spread * spread).sum(axis=1).mean(axis=1)
+    count = traj.times.size - start
+    if count < 1:
+        raise ValueError(f"onset {traj.onset} lies after the last sample "
+                         f"t={traj.times[-1]:.10g}; nothing to average")
+    freq = traj.freq.transpose(2, 0, 1)
+    per_real = np.zeros(traj.freq.shape[0])
+    for lo in range(start, traj.times.size, _SPREAD_CHUNK):
+        f = freq[lo:lo + _SPREAD_CHUNK]
+        spread = f - f.mean(axis=2, keepdims=True)
+        per_real += np.einsum("tri,tri->r", spread, spread)
+    per_real /= count
     value = float(per_real.mean())
     if traj.realizations >= 2:
         stderr = float(per_real.std(ddof=1) / math.sqrt(traj.realizations))
@@ -384,19 +418,22 @@ def empirical_vulnerability(traj: TrajectoryEnsemble) -> EmpiricalMeasure:
 
 def export_trajectories_csv(traj: TrajectoryEnsemble, path_or_file: str | IO[str],
                             stride: int = 1) -> None:
-    """Write trajectories as CSV rows (time, realization, node, theta, freq)."""
+    """Write trajectories as CSV rows (time, realization, node, theta, freq).
+
+    The output is what ``csv.writer`` gives for these rows (``\\r\\n`` line
+    ends, no field needs quoting), written one sampled time at a time: each
+    slice's realizations x nodes rows come from one format call.
+    """
+    R, n = traj.theta.shape[:2]
+    # Field 0 is the time; fields 2k+1 and 2k+2 are theta and freq of row k.
+    rows = "".join(f"{{0}},{r},{i + 1},{{{2 * k + 1}:.10g}},{{{2 * k + 2}:.10g}}\r\n"
+                   for k, (r, i) in enumerate(np.ndindex(R, n)))
+
     def _write(fh: IO[str]) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "realization", "node", "theta", "freq"])
-        n = traj.theta.shape[1]
+        fh.write("time,realization,node,theta,freq\r\n")
         for t in range(0, traj.times.size, stride):
-            for r in range(traj.realizations):
-                for i in range(n):
-                    writer.writerow([
-                        f"{traj.times[t]:.10g}", r, i + 1,
-                        f"{traj.theta[r, i, t]:.10g}",
-                        f"{traj.freq[r, i, t]:.10g}",
-                    ])
+            pairs = np.stack((traj.theta[:, :, t], traj.freq[:, :, t]), axis=-1)
+            fh.write(rows.format(f"{traj.times[t]:.10g}", *pairs.ravel().tolist()))
 
     if hasattr(path_or_file, "write"):
         _write(path_or_file)

@@ -1,4 +1,5 @@
 """Steady states, integrators, noise processes, empirical estimator."""
+import csv
 import io
 import math
 
@@ -16,8 +17,10 @@ from resilnet import (
     make_noise,
     steady_state,
 )
+from resilnet import dynamics
 from resilnet.dynamics import (
     NoSynchronizedStateError,
+    TrajectoryEnsemble,
     _noise_matrix,
     default_ou_sigma,
     export_trajectories_csv,
@@ -76,6 +79,9 @@ def test_noise_matrix_rows_use_seed_offsets():
     M = _noise_matrix(spec, 0.01, 2.0, 4, seed=99)
     for r in range(4):
         assert np.array_equal(M[r], make_noise(spec, 0.01, 2.0, 99 + r))
+    box = NoiseSpec.box(node=1, t0=0.5, duration=1.0)
+    assert np.array_equal(_noise_matrix(box, 0.01, 2.0, 4, seed=99),
+                          make_noise(box, 0.01, 2.0, 0)[None, :])
 
 
 def test_default_ou_sigma():
@@ -316,3 +322,153 @@ def test_trajectory_csv_export():
     assert len(lines) == 1 + 11 * 2 * 3
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0" and first[2] == "1"
+
+
+def _reference_rk4(g, omega, theta_init, noise, h, T, R, seed):
+    """Plain RK4, one realization at a time, with an edge-list drift."""
+    steps = int(round(T / h))
+    w = np.asarray(omega, dtype=float)
+    w = w - w.mean()
+    k0 = noise.node - 1
+
+    def drift(x, weff):
+        flow = g.b * np.sin(x[g.ei] - x[g.ej])
+        return weff - (np.bincount(g.ei, flow, g.n) - np.bincount(g.ej, flow, g.n))
+
+    theta = np.empty((R, g.n, steps + 1))
+    for r in range(R):
+        eta = make_noise(noise, h, T, seed + r)
+        state = np.array(theta_init, dtype=float)
+        theta[r, :, 0] = state
+        for t in range(steps):
+            weff = w.copy()
+            weff[k0] += eta[t]
+            k1 = drift(state, weff)
+            k2 = drift(state + 0.5 * h * k1, weff)
+            k3 = drift(state + 0.5 * h * k2, weff)
+            k4 = drift(state + h * k3, weff)
+            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            theta[r, :, t + 1] = state
+    return theta - theta.mean(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseSpec.ou(node=2, tau=1.5, sigma=0.2),
+    NoiseSpec.box(node=4, delta=0.3, t0=0.7, duration=2.0),
+])
+def test_nonlinear_matches_reference_rk4(noise):
+    g = build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 4)],
+                    [0.6, 0.3, 0.5, 0.4, 0.7, 0.2])
+    omega = np.array([0.2, -0.1, 0.05, -0.25, 0.1])
+    theta_init = np.array([0.3, -0.2, 0.1, 0.0, -0.4])
+    h, T, R, seed = 0.01, 4.0, 3, 21
+    traj = integrate_nonlinear(g, omega, theta_init, noise, h=h, T=T, R=R, seed=seed)
+    ref = _reference_rk4(g, omega, theta_init, noise, h, T, R, seed)
+    assert traj.theta.shape == ref.shape == (R, 5, 401)
+    assert np.abs(traj.theta - ref).max() < 1e-12
+    ref_freq = np.empty_like(ref)
+    ref_freq[:, :, 1:-1] = (ref[:, :, 2:] - ref[:, :, :-2]) / (2 * h)
+    ref_freq[:, :, 0] = (ref[:, :, 1] - ref[:, :, 0]) / h
+    ref_freq[:, :, -1] = (ref[:, :, -1] - ref[:, :, -2]) / h
+    assert np.abs(traj.freq - ref_freq).max() < 1e-9
+    assert not traj.theta.flags.writeable and not traj.freq.flags.writeable
+
+
+def test_box_ensemble_is_one_run():
+    g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 3)], [0.5, 0.3, 0.4, 0.2])
+    omega = np.array([0.1, -0.05, 0.0, -0.05])
+    spec = NoiseSpec.box(node=3, delta=0.2, t0=0.5, duration=1.5)
+    many = integrate_nonlinear(g, omega, np.zeros(4), spec, h=0.01, T=4.0, R=4, seed=3)
+    one = integrate_nonlinear(g, omega, np.zeros(4), spec, h=0.01, T=4.0, R=1, seed=9)
+    assert many.theta.shape == (4, 4, 401) and many.realizations == 4
+    for r in range(4):
+        assert np.array_equal(many.theta[r], one.theta[0])
+        assert np.array_equal(many.freq[r], one.freq[0])
+    m = empirical_vulnerability(many)
+    assert m.stderr == 0.0 and not m.low_realizations
+    assert m.value == pytest.approx(empirical_vulnerability(one).value, rel=1e-14)
+    assert m.value > 0
+
+
+def test_degenerate_horizons_rejected(monkeypatch):
+    g = build_graph(3, [(1, 2), (2, 3)], [0.5, 0.5])
+    ss = steady_state(g, np.zeros(3))
+    spec = NoiseSpec.ou(node=1, tau=1.0, sigma=0.1)
+    for run in (lambda **kw: integrate_nonlinear(g, np.zeros(3), np.zeros(3), **kw),
+                lambda **kw: integrate_linearized(g, ss, **kw)):
+        with pytest.raises(ValueError, match="no step"):
+            run(noise=spec, h=0.01, T=0.004, R=2, seed=0)
+        with pytest.raises(ValueError, match="at least one realization"):
+            run(noise=spec, h=0.01, T=1.0, R=0, seed=0)
+        with pytest.raises(ValueError, match="out of range"):
+            run(noise=NoiseSpec.ou(node=4), h=0.01, T=1.0, R=1, seed=0)
+
+    def no_bundle(graph):
+        raise AssertionError("spectral bundle computed for a bad target")
+
+    monkeypatch.setattr(dynamics, "spectral_bundle", no_bundle)
+    with pytest.raises(ValueError, match="out of range"):
+        integrate_nonlinear(g, np.zeros(3), np.zeros(3), NoiseSpec.box(node=9),
+                            h=0.01, T=1.0, R=1, seed=0)
+
+
+def test_empirical_rejects_onset_after_last_sample():
+    g = build_graph(3, [(1, 2), (2, 3)], [0.5, 0.5])
+    spec = NoiseSpec.box(node=1, t0=5.0)
+    traj = integrate_nonlinear(g, np.zeros(3), np.zeros(3), spec, h=0.01, T=1.0,
+                               R=2, seed=0)
+    with pytest.raises(ValueError, match="after the last sample"):
+        empirical_vulnerability(traj)
+
+
+def test_empirical_blocked_sum_matches_full_formula():
+    # long enough for several blocks, with the onset inside the first one
+    g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)], [0.3, 0.2, 0.3, 0.2])
+    spec = NoiseSpec.ou(node=2, tau=2.0, sigma=0.1)
+    traj = integrate_nonlinear(g, np.zeros(4), np.zeros(4), spec, h=0.01, T=50.0,
+                               R=3, seed=4)
+    assert traj.times.size > 2 * dynamics._SPREAD_CHUNK
+    traj = TrajectoryEnsemble(times=traj.times, theta=traj.theta, freq=traj.freq,
+                              realizations=3, seed=4, onset=7.3)
+    start = int(np.searchsorted(traj.times, traj.onset - 1e-12))
+    f = traj.freq[:, :, start:]
+    spread = f - f.mean(axis=1, keepdims=True)
+    per_real = (spread * spread).sum(axis=1).mean(axis=1)
+    m = empirical_vulnerability(traj)
+    assert np.allclose(m.per_realization, per_real, rtol=1e-12, atol=0)
+    assert m.value == pytest.approx(per_real.mean(), rel=1e-12)
+    assert m.stderr == pytest.approx(per_real.std(ddof=1) / math.sqrt(3), rel=1e-9)
+
+
+def _reference_csv(traj, stride):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["time", "realization", "node", "theta", "freq"])
+    for t in range(0, traj.times.size, stride):
+        for r in range(traj.realizations):
+            for i in range(traj.theta.shape[1]):
+                writer.writerow([f"{traj.times[t]:.10g}", r, i + 1,
+                                 f"{traj.theta[r, i, t]:.10g}",
+                                 f"{traj.freq[r, i, t]:.10g}"])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_trajectory_csv_bytes_match_csv_writer(tmp_path, stride):
+    rng = np.random.default_rng(8)
+    shape = (2, 3, 7)
+    scale = np.array([1e-300, -1e-12, -3.5, 1e5, 5e-324, -0.0, 123456789.123])
+    theta = rng.standard_normal(shape) * scale
+    freq = -rng.standard_normal(shape) * scale[::-1]
+    traj = TrajectoryEnsemble(times=np.arange(7) * 0.0123, theta=theta, freq=freq,
+                              realizations=2, seed=0, onset=0.0)
+    path = tmp_path / "traj.csv"
+    export_trajectories_csv(traj, path, stride=stride)
+    assert path.read_bytes() == _reference_csv(traj, stride)
+    g = build_graph(3, [(1, 2), (2, 3)], [0.5, 0.5])
+    spec = NoiseSpec.ou(node=1, tau=5.0, sigma=0.05)
+    run = integrate_nonlinear(g, np.zeros(3), np.zeros(3), spec, h=0.1, T=1.0,
+                              R=2, seed=0)
+    buf = io.StringIO(newline="")
+    export_trajectories_csv(run, buf, stride=stride)
+    assert buf.getvalue().encode() == _reference_csv(run, stride)
