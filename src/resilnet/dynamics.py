@@ -243,7 +243,9 @@ def _ensemble(theta: np.ndarray, h: float, R: int, seed: int,
     """
     theta -= theta.mean(axis=2, keepdims=True)
     freq = np.empty_like(theta)
-    freq[1:-1] = (theta[2:] - theta[:-2]) / (2.0 * h)
+    # In place: a temporary would be another (steps - 1, rows, n) array.
+    np.subtract(theta[2:], theta[:-2], out=freq[1:-1])
+    np.divide(freq[1:-1], 2.0 * h, out=freq[1:-1])
     freq[0] = (theta[1] - theta[0]) / h
     freq[-1] = (theta[-1] - theta[-2]) / h
     shape = (theta.shape[0], R, theta.shape[2])

@@ -23,6 +23,8 @@ tr(P A^-1 P) (P = I - 11^T/n), h(b') = sum_k pi_k f_k(b') - zeta tr(Z A(b'))
 is convex and at most max_k f_k(b') where the floor holds, for pi on the
 simplex and zeta >= 0; a small LP picks pi and zeta for the best
 linearization bound. ``converged`` means a relative gap <= SOLVER_TOL.
+All factorizations are numpy.linalg: Cholesky factors test M > 0 and
+A > 0 and give the log-determinants, and the inverses are L^-T L^-1.
 When the uniform start misses the floor, phase 1 maximizes lambda_2 the
 same way (Ghosh and Boyd 2006); failing that, its dual Z (Z >= 0, tr Z = 1,
 Z1 = 0) certifies lambda_2 <= max_l a_l^T Z a_l for InfeasibleDesignError.
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from numpy.linalg import LinAlgError
 
 from .designs import shortest_path_flow
 from .graphs import DisconnectedGraphError, WeightedGraph, build_graph, laplacian
@@ -78,10 +80,13 @@ class InfeasibleDesignError(RuntimeError):
 def epsilon_from_sync(
     omega: Sequence[float], edges: Iterable[tuple[int, int]], gamma: float
 ) -> float:
-    """Spectral floor guaranteeing a synchronized state with angle gaps <= gamma.
+    """Heuristic spectral floor for a synchronized state with angle gaps <= gamma.
 
     Evaluates max over edges of |omega_i - omega_j| times sin(gamma);
-    returns 0 for identical oscillators.
+    returns 0 for identical oscillators. The floor does not guarantee the
+    gaps: on cases/ny57_substitute.json (29 generators, gamma = pi/16 =
+    0.196) the steady angle gaps are 0.284 for the min-max design and 0.200
+    for the single-node design. The CLI's sync check reports such misses.
     """
     if not 0.0 < gamma < math.pi / 2:
         raise ValueError(f"gamma must lie in (0, pi/2), got {gamma}")
@@ -140,7 +145,8 @@ def design_problem(
 
     Without ``epsilon`` the floor is epsilon_from_sync(omega, edges, gamma),
     at least DEFAULT_EPSILON_SCALE, or that default when there is no
-    ``omega``.
+    ``omega``. That floor is a heuristic, not a guarantee that the angle
+    gaps stay within gamma (see epsilon_from_sync).
     """
     if not 0.0 < gamma < math.pi / 2:
         raise ValueError(f"gamma must lie in (0, pi/2), got {gamma}")
@@ -198,6 +204,17 @@ def _eliminate(c: np.ndarray, s: float) -> tuple[float, np.ndarray]:
     return u, u + d
 
 
+def _cholesky_inverse(L: np.ndarray) -> np.ndarray:
+    """X^-1 = L^-T L^-1 from the lower Cholesky factor L of X.
+
+    An LU inverse of X itself (np.linalg.inv or np.linalg.solve on X)
+    drifts more along the path: on ny57, buses 4,6 at physical eps 5.05
+    took 308 Newton steps with it, against 130 with this one.
+    """
+    L_inv = np.linalg.inv(L)
+    return L_inv.T @ L_inv
+
+
 class _MinMax:
     """Barrier of the targets' blocks and the floor; ``targets`` are 0-based."""
 
@@ -207,51 +224,55 @@ class _MinMax:
         self.targets = np.asarray(targets, dtype=int)
         self.l = self.targets.size
         self.eye = np.eye(self.n)
-        self.rhs = self.eye[:, self.targets]
         self.nu = self.l * (self.n + 1) + self.n + template.m
 
     def state(self, b: np.ndarray):
-        """Factors of M and M - eps*I and the target columns of M^-1, or None."""
+        """Cholesky factors of M and A = M - eps*I, M^-1 and the f_k, or None.
+
+        None when the factorizations fail: b misses the floor.
+        """
         M = laplacian(self.template, b) + 1.0 / self.n
         try:
-            cA = cho_factor(M - self.eps * self.eye, lower=True, check_finite=False)
-            cM = cho_factor(M, lower=True, check_finite=False)
+            LA = np.linalg.cholesky(M - self.eps * self.eye)
+            LM = np.linalg.cholesky(M)
         except LinAlgError:
             return None
-        U = cho_solve(cM, self.rhs, check_finite=False)
-        return cM, cA, U, U[self.targets, np.arange(self.l)]
+        M_inv = _cholesky_inverse(LM)
+        return LM, LA, M_inv, M_inv[self.targets, self.targets]
 
     def objective(self, state) -> float:
         return float(state[3].max()) - 1.0 / self.n
 
-    def _inverse(self, factor) -> tuple[np.ndarray, np.ndarray]:
-        """X^-1 and B^T X^-1 B (B the incidence matrix) from a factor of X."""
-        inv = cho_solve(factor, self.eye, check_finite=False)
+    def _edge_form(self, inv: np.ndarray) -> np.ndarray:
+        """B^T X^-1 B (B the incidence matrix) from X^-1."""
         X = inv[:, self.ei] - inv[:, self.ej]
-        return inv, X[self.ei] - X[self.ej]
+        return X[self.ei] - X[self.ej]
 
     def barrier(self, state, s: float, derivs: bool):
-        cM, cA, U, f = state
+        LM, LA, M_inv, f = state
         u, gaps = _eliminate(f, s)
-        logdet_M = 2.0 * np.log(np.diag(cM[0])).sum()
-        logdet_A = 2.0 * np.log(np.diag(cA[0])).sum()
+        logdet_M = 2.0 * np.log(np.diag(LM)).sum()
+        logdet_A = 2.0 * np.log(np.diag(LA)).sum()
         value = s * (f.max() + u) - np.log(gaps).sum() - self.l * logdet_M - logdet_A
         if not derivs:
             return value
         w = 1.0 / gaps
         w2 = w * w
+        U = M_inv[:, self.targets]
         D = U[self.ei] - U[self.ej]          # df_k/db_l = -D[l, k]^2
         S = D * D
-        R, RA = self._inverse(cM)[1], self._inverse(cA)[1]
+        R, RA = self._edge_form(M_inv), self._edge_form(_cholesky_inverse(LA))
         # Schur complement over t of the w^2 terms, centred against cancellation.
         Sc = S - ((S @ w2) / w2.sum())[:, None]
         hess = 2.0 * ((D * w) @ D.T) * R + (Sc * w2) @ Sc.T + self.l * R * R + RA * RA
         return value, -S @ w - self.l * np.diag(R) - np.diag(RA), hess
 
     def lower_bound(self, state, s: float) -> float:
-        _, cA, U, f = state
+        _, LA, M_inv, f = state
+        U = M_inv[:, self.targets]
         D = U[self.ei] - U[self.ej]
-        A_inv, RA = self._inverse(cA)
+        A_inv = _cholesky_inverse(LA)
+        RA = self._edge_form(A_inv)
         # tr(P A^-1 P), since A^-1 1 = 1 / (1 - eps).
         z = np.diag(RA) / (np.trace(A_inv) - 1.0 / (1.0 - self.eps))
         # (1 - 1/n)^2 bounds every L+_kk at unit budget (vulnerability.lower_bound).
@@ -313,8 +334,8 @@ def _lp_bound(c: np.ndarray, S: np.ndarray, z: np.ndarray, eps: float) -> float:
     A[l, :m], A[l, -1], A[l + 1, :m] = z, -1.0, 1.0
     b = np.concatenate([c + max(0.0, float((S.max(axis=0) - c).min())), [eps, 1.0]])
     cost = np.eye(1, m + l + 2, m)[0]
-    gram = cho_factor(A @ A.T)
-    x, y = A.T @ cho_solve(gram, b), cho_solve(gram, A @ cost)
+    gram = A @ A.T
+    x, y = A.T @ np.linalg.solve(gram, b), np.linalg.solve(gram, A @ cost)
     r = cost - A.T @ y
     x, r = x + max(-1.5 * x.min(), 0.0), r + max(-1.5 * r.min(), 0.0)
     x, r = x + 0.5 * (x @ r) / r.sum(), r + 0.5 * (x @ r) / x.sum()
@@ -410,8 +431,8 @@ def _result(problem: DesignProblem, model: _MinMax, b: np.ndarray, state,
     certificate = None
     if model.l == 1:
         # designs.optimality_certificate from the solve in hand.
-        U = state[2]
-        residuals = objective - (U[model.ei, 0] - U[model.ej, 0]) ** 2
+        u = state[2][:, model.targets[0]]
+        residuals = objective - (u[model.ei] - u[model.ej]) ** 2
         certificate = float(residuals.min()) >= -max(1e-8, SOLVER_TOL)
     return SolverResult(
         b_star=b, objective=objective, per_node=per_node, iterations=iterations,

@@ -1,6 +1,9 @@
 """Command-line surface: subcommands, outputs, exit codes."""
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,8 @@ import pytest
 
 from resilnet.cli import main
 
-CASES_DIR = Path(__file__).resolve().parents[1] / "cases"
+ROOT = Path(__file__).resolve().parents[1]
+CASES_DIR = ROOT / "cases"
 K5 = str(CASES_DIR / "k5_toy.json")
 NY57 = str(CASES_DIR / "ny57_substitute.json")
 
@@ -155,3 +159,28 @@ def test_simulate_bad_weights_exit_3(tmp_path, capsys):
                  "--noise", "ou", "--node", "1"])
     assert code == 3
     assert "10 branches" in capsys.readouterr().err
+
+
+def test_runtime_path_imports_no_scipy(tmp_path):
+    # scipy is a test-only dependency. The suite's conftest imports it, so
+    # the commands run in a fresh interpreter.
+    script = f"""
+import sys
+from resilnet.cli import main
+K5, OUT = {K5!r}, {str(tmp_path)!r}
+assert main(["measure", "--case", K5]) == 0
+assert main(["design", "--case", K5, "--mode", "single", "--nodes", "1,2",
+             "--out", OUT + "/single"]) == 0
+assert main(["design", "--case", K5, "--mode", "minmax", "--nodes", "generators",
+             "--out", OUT + "/minmax"]) == 0
+assert main(["export-sdp", "--case", K5, "--nodes", "1,2",
+             "--out", OUT + "/k5.dat-s"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+    report = json.loads((tmp_path / "minmax" / "report.json").read_text())
+    assert report["solves"]["minmax"]["converged"]

@@ -205,6 +205,11 @@ def test_nonconvergence_returns_best_iterate(monkeypatch):
 # physical floor (None: the default floor), published to 7 decimals.
 PROTOTYPE = {None: 53.5163356, 2.0: 53.5243555, 3.0: 54.1786515,
              4.0: 57.5068447, 4.5: 63.3660803}
+# The barrier method's objectives and converged flags there, as ROADMAP
+# item 1 publishes them (10 decimals).
+PUBLISHED = {None: (53.5163355850, True), 2.0: (53.5243554738, True),
+             3.0: (54.1786515079, True), 4.0: (57.5068446879, True),
+             4.5: (63.3660802625, False)}
 
 
 @pytest.mark.parametrize("eps_phys", list(PROTOTYPE))
@@ -215,6 +220,9 @@ def test_minmax_ny57_floors_against_prototype_and_lp_bound(eps_phys):
     res = solve_min_max(problem)
     assert res.method == "barrier"
     assert res.objective <= PROTOTYPE[eps_phys] + 0.5e-7
+    objective, converged = PUBLISHED[eps_phys]
+    assert res.objective == pytest.approx(objective, rel=1e-10)
+    assert res.converged == converged
     assert res.feasibility >= 0.0
     bound = floor_aware_lower_bound(problem.graph(res.b_star),
                                     problem.v_prime, problem.epsilon)
@@ -227,6 +235,22 @@ def test_minmax_ny57_floors_against_prototype_and_lp_bound(eps_phys):
         assert res.converged
         assert res.objective - bound <= SOLVER_TOL * res.objective
         assert res.iterations < 200
+
+
+def test_minmax_state_rejects_weights_below_the_floor():
+    # C4 at weights w has lambda_2 = 2w, so the even design clears eps = 0.1;
+    # two weak opposite edges leave M > 0 but M - eps*I indefinite.
+    edges = [(1, 2), (2, 3), (3, 4), (1, 4)]
+    prob = design_problem(4, edges, v_prime=[1, 3], epsilon=0.1)
+    model = optimize._MinMax(prob.template, [0, 2], prob.epsilon)
+    even = np.full(4, 0.25)
+    state = model.state(even)
+    assert state is not None
+    assert model.objective(state) == pytest.approx(
+        max(vulnerability_measure(prob.graph(even), k) for k in (1, 3)), rel=1e-12)
+    weak = np.array([0.49, 0.01, 0.49, 0.01])
+    assert 0.0 < algebraic_connectivity(prob.graph(weak)) < prob.epsilon
+    assert model.state(weak) is None
 
 
 def test_minmax_relabel_invariance():
