@@ -38,7 +38,6 @@ from .optimize import (
     DesignProblem,
     InfeasibleDesignError,
     SolverResult,
-    design_problem,
     epsilon_from_sync,
     solve_min_max,
     solve_single_node,

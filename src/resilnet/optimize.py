@@ -5,7 +5,9 @@ the simplex of nonnegative edge weights summing to one, subject to a
 spectral floor lambda_2(b) >= epsilon that keeps the network connected and
 synchronizable. Callers with another budget c normalize first and rescale
 by homogeneity: measure(c*b) = measure(b)/c and lambda_2(c*b) = c*lambda_2(b)
-(resilnet.scenarios.unit_budget_problem does this for grid cases).
+(resilnet.scenarios.unit_budget_problem does this for grid cases, and
+derives their floor with epsilon_from_sync). DesignProblem takes the floor
+at unit budget as given.
 
 Exact method (single node): the shortest-path flow design of
 resilnet.designs (Elfving), with lower bound (mean hop)^2, whenever it
@@ -45,7 +47,6 @@ __all__ = [
     "InfeasibleDesignError",
     "DesignProblem",
     "SolverResult",
-    "design_problem",
     "epsilon_from_sync",
     "solve_single_node",
     "solve_min_max",
@@ -102,15 +103,16 @@ class DesignProblem:
 
     ``edges`` are 1-based node pairs; weights are free and sum to one.
     ``v_prime`` is the set of nodes where disturbances are expected.
-    ``epsilon`` is the spectral floor at unit budget (see design_problem
-    for its derivation). ``template`` is the validated topology at unit
-    weights.
+    ``epsilon`` is the spectral floor at unit budget, in (0, 1); the
+    default only forces connectivity. A grid case's floor comes from its
+    natural frequencies (resilnet.scenarios.unit_budget_problem).
+    ``template`` is the validated topology at unit weights.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     v_prime: tuple[int, ...]
-    epsilon: float
+    epsilon: float = DEFAULT_EPSILON_SCALE
     template: WeightedGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -124,6 +126,7 @@ class DesignProblem:
         if vp[0] < 1 or vp[-1] > self.n:
             raise ValueError(f"v_prime {vp} not contained in 1..{self.n}")
         object.__setattr__(self, "v_prime", vp)
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         # The 11^T/n direction of L + 11^T/n carries eigenvalue exactly 1,
         # so the floor must stay strictly below the unit budget.
         if not 0.0 < self.epsilon < 1.0:
@@ -131,36 +134,6 @@ class DesignProblem:
 
     def graph(self, b: Sequence[float]) -> WeightedGraph:
         return self.template.with_weights(b)
-
-
-def design_problem(
-    n: int,
-    edges: Iterable[tuple[int, int]],
-    v_prime: Iterable[int],
-    omega: Sequence[float] | None = None,
-    gamma: float = DEFAULT_GAMMA,
-    epsilon: float | None = None,
-) -> DesignProblem:
-    """Build a unit-budget DesignProblem, deriving the floor when not given.
-
-    Without ``epsilon`` the floor is epsilon_from_sync(omega, edges, gamma),
-    at least DEFAULT_EPSILON_SCALE, or that default when there is no
-    ``omega``. That floor is a heuristic, not a guarantee that the angle
-    gaps stay within gamma (see epsilon_from_sync).
-    """
-    if not 0.0 < gamma < math.pi / 2:
-        raise ValueError(f"gamma must lie in (0, pi/2), got {gamma}")
-    edges = tuple((int(i), int(j)) for i, j in edges)
-    if omega is not None:
-        omega = np.asarray(omega, dtype=float)
-        if omega.shape != (n,):
-            raise ValueError(f"omega has shape {omega.shape}, expected ({n},)")
-    if epsilon is None:
-        epsilon = DEFAULT_EPSILON_SCALE
-        if omega is not None:
-            epsilon = max(epsilon_from_sync(omega, edges, gamma), epsilon)
-    return DesignProblem(n=n, edges=edges, v_prime=tuple(v_prime),
-                         epsilon=float(epsilon))
 
 
 @dataclass(frozen=True)
@@ -466,7 +439,7 @@ def solve_single_node(problem: DesignProblem, k: int) -> SolverResult:
         return _solve(problem, [k])
     b = flow / flow.sum()
     model = _MinMax(problem.template, [k - 1], problem.epsilon)
-    state = model.state(b) if _lambda2(problem, b) >= problem.epsilon else None
+    state = model.state(b)  # None when the flow design misses the floor
     if state is None:
         return _solve(problem, [k])
     # The flows sum to the mean hop distance; its square is Elfving's bound.

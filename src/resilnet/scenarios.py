@@ -6,11 +6,13 @@ candidate separately. Scenario "minmax" reallocates once to protect a
 whole node set. Both solve the unit-budget problem of unit_budget_problem,
 whose budget is the case's total susceptance, and rescale the results by
 homogeneity (measure(c*b) = measure(b)/c), so reported measures and
-weights are in physical per-unit terms.
+weights are in physical per-unit terms. unit_budget_problem is the one
+place a case's spectral floor is derived or range-checked.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
@@ -26,7 +28,6 @@ from .optimize import (
     DesignProblem,
     InfeasibleDesignError,
     SolverResult,
-    design_problem,
     epsilon_from_sync,
     solve_min_max,
     solve_single_node,
@@ -172,29 +173,32 @@ class ScenarioReport:
         )
 
 
-def _normalized_epsilon(case: GridCase, gamma: float,
-                        epsilon: float | None) -> tuple[float, float]:
-    """(physical, unit-budget) spectral floor for a case."""
-    scale = case.total_susceptance
-    if epsilon is None:
-        sync = epsilon_from_sync(case.omega(), case.edge_pairs(), gamma)
-        eps_norm = max(sync / scale, DEFAULT_EPSILON_SCALE)
-        return eps_norm * scale, eps_norm
-    return epsilon, epsilon / scale
-
-
 def unit_budget_problem(case: GridCase, buses: Iterable[int], gamma: float,
                         epsilon: float | None) -> tuple[DesignProblem, float]:
     """The case's unit-budget design problem over ``buses``, and its physical floor.
 
-    ``epsilon`` is a physical floor, derived from the case when None. The
+    ``epsilon`` is a physical floor in (0, total susceptance). When None,
+    the unit-budget floor is max(epsilon_from_sync(omega, edges, gamma) /
+    total susceptance, DEFAULT_EPSILON_SCALE), a heuristic (see
+    epsilon_from_sync). ``gamma`` must lie in (0, pi/2) either way. The
     problem's weights and measures scale back by the total susceptance.
     """
-    eps_phys, eps_norm = _normalized_epsilon(case, gamma, epsilon)
-    problem = design_problem(case.n, case.edge_pairs(),
-                             v_prime=[case.node_of(b) for b in buses],
-                             gamma=gamma, epsilon=eps_norm)
-    return problem, eps_phys
+    if not 0.0 < gamma < math.pi / 2:
+        raise ValueError(f"gamma must lie in (0, pi/2), got {gamma}")
+    scale = case.total_susceptance
+    if epsilon is None:
+        sync = epsilon_from_sync(case.omega(), case.edge_pairs(), gamma)
+        eps_norm = max(sync / scale, DEFAULT_EPSILON_SCALE)
+        epsilon = eps_norm * scale
+    elif 0.0 < epsilon < scale:
+        eps_norm = epsilon / scale
+    else:
+        raise ValueError(f"epsilon must lie in (0, {scale:.6g}), the total "
+                         f"susceptance of {case.name}; got {epsilon}")
+    problem = DesignProblem(case.n, case.edge_pairs(),
+                            v_prime=[case.node_of(b) for b in buses],
+                            epsilon=eps_norm)
+    return problem, epsilon
 
 
 def _sync_check(case: GridCase, weights_phys: np.ndarray, gamma: float,

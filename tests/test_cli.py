@@ -108,6 +108,35 @@ def test_input_errors_exit_3(tmp_path, capsys):
     assert "input error" in err
 
 
+FLOOR_COMMANDS = (["design", "--mode", "single"], ["design", "--mode", "minmax"],
+                  ["export-sdp"])
+
+
+@pytest.mark.parametrize("epsilon", ["2000", "-1", "nan"])
+def test_physical_floor_out_of_range_exit_3(tmp_path, capsys, epsilon):
+    # The message names the floor as given and ny57's total susceptance
+    # (1032.55), not their ratio at unit budget.
+    for command in FLOOR_COMMANDS:
+        code = main([*command, "--case", NY57, "--nodes", "generators",
+                     "--epsilon", epsilon, "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"got {float(epsilon)}" in err
+        assert "1032.55" in err and "total susceptance" in err
+
+
+@pytest.mark.parametrize("gamma", ["0", "1.6", "nan"])
+def test_gamma_out_of_range_exit_3_with_epsilon(tmp_path, capsys, gamma):
+    # An explicit floor does not use gamma, but gamma is still range-checked.
+    for command in FLOOR_COMMANDS:
+        code = main([*command, "--case", NY57, "--nodes", "generators",
+                     "--gamma", gamma, "--epsilon", "1.0",
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "gamma must lie in (0, pi/2)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_export_sdp(tmp_path):
     out = tmp_path / "k5.dat-s"
     code = main(["export-sdp", "--case", K5, "--nodes", "1,2",

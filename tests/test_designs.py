@@ -7,12 +7,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from resilnet import (
+    DesignProblem,
     DisconnectedGraphError,
     algebraic_connectivity,
     build_graph,
     complete_graph_edges,
     complete_graph_optimum,
-    design_problem,
     load_case,
     optimality_certificate,
     path_usage_counts,
@@ -23,7 +23,7 @@ from resilnet import (
 )
 from resilnet.designs import NotATreeError
 from resilnet.optimize import DEFAULT_GAMMA, SOLVER_TOL
-from resilnet.scenarios import _normalized_epsilon
+from resilnet.scenarios import unit_budget_problem
 
 from conftest import batched_measure, random_connected_graph, random_tree, simplex_grid
 
@@ -280,7 +280,7 @@ def test_solve_single_node_falls_back_when_floor_binds():
     bound = _mean_hop(g, k) ** 2
     lam2 = algebraic_connectivity(g.with_weights(b))
 
-    exact = solve_single_node(design_problem(6, edges, v_prime=[k]), k)
+    exact = solve_single_node(DesignProblem(6, edges, v_prime=[k]), k)
     assert exact.iterations == 0 and exact.converged
     assert exact.method == "exact-flow"
     assert exact.lower_bound == pytest.approx(bound, rel=1e-12)
@@ -290,7 +290,7 @@ def test_solve_single_node_falls_back_when_floor_binds():
     assert np.array_equal(exact.b_star, b)
     assert exact.objective == pytest.approx(bound, rel=1e-12)
 
-    floored = design_problem(6, edges, v_prime=[k], epsilon=1.2 * lam2)
+    floored = DesignProblem(6, edges, v_prime=[k], epsilon=1.2 * lam2)
     res = solve_single_node(floored, k)
     assert res.iterations > 0
     assert res.method == "barrier" and res.converged
@@ -304,18 +304,16 @@ def test_solver_certificate_matches_optimality_certificate():
     # check recomputes it from a fresh spectral bundle of the result.
     tol = max(1e-8, SOLVER_TOL)
     case = load_case(CASES_DIR / "ny57_substitute.json")
-    _, eps = _normalized_epsilon(case, DEFAULT_GAMMA, None)
     runs = []
     for bus in case.generator_ids:
-        k = case.node_of(bus)
-        problem = design_problem(case.n, case.edge_pairs(), v_prime=[k],
-                                 omega=case.omega(), epsilon=eps)
+        problem, _ = unit_budget_problem(case, [bus], DEFAULT_GAMMA, None)
+        (k,) = problem.v_prime
         runs.append((problem, k, solve_single_node(problem, k)))
     assert len(runs) == 29
     edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)]
     g = build_graph(6, edges, np.ones(len(edges)))
     lam2 = algebraic_connectivity(g.with_weights(shortest_path_optimum(g, 1)))
-    floored = design_problem(6, edges, v_prime=[1], epsilon=1.2 * lam2)
+    floored = DesignProblem(6, edges, v_prime=[1], epsilon=1.2 * lam2)
     runs.append((floored, 1, solve_single_node(floored, 1)))
     assert runs[-1][2].iterations > 0
     for problem, k, res in runs:

@@ -1,4 +1,5 @@
 """Case file parsing, validation, and serialization."""
+import importlib
 import json
 from pathlib import Path
 
@@ -16,7 +17,8 @@ from resilnet.gridcase import (
     parse_case_json,
 )
 
-CASES_DIR = Path(__file__).resolve().parents[1] / "cases"
+ROOT = Path(__file__).resolve().parents[1]
+CASES_DIR = ROOT / "cases"
 
 MINIMAL = """
 {
@@ -156,6 +158,19 @@ def test_substitute_case_shape_and_round_trip(tmp_path):
     assert load_case(out) == case
     from resilnet import is_connected
     assert is_connected(case.graph(), tol=1e-9)
+
+
+def test_substitute_case_regenerates_from_its_tool(tmp_path, monkeypatch, capsys):
+    # Imported by module name from tools/, as the benchmark's case
+    # generator imports it.
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    tool = importlib.import_module("make_substitute_case")
+    case = tool.make_case()
+    tool.validate(case)
+    assert "eps (physical)" in capsys.readouterr().out
+    write_case(case, tmp_path / "ny57.json")
+    shipped = CASES_DIR / "ny57_substitute.json"
+    assert (tmp_path / "ny57.json").read_bytes() == shipped.read_bytes()
 
 
 def test_node_bus_mapping_with_gapped_ids():

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from resilnet import (
+    DesignProblem,
     InfeasibleDesignError,
     algebraic_connectivity,
     build_graph,
     complete_graph_edges,
     complete_graph_optimum,
-    design_problem,
     epsilon_from_sync,
     load_case,
     solve_min_max,
@@ -20,6 +20,7 @@ from resilnet import (
     vulnerability_measure,
 )
 from resilnet import optimize
+from resilnet.gridcase import Branch, Bus, GridCase
 from resilnet.optimize import DEFAULT_GAMMA, SOLVER_TOL
 from resilnet.scenarios import unit_budget_problem
 
@@ -38,24 +39,49 @@ def test_epsilon_from_sync():
     assert eps3 == pytest.approx(0.5 * math.sin(gamma), abs=1e-12)
 
 
-def test_design_problem_validation():
+def test_designproblem_validation():
     with pytest.raises(ValueError, match="v_prime"):
-        design_problem(3, [(1, 2), (2, 3)], v_prime=[])
-    with pytest.raises(ValueError, match="gamma"):
-        design_problem(3, [(1, 2), (2, 3)], v_prime=[1], gamma=2.0)
+        DesignProblem(3, [(1, 2), (2, 3)], v_prime=[])
     with pytest.raises(ValueError, match="epsilon"):
-        design_problem(3, [(1, 2), (2, 3)], v_prime=[1], epsilon=1.5)
+        DesignProblem(3, [(1, 2), (2, 3)], v_prime=[1], epsilon=1.5)
     with pytest.raises(ValueError, match="epsilon"):
-        design_problem(3, [(1, 2), (2, 3)], v_prime=[1], epsilon=0.0)
-    prob = design_problem(2, [(1, 2)], v_prime=[1], omega=[0.5, -0.5])
-    assert prob.epsilon == pytest.approx(math.sin(math.pi / 16), abs=1e-12)
-    # no frequencies: small default floor
-    assert design_problem(2, [(1, 2)], v_prime=[1]).epsilon == pytest.approx(1e-4)
+        DesignProblem(3, [(1, 2), (2, 3)], v_prime=[1], epsilon=0.0)
+    with pytest.raises(ValueError, match="epsilon"):
+        DesignProblem(3, [(1, 2), (2, 3)], v_prime=[1], epsilon=math.nan)
+    # no floor given: small default floor
+    assert DesignProblem(2, [(1, 2)], v_prime=[1]).epsilon == pytest.approx(1e-4)
+
+
+def test_unit_budget_problem_floor():
+    # P3 with frequencies (0.5, -0.2, -0.3) and total susceptance 2: the
+    # largest edge spread is 0.7, so the unit-budget floor is 0.7 sin(gamma) / 2.
+    buses = (Bus(1, "generator", 0.5), Bus(2, "load", -0.2), Bus(3, "load", -0.3))
+    branches = (Branch(1, 2, 1.5), Branch(2, 3, 0.5))
+    case = GridCase(name="p3_sync", buses=buses, branches=branches)
+    gamma = math.pi / 16
+    problem, eps_phys = unit_budget_problem(case, [1, 3], gamma, None)
+    assert problem.epsilon == pytest.approx(0.7 * math.sin(gamma) / 2.0, rel=1e-12)
+    assert problem.epsilon >= 1e-4
+    assert eps_phys == problem.epsilon * 2.0
+    assert problem.v_prime == (1, 3)
+    # identical oscillators: the default floor, still at unit budget
+    flat = GridCase(name="p3_flat", branches=branches,
+                    buses=tuple(Bus(b.id, b.kind, 0.0) for b in buses))
+    assert unit_budget_problem(flat, [1], gamma, None)[0].epsilon == pytest.approx(1e-4)
+    # a physical floor is divided by the budget and returned as given
+    problem, eps_phys = unit_budget_problem(case, [1], gamma, 0.5)
+    assert (problem.epsilon, eps_phys) == (0.25, 0.5)
+    for bad_gamma in (0.0, 2.0, math.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            unit_budget_problem(case, [1], bad_gamma, 0.5)
+    for bad_eps in (0.0, -1.0, 2.0, 3.0, math.nan):
+        with pytest.raises(ValueError, match="total susceptance"):
+            unit_budget_problem(case, [1], gamma, bad_eps)
 
 
 def test_solver_complete_graph_oracle():
     for n, k in ((3, 1), (4, 2), (5, 3), (6, 1)):
-        prob = design_problem(n, complete_graph_edges(n), v_prime=[k])
+        prob = DesignProblem(n, complete_graph_edges(n), v_prime=[k])
         res = solve_single_node(prob, k)
         assert abs(res.objective - ((n - 1) / n) ** 2) < 1e-4
         assert np.abs(res.b_star - complete_graph_optimum(n, k)).max() < 1e-3
@@ -74,28 +100,28 @@ def test_solver_tree_oracle():
         k = int(rng.integers(1, n + 1))
         ref = tree_optimum(tree, k)
         ref_val = vulnerability_measure(tree.with_weights(ref), k)
-        prob = design_problem(n, tree.edge_pairs, v_prime=[k])
+        prob = DesignProblem(n, tree.edge_pairs, v_prime=[k])
         res = solve_single_node(prob, k)
         assert abs(res.objective - ref_val) < 1e-4
         assert np.abs(res.b_star - ref).max() < 1e-3
 
 
 def test_minmax_singleton_matches_single_node():
-    prob = design_problem(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)], v_prime=[2])
+    prob = DesignProblem(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)], v_prime=[2])
     a = solve_single_node(prob, 2)
     b = solve_min_max(prob)
     assert abs(a.objective - b.objective) < 1e-6
 
 
 def test_minmax_k5_symmetric_optimum():
-    prob = design_problem(5, complete_graph_edges(5), v_prime=[1, 2, 3, 4, 5])
+    prob = DesignProblem(5, complete_graph_edges(5), v_prime=[1, 2, 3, 4, 5])
     res = solve_min_max(prob)
     assert abs(res.objective - 1.6) < 1e-4
     assert np.abs(res.b_star - 0.1).max() < 1e-3
 
 
 def test_minmax_p3_leaves():
-    prob = design_problem(3, [(1, 2), (2, 3)], v_prime=[1, 3])
+    prob = DesignProblem(3, [(1, 2), (2, 3)], v_prime=[1, 3])
     res = solve_min_max(prob)
     assert np.abs(res.b_star - 0.5).max() < 1e-3
     assert abs(res.per_node[1] - res.per_node[3]) < 1e-4
@@ -112,7 +138,7 @@ def test_solver_monotone_versus_uniform_start():
         uniform = np.full(len(edges), 1.0 / len(edges))
         g_uni = build_graph(n, edges, uniform)
         vp = sorted(set(int(x) for x in rng.integers(1, n + 1, size=3)))
-        prob = design_problem(n, edges, v_prime=vp)
+        prob = DesignProblem(n, edges, v_prime=vp)
         res = solve_min_max(prob)
         before = max(vulnerability_measure(g_uni, k) for k in vp)
         assert res.objective <= before + 1e-9
@@ -122,13 +148,13 @@ def test_epsilon_monotonicity():
     edges = [(1, 2), (2, 3), (3, 4), (1, 4)]
     values = []
     for eps in (1e-4, 0.05, 0.15, 0.3):
-        prob = design_problem(4, edges, v_prime=[1], epsilon=eps)
+        prob = DesignProblem(4, edges, v_prime=[1], epsilon=eps)
         values.append(solve_single_node(prob, 1).objective)
     assert all(values[i] <= values[i + 1] + 1e-7 for i in range(len(values) - 1))
 
 
 def test_solver_objective_respects_universal_floor():
-    prob = design_problem(5, complete_graph_edges(5), v_prime=[2])
+    prob = DesignProblem(5, complete_graph_edges(5), v_prime=[2])
     res = solve_single_node(prob, 2)
     g = build_graph(5, complete_graph_edges(5), res.b_star)
     # the optimized node can do no better than the per-node floor (1-1/n)^2,
@@ -141,8 +167,8 @@ def test_solver_objective_respects_universal_floor():
 
 
 def test_solver_determinism():
-    prob = design_problem(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)],
-                          v_prime=[1, 3])
+    prob = DesignProblem(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)],
+                         v_prime=[1, 3])
     r1 = solve_min_max(prob)
     r2 = solve_min_max(prob)
     assert np.array_equal(r1.b_star, r2.b_star)
@@ -153,7 +179,7 @@ def test_solver_determinism():
 def test_infeasible_spectral_floor():
     # K5's algebraic connectivity over the unit simplex peaks at 0.5, at the
     # uniform weights; Z = (I - 11^T/5)/4 certifies a_l^T Z a_l = 0.5
-    prob = design_problem(5, complete_graph_edges(5), v_prime=[1], epsilon=0.8)
+    prob = DesignProblem(5, complete_graph_edges(5), v_prime=[1], epsilon=0.8)
     with pytest.raises(InfeasibleDesignError) as exc:
         solve_single_node(prob, 1)
     assert exc.value.attained == pytest.approx(0.5, abs=1e-6)
@@ -189,7 +215,7 @@ def test_nonconvergence_returns_best_iterate(monkeypatch):
     edges = [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]
     # the floor lies between lambda_2 of the exact flow design (0.0543) and
     # of the uniform start (0.0764), so the barrier method must run
-    prob = design_problem(6, edges, v_prime=[1], epsilon=0.07)
+    prob = DesignProblem(6, edges, v_prime=[1], epsilon=0.07)
     res = solve_single_node(prob, 1)
     assert res.method == "barrier"
     assert not res.converged
@@ -241,7 +267,7 @@ def test_minmax_state_rejects_weights_below_the_floor():
     # C4 at weights w has lambda_2 = 2w, so the even design clears eps = 0.1;
     # two weak opposite edges leave M > 0 but M - eps*I indefinite.
     edges = [(1, 2), (2, 3), (3, 4), (1, 4)]
-    prob = design_problem(4, edges, v_prime=[1, 3], epsilon=0.1)
+    prob = DesignProblem(4, edges, v_prime=[1, 3], epsilon=0.1)
     model = optimize._MinMax(prob.template, [0, 2], prob.epsilon)
     even = np.full(4, 0.25)
     state = model.state(even)
@@ -263,9 +289,9 @@ def test_minmax_relabel_invariance():
     order = rng.permutation(g.m)          # new edge position -> old index
     edges = [(int(perm[g.edges[l][1]]) + 1, int(perm[g.edges[l][0]]) + 1)
              for l in order]
-    relabelled = design_problem(g.n, edges,
-                                v_prime=[int(perm[k - 1]) + 1 for k in problem.v_prime],
-                                epsilon=problem.epsilon)
+    relabelled = DesignProblem(g.n, edges,
+                               v_prime=[int(perm[k - 1]) + 1 for k in problem.v_prime],
+                               epsilon=problem.epsilon)
     res = solve_min_max(relabelled)
     assert res.objective == pytest.approx(ref.objective, rel=1e-9)
     assert res.converged and ref.converged

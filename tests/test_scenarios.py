@@ -8,8 +8,8 @@ import pytest
 
 from resilnet import load_case, scenario_one, scenario_two, vulnerability_measure
 from resilnet.gridcase import Bus, Branch, GridCase
-from resilnet.scenarios import ScenarioReport, emit_report
-from resilnet.optimize import solve_single_node, design_problem
+from resilnet.scenarios import ScenarioReport, emit_report, unit_budget_problem
+from resilnet.optimize import solve_single_node
 from resilnet import build_graph, worst_case
 
 CASES_DIR = Path(__file__).resolve().parents[1] / "cases"
@@ -51,13 +51,14 @@ def test_scenario_one_requires_generator_candidates():
 def test_scenario_one_single_candidate_matches_single_solve():
     case = _k5_case()
     report = scenario_one(case, [3])
-    prob = design_problem(case.n, case.edge_pairs(), v_prime=[3],
-                          omega=case.omega(), epsilon=report.epsilon)
-    res = solve_single_node(prob, 3)
+    prob, eps_phys = unit_budget_problem(case, [3], report.gamma, None)
+    assert eps_phys == report.epsilon
+    res = solve_single_node(prob, case.node_of(3))
+    scale = case.total_susceptance
     (outcome,) = report.per_node
     assert outcome.node == 3
-    assert outcome.after == pytest.approx(res.objective, abs=1e-8)
-    assert report.b_out["3"] == pytest.approx(res.b_star, abs=1e-8)
+    assert outcome.after == pytest.approx(res.objective / scale, abs=1e-8)
+    assert report.b_out["3"] == pytest.approx(res.b_star * scale, abs=1e-8)
 
 
 def test_scenario_two_p3_toy():

@@ -7,19 +7,19 @@ import numpy as np
 import pytest
 
 from resilnet import (
+    DesignProblem,
     assemble_sdp,
     build_graph,
     complete_graph_edges,
     complete_graph_optimum,
     decode_point,
-    design_problem,
     encode_point,
     load_case,
     vulnerability_measure,
     write_sdpa,
 )
 from resilnet.optimize import DEFAULT_GAMMA
-from resilnet.scenarios import _normalized_epsilon
+from resilnet.scenarios import unit_budget_problem
 from resilnet.sdp import format_sdpa
 
 CASES_DIR = Path(__file__).resolve().parents[1] / "cases"
@@ -42,17 +42,17 @@ def _random_feasible(rng, n, edges, eps):
 
 
 def test_dimension_formula():
-    prob = design_problem(3, [(1, 2), (2, 3), (1, 3)], v_prime=[1], epsilon=1e-3)
+    prob = DesignProblem(3, [(1, 2), (2, 3), (1, 3)], v_prime=[1], epsilon=1e-3)
     assert assemble_sdp(prob).dimension == 1 * 4 + 3 + 3
-    prob = design_problem(5, complete_graph_edges(5), v_prime=[1, 3], epsilon=1e-3)
+    prob = DesignProblem(5, complete_graph_edges(5), v_prime=[1, 3], epsilon=1e-3)
     assert assemble_sdp(prob).dimension == 2 * 6 + 10 + 5
     n, edges = TOPOLOGIES["two_squares"]
-    prob = design_problem(n, edges, v_prime=[2, 4, 6], epsilon=1e-3)
+    prob = DesignProblem(n, edges, v_prime=[2, 4, 6], epsilon=1e-3)
     assert assemble_sdp(prob).dimension == 3 * 7 + 7 + 6
 
 
 def test_objective_and_budget_selectors():
-    prob = design_problem(3, [(1, 2), (2, 3), (1, 3)], v_prime=[2], epsilon=1e-3)
+    prob = DesignProblem(3, [(1, 2), (2, 3), (1, 3)], v_prime=[2], epsilon=1e-3)
     sdp = assemble_sdp(prob)
     W = sdp.to_dense(sdp.objective)
     assert W.sum() == 1.0 and W[3, 3] == 1.0
@@ -67,7 +67,7 @@ def test_objective_and_budget_selectors():
 def test_encode_satisfies_all_constraints():
     rng = np.random.default_rng(40)
     for name, (n, edges) in TOPOLOGIES.items():
-        prob = design_problem(n, edges, v_prime=[1, min(3, n)], epsilon=1e-3)
+        prob = DesignProblem(n, edges, v_prime=[1, min(3, n)], epsilon=1e-3)
         sdp = assemble_sdp(prob)
         b, g = _random_feasible(rng, n, edges, prob.epsilon)
         t = max(vulnerability_measure(g, k) for k in prob.v_prime) + 1.0 / n
@@ -82,7 +82,7 @@ def test_encode_satisfies_all_constraints():
 def test_round_trip_identity():
     rng = np.random.default_rng(41)
     for name, (n, edges) in TOPOLOGIES.items():
-        prob = design_problem(n, edges, v_prime=[1], epsilon=1e-3)
+        prob = DesignProblem(n, edges, v_prime=[1], epsilon=1e-3)
         sdp = assemble_sdp(prob)
         for _ in range(20):
             b, g = _random_feasible(rng, n, edges, prob.epsilon)
@@ -96,7 +96,7 @@ def test_decoded_point_is_feasible_with_slack_bound():
     # the PSD border block forces t >= e_k (L + 11^T/n)^{-1} e_k
     rng = np.random.default_rng(42)
     n, edges = TOPOLOGIES["triangle"]
-    prob = design_problem(n, edges, v_prime=[2], epsilon=1e-3)
+    prob = DesignProblem(n, edges, v_prime=[2], epsilon=1e-3)
     sdp = assemble_sdp(prob)
     b, g = _random_feasible(rng, n, edges, prob.epsilon)
     f = vulnerability_measure(g, 2) + 1.0 / n
@@ -111,7 +111,7 @@ def test_decoded_point_is_feasible_with_slack_bound():
 
 
 def test_thm3_optimum_round_trip():
-    prob = design_problem(5, complete_graph_edges(5), v_prime=[1], epsilon=1e-4)
+    prob = DesignProblem(5, complete_graph_edges(5), v_prime=[1], epsilon=1e-4)
     sdp = assemble_sdp(prob)
     b = complete_graph_optimum(5, 1)
     Z = encode_point(sdp, b, 0.64 + 0.2)
@@ -122,7 +122,7 @@ def test_thm3_optimum_round_trip():
 
 
 def test_sdpa_text_round_trips_matrices():
-    prob = design_problem(3, [(1, 2), (2, 3), (1, 3)], v_prime=[1], epsilon=1e-3)
+    prob = DesignProblem(3, [(1, 2), (2, 3), (1, 3)], v_prime=[1], epsilon=1e-3)
     sdp = assemble_sdp(prob)
     text = format_sdpa(sdp)
     lines = [ln for ln in text.splitlines() if not ln.startswith("*")]
@@ -154,7 +154,7 @@ def test_sdpa_text_round_trips_matrices():
 
 
 def test_write_sdpa_to_file(tmp_path):
-    prob = design_problem(3, [(1, 2), (2, 3)], v_prime=[1], epsilon=1e-3)
+    prob = DesignProblem(3, [(1, 2), (2, 3)], v_prime=[1], epsilon=1e-3)
     sdp = assemble_sdp(prob)
     path = tmp_path / "problem.dat-s"
     write_sdpa(sdp, str(path))
@@ -165,7 +165,7 @@ def test_write_sdpa_to_file(tmp_path):
 
 
 def test_seventeen_digit_values_round_trip():
-    prob = design_problem(3, [(1, 2), (2, 3)], v_prime=[1], epsilon=1e-3)
+    prob = DesignProblem(3, [(1, 2), (2, 3)], v_prime=[1], epsilon=1e-3)
     sdp = assemble_sdp(prob)
     text = format_sdpa(sdp)
     for ln in text.splitlines():
@@ -185,10 +185,7 @@ def test_ny57_export_bytes_are_pinned(buses, size, sha256):
     # The floor is derived as `resilnet export-sdp` derives it.
     case = load_case(CASES_DIR / "ny57_substitute.json")
     buses = buses or case.generator_ids
-    _, eps = _normalized_epsilon(case, DEFAULT_GAMMA, None)
-    problem = design_problem(case.n, case.edge_pairs(),
-                             v_prime=[case.node_of(b) for b in buses],
-                             omega=case.omega(), epsilon=eps)
+    problem, _ = unit_budget_problem(case, buses, DEFAULT_GAMMA, None)
     text = format_sdpa(assemble_sdp(problem)).encode()
     assert len(text) == size
     assert hashlib.sha256(text).hexdigest() == sha256
