@@ -45,6 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_nodes(spec: str, case: GridCase) -> list[int]:
+    """Distinct bus ids of a node list, ascending."""
     spec = spec.strip().lower()
     if spec == "all":
         return [b.id for b in case.buses]
@@ -60,7 +61,7 @@ def _parse_nodes(spec: str, case: GridCase) -> list[int]:
     missing = [i for i in ids if i not in known]
     if missing:
         raise InputError(f"unknown bus ids {missing}")
-    return ids
+    return sorted(set(ids))
 
 
 def _load_weights(path: str, m: int) -> np.ndarray:
@@ -112,7 +113,7 @@ def cmd_measure(args) -> int:
         print(f"injections mean-centered (shift {case.injection_shift:+.6g} pu per bus)")
     kind = {b.id: b.kind for b in case.buses}
     print(f"{'bus':>5} {'kind':<10} {'measure':>14}")
-    for bus in sorted(nodes):
+    for bus in nodes:
         val = vulnerability_measure(graph, case.node_of(bus))
         print(f"{bus:>5} {kind[bus]:<10} {val:>14.6g}")
     node, val = worst_case(graph, [case.node_of(b) for b in nodes])

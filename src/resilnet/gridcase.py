@@ -11,6 +11,7 @@ the common bus/branch text layout of power-system test cases.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,6 +74,9 @@ class GridCase:
         )
         known = set(ids)
         for b in self.buses:
+            if not math.isfinite(b.power_pu):
+                raise CaseError(f"bus {b.id}: power_pu must be finite, "
+                                f"got {b.power_pu}")
             if b.kind not in (GENERATOR, LOAD):
                 raise CaseError(f"bus {b.id}: unknown kind {b.kind!r}")
             if b.kind == GENERATOR and b.power_pu < 0:
@@ -87,10 +91,9 @@ class GridCase:
                 )
             if br.from_bus == br.to_bus:
                 raise CaseError(f"branch at bus {br.from_bus} is a self-loop")
-            if br.susceptance_pu <= 0:
-                raise CaseError(
-                    f"branch {br.from_bus}-{br.to_bus}: susceptance must be positive"
-                )
+            if not 0 < br.susceptance_pu < math.inf:
+                raise CaseError(f"branch {br.from_bus}-{br.to_bus}: susceptance must "
+                                f"be positive and finite, got {br.susceptance_pu}")
             pair = (min(br.from_bus, br.to_bus), max(br.from_bus, br.to_bus))
             if pair in seen_pairs:
                 raise CaseError(f"duplicate branch {pair[0]}-{pair[1]}")
@@ -158,6 +161,13 @@ def _branch_from_fields(from_bus: int, to_bus: int, reactance, susceptance,
     return Branch(from_bus=from_bus, to_bus=to_bus, susceptance_pu=float(susceptance))
 
 
+def _json_id(value) -> int:
+    # bool is an int subclass; a float id would be truncated by int().
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"id must be an integer, got {value!r}")
+    return value
+
+
 def parse_case_json(text: str, name: str | None = None) -> GridCase:
     """Parse the native JSON schema."""
     try:
@@ -169,7 +179,7 @@ def parse_case_json(text: str, name: str | None = None) -> GridCase:
     buses = []
     for idx, rb in enumerate(raw.get("buses", [])):
         try:
-            buses.append(Bus(id=int(rb["id"]), kind=str(rb["kind"]),
+            buses.append(Bus(id=_json_id(rb["id"]), kind=str(rb["kind"]),
                              power_pu=float(rb["power_pu"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise CaseError(f"buses[{idx}]: {exc}") from None
@@ -177,7 +187,7 @@ def parse_case_json(text: str, name: str | None = None) -> GridCase:
     for idx, rb in enumerate(raw.get("branches", [])):
         try:
             branches.append(_branch_from_fields(
-                int(rb["from"]), int(rb["to"]),
+                _json_id(rb["from"]), _json_id(rb["to"]),
                 rb.get("reactance_pu"), rb.get("susceptance_pu"),
                 f"branches[{idx}]",
             ))

@@ -4,10 +4,13 @@ Scenario "single" asks which candidate bus tolerates a new disturbance
 best, before and after reallocating the susceptance budget for each
 candidate separately. Scenario "minmax" reallocates once to protect a
 whole node set. Both solve the unit-budget problem of unit_budget_problem,
-whose budget is the case's total susceptance, and rescale the results by
+whose budget is the case's total susceptance, and hand their solves to
+_report, the one builder of a ScenarioReport: it rescales the results by
 homogeneity (measure(c*b) = measure(b)/c), so reported measures and
 weights are in physical per-unit terms. unit_budget_problem is the one
-place a case's spectral floor is derived or range-checked.
+place a case's spectral floor is derived or range-checked, and
+_reported_design the one place the reported design is chosen, for the
+sync check and for emit_report alike.
 """
 from __future__ import annotations
 
@@ -16,8 +19,6 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
-
-import numpy as np
 
 from .dynamics import NoSynchronizedStateError, steady_state
 from .graphs import algebraic_connectivity
@@ -152,25 +153,15 @@ class ScenarioReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioReport":
-        return cls(
-            scenario=d["scenario"],
-            case_name=d["case_name"],
-            gamma=d["gamma"],
-            epsilon=d["epsilon"],
-            budget=d["budget"],
-            edges=tuple((int(a), int(b)) for a, b in d["edges"]),
-            per_node=tuple(NodeOutcome(**o) for o in d["per_node"]),
-            best_node_before=d["best_node_before"],
-            best_node=d["best_node"],
-            objective_before=d["objective_before"],
-            objective_after=d["objective_after"],
-            sum_before=d["sum_before"],
-            sum_after=d["sum_after"],
-            b0=tuple(d["b0"]),
-            b_out={k: tuple(v) for k, v in d["b_out"].items()},
-            sync_check=SyncCheck(**d["sync_check"]),
-            solves={k: SolveDiagnostics(**v) for k, v in d["solves"].items()},
-        )
+        return cls(**{
+            **d,
+            "edges": tuple((int(a), int(b)) for a, b in d["edges"]),
+            "per_node": tuple(NodeOutcome(**o) for o in d["per_node"]),
+            "b0": tuple(d["b0"]),
+            "b_out": {k: tuple(v) for k, v in d["b_out"].items()},
+            "sync_check": SyncCheck(**d["sync_check"]),
+            "solves": {k: SolveDiagnostics(**v) for k, v in d["solves"].items()},
+        })
 
 
 def unit_budget_problem(case: GridCase, buses: Iterable[int], gamma: float,
@@ -201,8 +192,8 @@ def unit_budget_problem(case: GridCase, buses: Iterable[int], gamma: float,
     return problem, epsilon
 
 
-def _sync_check(case: GridCase, weights_phys: np.ndarray, gamma: float,
-                eps_phys: float) -> SyncCheck:
+def _sync_check(case: GridCase, weights_phys: tuple[float, ...],
+                gamma: float, eps_phys: float) -> SyncCheck:
     graph = case.graph(weights_phys)
     lam2 = algebraic_connectivity(graph)
     warning = None
@@ -221,6 +212,67 @@ def _sync_check(case: GridCase, weights_phys: np.ndarray, gamma: float,
         warning = extra if warning is None else f"{warning}; {extra}"
     return SyncCheck(gamma=gamma, epsilon=eps_phys, lambda2=lam2,
                      angle_gap=gap, warning=warning)
+
+
+def _reported_design(b_out: dict[str, tuple[float, ...]], best_node: int | None,
+                     b0: tuple[float, ...]) -> tuple[float, ...]:
+    """The design a report stands for: the shared min-max vector, else the
+    best candidate's, else b0 when every candidate's floor is unreachable."""
+    if "minmax" in b_out:
+        return b_out["minmax"]
+    return b0 if best_node is None else b_out[str(best_node)]
+
+
+def _report(case: GridCase, scenario: str, buses: list[int], gamma: float,
+            eps_phys: float, results: dict[str, SolverResult | None]) -> ScenarioReport:
+    """The physical-unit report of a scenario's unit-budget solves.
+
+    ``results`` maps each b_out key (a candidate bus id for "single", or
+    "minmax") to its solve, None where the spectral floor is unreachable.
+    Scenario "single" reports the best bus (min), "minmax" the worst (max).
+    """
+    scale = case.total_susceptance
+    graph0 = case.graph()
+    before: dict[int, float] = {}
+    after: dict[int, float] = {}
+    outcomes = []
+    for c in buses:
+        node = case.node_of(c)
+        before[c] = vulnerability_measure(graph0, node)
+        res = results[str(c) if scenario == "single" else "minmax"]
+        if res is not None:
+            after[c] = res.per_node[node] / scale
+        outcomes.append(NodeOutcome(
+            node=c, before=before[c], after=after.get(c), feasible=res is not None,
+            increased=c in after and after[c] > before[c] + _IMPROVE_TOL,
+        ))
+    designs = {key: res for key, res in results.items() if res is not None}
+    b_out = {key: tuple(float(v) for v in res.b_star * scale)
+             for key, res in designs.items()}
+    b0 = tuple(float(v) for v in case.susceptances())
+    best = _argmin_node(after) if after else None
+    aggregate = min if scenario == "single" else max
+    objective_before = aggregate(before.values())
+    return ScenarioReport(
+        scenario=scenario,
+        case_name=case.name,
+        gamma=gamma,
+        epsilon=eps_phys,
+        budget=scale,
+        edges=tuple((br.from_bus, br.to_bus) for br in case.branches),
+        per_node=tuple(outcomes),
+        best_node_before=_argmin_node(before),
+        best_node=best,
+        objective_before=objective_before,
+        objective_after=aggregate(after.values()) if after else objective_before,
+        sum_before=sum(before.values()),
+        sum_after=sum(after.get(c, before[c]) for c in buses),
+        b0=b0,
+        b_out=b_out,
+        sync_check=_sync_check(case, _reported_design(b_out, best, b0), gamma,
+                               eps_phys),
+        solves={key: SolveDiagnostics.of(res, scale) for key, res in designs.items()},
+    )
 
 
 def scenario_one(
@@ -242,58 +294,14 @@ def scenario_one(
     rogue = [c for c in candidates if c not in gens]
     if rogue:
         raise ValueError(f"candidates must be generator buses; {rogue} are not")
-    scale = case.total_susceptance
     problem, eps_phys = unit_budget_problem(case, candidates, gamma, epsilon)
-    b0_phys = case.susceptances()
-    graph0 = case.graph()
-    nodes = {c: case.node_of(c) for c in candidates}
-    before = {c: vulnerability_measure(graph0, nodes[c]) for c in candidates}
-
-    outcomes = []
-    b_out: dict[str, tuple[float, ...]] = {}
-    solves: dict[str, SolveDiagnostics] = {}
-    after: dict[int, float] = {}
+    results: dict[str, SolverResult | None] = {}
     for c in candidates:
         try:
-            res = solve_single_node(problem, nodes[c])
+            results[str(c)] = solve_single_node(problem, case.node_of(c))
         except InfeasibleDesignError:
-            outcomes.append(NodeOutcome(node=c, before=before[c], after=None,
-                                        feasible=False, increased=False))
-            continue
-        a_phys = res.objective / scale
-        after[c] = a_phys
-        b_out[str(c)] = tuple(float(v) for v in res.b_star * scale)
-        solves[str(c)] = SolveDiagnostics.of(res, scale)
-        outcomes.append(NodeOutcome(
-            node=c, before=before[c], after=a_phys, feasible=True,
-            increased=a_phys > before[c] + _IMPROVE_TOL,
-        ))
-
-    best_before = _argmin_node(before)
-    best = _argmin_node(after) if after else None
-    if best is not None:
-        sync = _sync_check(case, np.array(b_out[str(best)]), gamma, eps_phys)
-    else:
-        sync = _sync_check(case, b0_phys, gamma, eps_phys)
-    return ScenarioReport(
-        scenario="single",
-        case_name=case.name,
-        gamma=gamma,
-        epsilon=eps_phys,
-        budget=scale,
-        edges=tuple((br.from_bus, br.to_bus) for br in case.branches),
-        per_node=tuple(outcomes),
-        best_node_before=best_before,
-        best_node=best,
-        objective_before=min(before.values()),
-        objective_after=min(after.values()) if after else min(before.values()),
-        sum_before=sum(before.values()),
-        sum_after=sum(after.get(c, before[c]) for c in candidates),
-        b0=tuple(float(v) for v in b0_phys),
-        b_out=b_out,
-        sync_check=sync,
-        solves=solves,
-    )
+            results[str(c)] = None
+    return _report(case, "single", candidates, gamma, eps_phys, results)
 
 
 def scenario_two(
@@ -311,48 +319,15 @@ def scenario_two(
     v_prime = sorted(set(int(c) for c in v_prime))
     if not v_prime:
         raise ValueError("v_prime is empty")
-    scale = case.total_susceptance
     problem, eps_phys = unit_budget_problem(case, v_prime, gamma, epsilon)
-    b0_phys = case.susceptances()
-    graph0 = case.graph()
-    nodes = {c: case.node_of(c) for c in v_prime}
     try:
         result = solve_min_max(problem)
     except InfeasibleDesignError as exc:
         # lambda_2 scales with the budget, like the floor.
+        scale = case.total_susceptance
         raise InfeasibleDesignError(eps_phys, exc.attained * scale,
                                     exc.upper_bound * scale) from None
-    before = {c: vulnerability_measure(graph0, nodes[c]) for c in v_prime}
-    after = {c: result.per_node[nodes[c]] / scale for c in v_prime}
-    weights_phys = result.b_star * scale
-    outcomes = tuple(
-        NodeOutcome(
-            node=c, before=before[c], after=after[c], feasible=True,
-            increased=after[c] > before[c] + _IMPROVE_TOL,
-        )
-        for c in v_prime
-    )
-    best_before = _argmin_node(before)
-    best = _argmin_node(after)
-    return ScenarioReport(
-        scenario="minmax",
-        case_name=case.name,
-        gamma=gamma,
-        epsilon=eps_phys,
-        budget=scale,
-        edges=tuple((br.from_bus, br.to_bus) for br in case.branches),
-        per_node=outcomes,
-        best_node_before=best_before,
-        best_node=best,
-        objective_before=max(before.values()),
-        objective_after=max(after.values()),
-        sum_before=sum(before.values()),
-        sum_after=sum(after.values()),
-        b0=tuple(float(v) for v in b0_phys),
-        b_out={"minmax": tuple(float(v) for v in weights_phys)},
-        sync_check=_sync_check(case, weights_phys, gamma, eps_phys),
-        solves={"minmax": SolveDiagnostics.of(result, scale)},
-    )
+    return _report(case, "minmax", v_prime, gamma, eps_phys, {"minmax": result})
 
 
 def emit_report(report: ScenarioReport, out_dir: str | Path) -> dict[str, Path]:
@@ -364,42 +339,25 @@ def emit_report(report: ScenarioReport, out_dir: str | Path) -> dict[str, Path]:
         raise OSError(f"cannot create output directory {out}: {exc}") from None
     paths: dict[str, Path] = {}
 
-    def _write(name: str, text: str) -> None:
+    def _write(name: str, *lines: str) -> None:
         path = out / name
         try:
-            path.write_text(text)
+            path.write_text("\n".join(lines) + "\n")
         except OSError as exc:
             raise OSError(f"cannot write {path}: {exc}") from None
         paths[name] = path
 
-    _write("report.json", json.dumps(report.to_dict(), indent=2) + "\n")
-
-    rows = ["node,before,after"]
-    for o in report.per_node:
-        after = "" if o.after is None else f"{o.after:.17g}"
-        rows.append(f"{o.node},{o.before:.17g},{after}")
-    _write("measures.csv", "\n".join(rows) + "\n")
-
-    if report.scenario == "minmax":
-        b_star = report.b_out["minmax"]
-    elif report.best_node is not None:
-        b_star = report.b_out[str(report.best_node)]
-    else:
-        b_star = report.b0
-    rows = ["edge,b0,b_star"]
-    for (i, j), w0, ws in zip(report.edges, report.b0, b_star):
-        rows.append(f"{i}-{j},{w0:.17g},{ws:.17g}")
-    _write("weights.csv", "\n".join(rows) + "\n")
-
-    rows = ["node,measure_before,measure_after"]
-    for o in report.per_node:
-        after = "" if o.after is None else f"{o.after:.17g}"
-        rows.append(f"{o.node},{o.before:.17g},{after}")
-    _write("figdata_bars.csv", "\n".join(rows) + "\n")
-
-    for tag, weights in (("before", report.b0), ("after", b_star)):
-        rows = ["from,to,weight"]
-        for (i, j), w in zip(report.edges, weights):
-            rows.append(f"{i},{j},{w:.17g}")
-        _write(f"figdata_network_{tag}.csv", "\n".join(rows) + "\n")
+    _write("report.json", json.dumps(report.to_dict(), indent=2))
+    nodes = [f"{o.node},{o.before:.17g},"
+             + ("" if o.after is None else f"{o.after:.17g}") for o in report.per_node]
+    b0 = [f"{w:.17g}" for w in report.b0]
+    b_star = [f"{w:.17g}" for w in
+              _reported_design(report.b_out, report.best_node, report.b0)]
+    _write("measures.csv", "node,before,after", *nodes)
+    _write("weights.csv", "edge,b0,b_star",
+           *(f"{i}-{j},{w0},{ws}" for (i, j), w0, ws in zip(report.edges, b0, b_star)))
+    _write("figdata_bars.csv", "node,measure_before,measure_after", *nodes)
+    for tag, weights in (("before", b0), ("after", b_star)):
+        _write(f"figdata_network_{tag}.csv", "from,to,weight",
+               *(f"{i},{j},{w}" for (i, j), w in zip(report.edges, weights)))
     return paths

@@ -28,6 +28,10 @@ def test_measure_subset(capsys):
     assert main(["measure", "--case", K5, "--nodes", "2,4"]) == 0
     out = capsys.readouterr().out
     assert "worst: bus 2" in out
+    assert main(["measure", "--case", K5, "--nodes", "2,2,1"]) == 0
+    rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+            if "generator" in line]
+    assert rows == ["1", "2"]
 
 
 def test_design_single_writes_reports(tmp_path, capsys):

@@ -88,6 +88,23 @@ def test_schema_violations():
         parse_case_json(json.dumps(raw))
     with pytest.raises(CaseError, match="invalid JSON"):
         parse_case_json("{nope")
+    # non-finite numbers, and ids that int() would truncate or coerce
+    for section, key, value, match in (
+        ("buses", "power_pu", float("nan"), "bus 1: power_pu must be finite"),
+        ("buses", "power_pu", float("inf"), "bus 1: power_pu must be finite"),
+        ("branches", "susceptance_pu", float("nan"), "branch 1-2: .*finite"),
+        ("branches", "reactance_pu", float("nan"), "branch 1-2: .*finite"),
+        ("buses", "id", 1.7, r"buses\[0\]: id must be an integer"),
+        ("buses", "id", True, r"buses\[0\]: id must be an integer"),
+        ("branches", "from", 1.2, r"branches\[0\]: id must be an integer"),
+        ("branches", "to", 2.9, r"branches\[0\]: id must be an integer"),
+    ):
+        raw = json.loads(MINIMAL)
+        if key == "susceptance_pu":
+            del raw[section][0]["reactance_pu"]
+        raw[section][0][key] = value
+        with pytest.raises(CaseError, match=match):
+            parse_case_json(json.dumps(raw))
 
 
 def test_duplicate_branch_rejected():

@@ -94,12 +94,31 @@ def test_scenario_two_beats_random_audit_vectors():
         assert report.objective_after <= audit_obj + 1e-6
 
 
-def test_report_json_round_trip(tmp_path):
-    case = _p3_case()
-    report = scenario_two(case, [1, 3])
+def _unreachable_floor_report():
+    # K5's largest lambda_2 is half the total susceptance, 0.5 here.
+    return scenario_one(_k5_case(), [1, 2], epsilon=0.6)
+
+
+def test_every_floor_unreachable_reports_case_weights(tmp_path):
+    report = _unreachable_floor_report()
+    assert [(o.feasible, o.after, o.increased) for o in report.per_node] == [
+        (False, None, False), (False, None, False)]
+    assert report.best_node is None
+    assert report.b_out == {} and report.solves == {}
+    assert report.objective_after == report.objective_before
+    assert report.sum_after == report.sum_before
+    assert "below spectral floor 0.6" in report.sync_check.warning
     paths = emit_report(report, tmp_path)
-    loaded = json.loads(paths["report.json"].read_text())
-    assert ScenarioReport.from_dict(loaded) == report
+    rows = paths["weights.csv"].read_text().strip().splitlines()[1:]
+    assert tuple(float(row.split(",")[2]) for row in rows) == report.b0
+
+
+def test_report_json_round_trip(tmp_path):
+    for tag, report in (("minmax", scenario_two(_p3_case(), [1, 3])),
+                        ("unreachable", _unreachable_floor_report())):
+        paths = emit_report(report, tmp_path / tag)
+        loaded = json.loads(paths["report.json"].read_text())
+        assert ScenarioReport.from_dict(loaded) == report
 
 
 def test_to_dict_serializes_like_asdict():
@@ -111,23 +130,43 @@ def test_to_dict_serializes_like_asdict():
                 == json.dumps(asdict(report), indent=2))
 
 
+def _csv_body(path):
+    header, *rows = path.read_text().strip().splitlines()
+    return header, [row.split(",") for row in rows]
+
+
 def test_emit_report_file_set(tmp_path):
-    case = _k5_case()
-    report = scenario_one(case, [1, 2])
-    paths = emit_report(report, tmp_path / "out")
-    names = set(paths)
-    assert names == {"report.json", "measures.csv", "weights.csv",
-                     "figdata_bars.csv", "figdata_network_before.csv",
-                     "figdata_network_after.csv"}
-    measures = paths["measures.csv"].read_text().strip().splitlines()
-    assert measures[0] == "node,before,after"
-    assert len(measures) == 1 + 2
-    weights = paths["weights.csv"].read_text().strip().splitlines()
-    assert weights[0] == "edge,b0,b_star"
-    cols = np.array([[float(x) for x in row.split(",")[1:]]
-                     for row in weights[1:]])
-    assert cols[:, 0].sum() == pytest.approx(report.budget, abs=1e-9)
-    assert cols[:, 1].sum() == pytest.approx(report.budget, abs=1e-9)
+    ny57 = load_case(CASES_DIR / "ny57_substitute.json")
+    reports = {"k5": scenario_one(_k5_case(), [1, 2]),
+               "ny57": scenario_one(ny57, ny57.generator_ids[::6]),
+               "p3": scenario_two(_p3_case(), [1, 3])}
+    assert len(reports["ny57"].per_node) == 5
+    for tag, report in reports.items():
+        paths = emit_report(report, tmp_path / tag)
+        assert set(paths) == {"report.json", "measures.csv", "weights.csv",
+                              "figdata_bars.csv", "figdata_network_before.csv",
+                              "figdata_network_after.csv"}
+        header, measures = _csv_body(paths["measures.csv"])
+        assert header == "node,before,after"
+        assert [(int(n), float(b), float(a)) for n, b, a in measures] == [
+            (o.node, o.before, o.after) for o in report.per_node]
+        assert _csv_body(paths["figdata_bars.csv"]) == (
+            "node,measure_before,measure_after", measures)
+
+        design = (report.b_out["minmax"] if report.scenario == "minmax"
+                  else report.b_out[str(report.best_node)])
+        edges = [f"{i}-{j}" for i, j in report.edges]
+        header, weights = _csv_body(paths["weights.csv"])
+        assert header == "edge,b0,b_star"
+        assert [e for e, _, _ in weights] == edges
+        assert tuple(float(w) for _, w, _ in weights) == report.b0
+        assert tuple(float(w) for _, _, w in weights) == design
+        assert sum(design) == pytest.approx(report.budget, rel=1e-12)
+        for name, expected in (("before", report.b0), ("after", design)):
+            header, network = _csv_body(paths[f"figdata_network_{name}.csv"])
+            assert header == "from,to,weight"
+            assert [f"{i}-{j}" for i, j, _ in network] == edges
+            assert tuple(float(w) for _, _, w in network) == expected
 
 
 def test_emit_report_handles_equal_columns(tmp_path):
