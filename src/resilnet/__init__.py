@@ -8,30 +8,21 @@ from .graphs import (
     WeightedGraph,
     algebraic_connectivity,
     build_graph,
-    commute_time,
     complete_graph_edges,
-    effective_resistance,
-    is_connected,
     resistance_matrix,
     spectral_bundle,
-    transition_matrix,
 )
 from .vulnerability import (
-    VulnerabilityReport,
     commute_decomposition,
     lower_bound,
     vulnerability_gradient,
     vulnerability_measure,
-    vulnerability_report,
     worst_case,
 )
 from .designs import (
     CertificateResult,
-    PathUsageCounts,
     complete_graph_optimum,
     optimality_certificate,
-    path_usage_counts,
-    shortest_path_optimum,
     tree_optimum,
 )
 from .optimize import (

@@ -3,7 +3,7 @@
 Minimizing L+_kk over the unit weight simplex is a c-optimal design
 problem with c = e_k - 1/n, solved exactly by Elfving's theorem: the
 optimum is (mean hop distance from k)^2, attained by weights proportional
-to any shortest-path flow routing c (`shortest_path_optimum`). Complete
+to any shortest-path flow routing c (`shortest_path_flow`). Complete
 graphs (a uniform star centered at the node) and trees (square-root
 path-usage weights) are the special cases kept as independent closed
 forms. The per-edge certificate `gradient_l + measure >= 0` is sufficient
@@ -20,12 +20,9 @@ from .graphs import DisconnectedGraphError, WeightedGraph, complete_graph_edges
 from .vulnerability import vulnerability_gradient, vulnerability_measure
 
 __all__ = [
-    "PathUsageCounts",
     "CertificateResult",
     "complete_graph_optimum",
-    "path_usage_counts",
     "shortest_path_flow",
-    "shortest_path_optimum",
     "tree_optimum",
     "optimality_certificate",
 ]
@@ -33,22 +30,6 @@ __all__ = [
 
 class NotATreeError(ValueError):
     """Topology is not a spanning tree."""
-
-
-@dataclass(frozen=True)
-class PathUsageCounts:
-    """Per-edge path usage of a tree.
-
-    ``a[l]`` counts node pairs whose unique path crosses edge l; ``a_k[l]``
-    counts nodes whose unique path from the reference node crosses edge l.
-    """
-
-    a: np.ndarray
-    a_k: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.a.setflags(write=False)
-        self.a_k.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -116,12 +97,13 @@ def _tree_adjacency(tree: WeightedGraph) -> list[list[tuple[int, int]]]:
     return adj
 
 
-def path_usage_counts(tree: WeightedGraph, k: int) -> PathUsageCounts:
-    """Exact path-usage counts of a tree via subtree sizes.
+def _path_usage(tree: WeightedGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-edge path usage (a, a_k) of a tree via subtree sizes.
 
-    Removing edge l splits the tree into parts of sizes s and n - s; then
-    a[l] = s * (n - s) pairs cross the edge and a_k[l] equals the size of
-    the part not containing k.
+    a[l] counts node pairs whose unique path crosses edge l, and a_k[l]
+    counts nodes whose unique path from k crosses it: removing edge l
+    splits the tree into parts of sizes s and n - s, so a[l] = s * (n - s)
+    and a_k[l] is the size of the part not containing k.
     """
     if not 1 <= k <= tree.n:
         raise ValueError(f"node {k} out of range 1..{tree.n}")
@@ -140,8 +122,8 @@ def path_usage_counts(tree: WeightedGraph, k: int) -> PathUsageCounts:
             if l != pe:
                 stack.append((u, l))
     size = np.ones(tree.n, dtype=int)
-    a = np.zeros(tree.m, dtype=int)
-    a_k = np.zeros(tree.m, dtype=int)
+    a = np.zeros(tree.m)
+    a_k = np.zeros(tree.m)
     for v in reversed(order):
         l = parent_edge[v]
         if l >= 0:
@@ -151,25 +133,29 @@ def path_usage_counts(tree: WeightedGraph, k: int) -> PathUsageCounts:
             i, j = tree.edges[l]
             up = i if j == v else j
             size[up] += size[v]
-    return PathUsageCounts(a=a.astype(float), a_k=a_k.astype(float))
+    return a, a_k
 
 
 def tree_optimum(tree: WeightedGraph, k: int) -> np.ndarray:
     """Optimal tree weights for node k.
 
-    Each edge gets weight proportional to sqrt(n * a_k[l] - a[l]); the
-    certificate residuals vanish identically at this point.
+    Each edge gets weight proportional to sqrt(n * a_k[l] - a[l]) (see
+    ``_path_usage``); the certificate residuals vanish identically at this
+    point. Raises NotATreeError unless the topology is a spanning tree.
     """
-    counts = path_usage_counts(tree, k)
-    s = np.sqrt(tree.n * counts.a_k - counts.a)
+    a, a_k = _path_usage(tree, k)
+    s = np.sqrt(tree.n * a_k - a)
     return s / s.sum()
 
 
-def shortest_path_optimum(g: WeightedGraph, k: int) -> np.ndarray:
-    """Optimal unit-budget weights for node k on any connected topology.
+def shortest_path_flow(g: WeightedGraph, k: int) -> np.ndarray:
+    """Flows routing the demand e_k - 1/n over the shortest-path DAG from k.
 
-    The weights are the flows of ``shortest_path_flow``, normalized to unit
-    total, and the measure there is (mean hop distance from k)^2.
+    Nodes are taken in decreasing hop distance from k; each node's
+    throughput (1/n plus what its successors send up) is split evenly over
+    all its edges to nodes one hop closer to k. The flows sum to the mean
+    hop distance from k, whose square is Elfving's lower bound on L+_kk
+    over the unit simplex; ``flow / flow.sum()`` attains it.
 
     Why it is optimal: by Thomson's principle L+_kk = min over flows f
     routing e_k - 1/n of sum f_l^2 / b_l, and by Cauchy-Schwarz that is at
@@ -180,19 +166,6 @@ def shortest_path_optimum(g: WeightedGraph, k: int) -> np.ndarray:
     only on the graph's structure, so relabelling nodes or reordering edges
     permutes the weights and leaves every measure unchanged. Weights are
     ignored; raises DisconnectedGraphError if the topology is disconnected.
-    """
-    flow = shortest_path_flow(g, k)
-    return flow / flow.sum()
-
-
-def shortest_path_flow(g: WeightedGraph, k: int) -> np.ndarray:
-    """Flows routing the demand e_k - 1/n over the shortest-path DAG from k.
-
-    Nodes are taken in decreasing hop distance from k; each node's
-    throughput (1/n plus what its successors send up) is split evenly over
-    all its edges to nodes one hop closer to k. The flows sum to the mean
-    hop distance from k, whose square is Elfving's lower bound on L+_kk
-    over the unit simplex.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"node {k} out of range 1..{g.n}")

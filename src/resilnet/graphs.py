@@ -32,11 +32,7 @@ __all__ = [
     "spectral_bundle",
     "laplacian",
     "algebraic_connectivity",
-    "is_connected",
-    "effective_resistance",
     "resistance_matrix",
-    "commute_time",
-    "transition_matrix",
 ]
 
 # Eigenvalues below CONNECTIVITY_RTOL * lambda_n count as zero when deciding
@@ -220,57 +216,8 @@ def algebraic_connectivity(g: WeightedGraph) -> float:
     return max(float(eigvals[1]), 0.0)
 
 
-def is_connected(g: WeightedGraph, tol: float = 1e-9) -> bool:
-    """True iff lambda_2(b) > tol.
-
-    Agrees with a traversal over the edges whose weight exceeds tol, for
-    tolerances small against the working weight scale.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return algebraic_connectivity(g) > tol
-
-
-def _require_connected(g: WeightedGraph) -> SpectralBundle:
-    try:
-        return spectral_bundle(g)
-    except SingularLaplacianError:
-        raise DisconnectedGraphError(
-            "graph is disconnected; effective resistance is infinite"
-        ) from None
-
-
-def effective_resistance(g: WeightedGraph, i: int, j: int) -> float:
-    """Effective resistance between nodes i and j (1-based)."""
-    if not (1 <= i <= g.n and 1 <= j <= g.n):
-        raise ValueError(f"node out of range: ({i}, {j}) with n={g.n}")
-    if i == j:
-        raise ValueError("effective resistance needs two distinct nodes")
-    lp = _require_connected(g).pseudoinverse
-    a, c = i - 1, j - 1
-    return float(lp[a, a] + lp[c, c] - 2.0 * lp[a, c])
-
-
 def resistance_matrix(g: WeightedGraph) -> np.ndarray:
-    """All-pairs effective resistance matrix (zero diagonal)."""
-    lp = _require_connected(g).pseudoinverse
+    """All-pairs effective resistance matrix (zero diagonal); g must be connected."""
+    lp = spectral_bundle(g).pseudoinverse
     d = np.diag(lp)
     return d[:, None] + d[None, :] - 2.0 * lp
-
-
-def commute_time(g: WeightedGraph, i: int, j: int) -> float:
-    """Expected commute time C_ij = 2 (1^T b) Omega_ij of the random walk."""
-    return 2.0 * float(np.sum(g.b)) * effective_resistance(g, i, j)
-
-
-def transition_matrix(g: WeightedGraph) -> np.ndarray:
-    """Random-walk transition matrix P = D^{-1} B; rows sum to 1."""
-    L = laplacian(g)
-    B = np.diag(np.diag(L)) - L
-    deg = B.sum(axis=1)
-    dead = np.flatnonzero(deg <= 0.0)
-    if dead.size:
-        raise ValueError(
-            f"node {int(dead[0]) + 1} has zero weighted degree; random walk undefined"
-        )
-    return B / deg[:, None]

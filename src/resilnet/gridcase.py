@@ -168,11 +168,21 @@ def _json_id(value) -> int:
     return value
 
 
+def _json_number(value, key: str) -> float:
+    # bool is an int subclass, and float() would also parse a string.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond float range fails the finite checks
+        return math.inf if value > 0 else -math.inf
+
+
 def parse_case_json(text: str, name: str | None = None) -> GridCase:
     """Parse the native JSON schema."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise CaseError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise CaseError("case file must hold a JSON object")
@@ -180,16 +190,16 @@ def parse_case_json(text: str, name: str | None = None) -> GridCase:
     for idx, rb in enumerate(raw.get("buses", [])):
         try:
             buses.append(Bus(id=_json_id(rb["id"]), kind=str(rb["kind"]),
-                             power_pu=float(rb["power_pu"])))
+                             power_pu=_json_number(rb["power_pu"], "power_pu")))
         except (KeyError, TypeError, ValueError) as exc:
             raise CaseError(f"buses[{idx}]: {exc}") from None
     branches = []
     for idx, rb in enumerate(raw.get("branches", [])):
         try:
+            x, s = (None if rb.get(key) is None else _json_number(rb[key], key)
+                    for key in ("reactance_pu", "susceptance_pu"))
             branches.append(_branch_from_fields(
-                _json_id(rb["from"]), _json_id(rb["to"]),
-                rb.get("reactance_pu"), rb.get("susceptance_pu"),
-                f"branches[{idx}]",
+                _json_id(rb["from"]), _json_id(rb["to"]), x, s, f"branches[{idx}]",
             ))
         except (KeyError, TypeError) as exc:
             raise CaseError(f"branches[{idx}]: {exc}") from None

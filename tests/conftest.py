@@ -142,25 +142,6 @@ def batched_measure(n: int, edges, B: np.ndarray, k: int,
     return out
 
 
-def traversal_connected(g: WeightedGraph, tol: float) -> bool:
-    """Connectivity by traversal restricted to edges heavier than tol."""
-    adj = [[] for _ in range(g.n)]
-    for (i, j), w in zip(g.edges, g.b):
-        if w > tol:
-            adj[i].append(j)
-            adj[j].append(i)
-    seen = [False] * g.n
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                stack.append(u)
-    return all(seen)
-
-
 def floor_aware_lower_bound(g: WeightedGraph, targets, eps: float) -> float:
     """Independent oracle: lower bound on the unit-budget min-max design.
 

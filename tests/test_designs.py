@@ -1,4 +1,4 @@
-"""Closed-form optima, path-usage counts, and the optimality certificate."""
+"""Closed-form optima, the shortest-path flow design, and the optimality certificate."""
 from pathlib import Path
 
 import numpy as np
@@ -15,15 +15,11 @@ from resilnet import (
     complete_graph_optimum,
     load_case,
     optimality_certificate,
-    path_usage_counts,
-    shortest_path_optimum,
     solve_single_node,
     tree_optimum,
     vulnerability_measure,
 )
-from resilnet.designs import NotATreeError
-from resilnet.optimize import DEFAULT_GAMMA, SOLVER_TOL
-from resilnet.scenarios import unit_budget_problem
+from resilnet.designs import NotATreeError, shortest_path_flow
 
 from conftest import batched_measure, random_connected_graph, random_tree, simplex_grid
 
@@ -112,37 +108,24 @@ def test_complete_graph_value_and_dominance():
             assert star_val <= vulnerability_measure(other, 1) + 1e-12
 
 
-def test_path_usage_counts_examples():
-    p3 = build_graph(3, [(1, 2), (2, 3)], [1.0, 1.0])
-    c = path_usage_counts(p3, 1)
-    assert np.array_equal(c.a, [2, 2]) and np.array_equal(c.a_k, [2, 1])
-    c2 = path_usage_counts(p3, 2)
-    assert np.array_equal(c2.a_k, [1, 1])
-    star = build_graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)], np.ones(4))
-    cs = path_usage_counts(star, 1)
-    assert np.array_equal(cs.a, [4, 4, 4, 4]) and np.array_equal(cs.a_k, [1, 1, 1, 1])
-
-
 def test_path_usage_counts_match_enumeration():
     rng = np.random.default_rng(21)
     for _ in range(120):
         n = int(rng.integers(3, 10))
         tree = random_tree(rng, n)
         k = int(rng.integers(1, n + 1))
-        counts = path_usage_counts(tree, k)
         a_ref, ak_ref = _path_counts_oracle(tree, k)
-        assert np.array_equal(counts.a, a_ref)
-        assert np.array_equal(counts.a_k, ak_ref)
-        assert np.all(counts.a_k >= 1) and np.all(counts.a_k <= counts.a)
+        s = np.sqrt(n * ak_ref - a_ref)
+        assert np.abs(tree_optimum(tree, k) - s / s.sum()).max() < 1e-15
 
 
 def test_path_usage_counts_rejects_non_tree():
     cycle = build_graph(3, [(1, 2), (2, 3), (1, 3)], np.ones(3))
     with pytest.raises(NotATreeError):
-        path_usage_counts(cycle, 1)
+        tree_optimum(cycle, 1)
     forest = build_graph(4, [(1, 2), (3, 4), (1, 3), (2, 4)], np.ones(4))
     with pytest.raises(NotATreeError):
-        path_usage_counts(forest, 1)
+        tree_optimum(forest, 1)
 
 
 def test_tree_optimum_examples():
@@ -217,23 +200,28 @@ def _mean_hop(g, k):
     return float(hops.sum()) / g.n
 
 
+def _flow_optimum(g, k):
+    flow = shortest_path_flow(g, k)
+    return flow / flow.sum()
+
+
 def test_shortest_path_optimum_matches_tree_and_complete_graph():
     rng = np.random.default_rng(25)
     for _ in range(60):
         n = int(rng.integers(2, 11))
         tree = random_tree(rng, n)
         k = int(rng.integers(1, n + 1))
-        assert np.abs(shortest_path_optimum(tree, k) - tree_optimum(tree, k)).max() < 1e-12
+        assert np.abs(_flow_optimum(tree, k) - tree_optimum(tree, k)).max() < 1e-12
     for n in (3, 4, 5, 6):
         g = build_graph(n, complete_graph_edges(n), np.ones(n * (n - 1) // 2))
         for k in range(1, n + 1):
-            assert np.abs(shortest_path_optimum(g, k)
+            assert np.abs(_flow_optimum(g, k)
                           - complete_graph_optimum(n, k)).max() < 1e-15
     forest = build_graph(4, [(1, 2), (3, 4)], np.ones(2))
     with pytest.raises(DisconnectedGraphError):
-        shortest_path_optimum(forest, 1)
+        _flow_optimum(forest, 1)
     with pytest.raises(ValueError):
-        shortest_path_optimum(forest, 5)
+        _flow_optimum(forest, 5)
 
 
 def test_shortest_path_optimum_attains_mean_hop_squared():
@@ -246,7 +234,7 @@ def test_shortest_path_optimum_attains_mean_hop_squared():
         graphs.append((g, [int(rng.integers(1, g.n + 1))]))
     for g, nodes in graphs:
         for k in nodes:
-            b = shortest_path_optimum(g, k)
+            b = _flow_optimum(g, k)
             assert b.min() >= 0.0
             assert b.sum() == pytest.approx(1.0, abs=1e-12)
             design = g.with_weights(b)
@@ -267,8 +255,8 @@ def test_shortest_path_optimum_relabel_invariance():
         relabelled = build_graph(g.n, edges, np.ones(g.m))
         for bus in case.generator_ids:
             k = case.node_of(bus)
-            b = shortest_path_optimum(g, k)
-            b_new = shortest_path_optimum(relabelled, int(perm[k - 1]) + 1)
+            b = _flow_optimum(g, k)
+            b_new = _flow_optimum(relabelled, int(perm[k - 1]) + 1)
             assert np.abs(b_new - b[order]).max() < 1e-12
 
 
@@ -276,15 +264,16 @@ def test_solve_single_node_falls_back_when_floor_binds():
     edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)]
     g = build_graph(6, edges, np.ones(len(edges)))
     k = 1
-    b = shortest_path_optimum(g, k)
+    b = _flow_optimum(g, k)
     bound = _mean_hop(g, k) ** 2
     lam2 = algebraic_connectivity(g.with_weights(b))
 
-    exact = solve_single_node(DesignProblem(6, edges, v_prime=[k]), k)
+    problem = DesignProblem(6, edges, v_prime=[k])
+    exact = solve_single_node(problem, k)
     assert exact.iterations == 0 and exact.converged
     assert exact.method == "exact-flow"
     assert exact.lower_bound == pytest.approx(bound, rel=1e-12)
-    assert exact.certificate_optimal
+    assert optimality_certificate(problem.graph(exact.b_star), k).optimal
     assert exact.kkt_gap == pytest.approx(0.0, abs=1e-12)
     assert exact.feasibility >= 0.0
     assert np.array_equal(exact.b_star, b)
@@ -297,25 +286,3 @@ def test_solve_single_node_falls_back_when_floor_binds():
     assert bound <= res.lower_bound <= res.objective
     assert res.feasibility >= -1e-7
     assert res.objective >= bound * (1 - 1e-12)
-
-
-def test_solver_certificate_matches_optimality_certificate():
-    # certificate_optimal comes from the solver's own state; the public
-    # check recomputes it from a fresh spectral bundle of the result.
-    tol = max(1e-8, SOLVER_TOL)
-    case = load_case(CASES_DIR / "ny57_substitute.json")
-    runs = []
-    for bus in case.generator_ids:
-        problem, _ = unit_budget_problem(case, [bus], DEFAULT_GAMMA, None)
-        (k,) = problem.v_prime
-        runs.append((problem, k, solve_single_node(problem, k)))
-    assert len(runs) == 29
-    edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)]
-    g = build_graph(6, edges, np.ones(len(edges)))
-    lam2 = algebraic_connectivity(g.with_weights(shortest_path_optimum(g, 1)))
-    floored = DesignProblem(6, edges, v_prime=[1], epsilon=1.2 * lam2)
-    runs.append((floored, 1, solve_single_node(floored, 1)))
-    assert runs[-1][2].iterations > 0
-    for problem, k, res in runs:
-        expected = optimality_certificate(problem.graph(res.b_star), k, tol=tol)
-        assert res.certificate_optimal is expected.optimal

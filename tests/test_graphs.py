@@ -1,4 +1,4 @@
-"""Graph core: construction, spectra, resistance, random walks."""
+"""Graph core: construction, spectra, resistance."""
 import numpy as np
 import pytest
 
@@ -8,15 +8,10 @@ from resilnet import (
     SingularLaplacianError,
     algebraic_connectivity,
     build_graph,
-    commute_time,
     complete_graph_edges,
-    effective_resistance,
-    is_connected,
     resistance_matrix,
     spectral_bundle,
-    transition_matrix,
 )
-from resilnet.designs import complete_graph_optimum
 from resilnet.graphs import laplacian
 
 from conftest import (
@@ -24,7 +19,6 @@ from conftest import (
     random_connected_graph,
     random_tree,
     reference_laplacian,
-    traversal_connected,
 )
 
 
@@ -174,52 +168,28 @@ def test_algebraic_connectivity_examples():
     assert algebraic_connectivity(g4) < 1e-12
 
 
-def test_is_connected_examples():
-    g = build_graph(3, [(1, 2), (2, 3)], [0.5, 0.5])
-    assert is_connected(g, tol=1e-9)
-    g0 = build_graph(3, [(1, 2), (2, 3)], [1.0, 0.0])
-    assert not is_connected(g0, tol=1e-9)
-    star = build_graph(5, complete_graph_edges(5), complete_graph_optimum(5, 1))
-    assert is_connected(star, tol=1e-9)
-
-
-def test_is_connected_matches_traversal_on_random_graphs():
-    rng = np.random.default_rng(3)
-    tol = 1e-9
-    agreements = 0
-    for _ in range(1000):
-        g = random_connected_graph(rng, int(rng.integers(3, 10)))
-        b = np.array(g.b)
-        kill = rng.random(g.m) < 0.35
-        b[kill] = 0.0
-        g = g.with_weights(b)
-        assert is_connected(g, tol) == traversal_connected(g, tol)
-        agreements += 1
-    assert agreements == 1000
-
-
 def test_resistance_single_edge_and_series():
     g = build_graph(2, [(1, 2)], [1.0])
-    assert abs(effective_resistance(g, 1, 2) - 1.0) < 1e-12
+    assert abs(resistance_matrix(g)[0, 1] - 1.0) < 1e-12
     p3 = build_graph(3, [(1, 2), (2, 3)], [0.5, 0.5])
-    assert abs(effective_resistance(p3, 1, 3) - 4.0) < 1e-12
+    assert abs(resistance_matrix(p3)[0, 2] - 4.0) < 1e-12
 
 
 def test_resistance_triangle_parallel():
     g = build_graph(3, [(1, 2), (2, 3), (1, 3)], [1 / 3] * 3)
     # direct 3 ohms in parallel with series 3+3: 3*6/9 = 2
-    assert abs(effective_resistance(g, 1, 2) - 2.0) < 1e-12
-    assert abs(effective_resistance(g, 1, 2) - pinv_resistance(g, 1, 2)) < 1e-10
+    assert abs(resistance_matrix(g)[0, 1] - 2.0) < 1e-12
+    assert abs(resistance_matrix(g)[0, 1] - pinv_resistance(g, 1, 2)) < 1e-10
 
 
 def test_resistance_symmetry_and_disconnected():
     rng = np.random.default_rng(4)
     g = random_connected_graph(rng, 6)
-    assert effective_resistance(g, 2, 5) == pytest.approx(
-        effective_resistance(g, 5, 2), abs=1e-12)
+    omega = resistance_matrix(g)
+    assert omega[1, 4] == pytest.approx(omega[4, 1], abs=1e-12)
     disc = build_graph(4, [(1, 2), (3, 4)], [1.0, 1.0])
     with pytest.raises(DisconnectedGraphError):
-        effective_resistance(disc, 1, 3)
+        resistance_matrix(disc)
 
 
 def test_resistance_triangle_inequality_property():
@@ -260,58 +230,13 @@ def test_tree_resistance_is_reciprocal_path_sum():
             v_prev, w = parent[v]
             expected += 1.0 / w
             v = v_prev
-        assert abs(effective_resistance(t, 1, n) - expected) < 1e-10
+        assert abs(resistance_matrix(t)[0, n - 1] - expected) < 1e-10
 
 
 def test_resistance_scaling_law():
     rng = np.random.default_rng(7)
     g = random_connected_graph(rng, 7)
-    base = effective_resistance(g, 1, 5)
+    base = resistance_matrix(g)[0, 4]
     for c in (0.5, 2.0, 10.0):
         scaled = g.with_weights(np.array(g.b) * c)
-        assert abs(effective_resistance(scaled, 1, 5) - base / c) < 1e-10
-
-
-def test_commute_time_examples():
-    p3 = build_graph(3, [(1, 2), (2, 3)], [0.5, 0.5])
-    assert abs(commute_time(p3, 1, 3) - 8.0) < 1e-12
-    g = build_graph(2, [(1, 2)], [1.0])
-    assert abs(commute_time(g, 1, 2) - 2.0) < 1e-12
-
-
-def test_commute_time_unit_budget_is_twice_resistance():
-    rng = np.random.default_rng(8)
-    for _ in range(30):
-        g = random_connected_graph(rng, int(rng.integers(3, 9)), unit_budget=True)
-        i, j = 1, g.n
-        assert abs(commute_time(g, i, j) - 2.0 * effective_resistance(g, i, j)) < 1e-10
-        assert commute_time(g, i, j) == pytest.approx(commute_time(g, j, i), abs=1e-12)
-
-
-def test_transition_matrix_examples():
-    g = build_graph(2, [(1, 2)], [1.0])
-    assert np.allclose(transition_matrix(g), [[0, 1], [1, 0]])
-    p3 = build_graph(3, [(1, 2), (2, 3)], [0.5, 0.5])
-    P = transition_matrix(p3)
-    assert np.allclose(P[1], [0.5, 0.0, 0.5])
-    star = build_graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)], [0.25] * 4)
-    P = transition_matrix(star)
-    for leaf in range(1, 5):
-        assert P[leaf, 0] == 1.0
-
-
-def test_transition_matrix_rows_and_support():
-    rng = np.random.default_rng(9)
-    g = random_connected_graph(rng, 8)
-    P = transition_matrix(g)
-    assert np.allclose(P.sum(axis=1), 1.0)
-    B = np.zeros((g.n, g.n))
-    for (i, j), w in zip(g.edges, g.b):
-        B[i, j] = B[j, i] = w
-    assert np.array_equal(P > 0, B > 0)
-
-
-def test_transition_matrix_isolated_node():
-    g = build_graph(3, [(1, 2), (2, 3)], [1.0, 0.0])
-    with pytest.raises(ValueError, match="zero weighted degree"):
-        transition_matrix(g)
+        assert abs(resistance_matrix(scaled)[0, 4] - base / c) < 1e-10

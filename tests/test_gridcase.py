@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resilnet import load_case, write_case
+from resilnet import algebraic_connectivity, load_case, write_case
 from resilnet.gridcase import (
     Bus,
     Branch,
@@ -88,6 +88,8 @@ def test_schema_violations():
         parse_case_json(json.dumps(raw))
     with pytest.raises(CaseError, match="invalid JSON"):
         parse_case_json("{nope")
+    with pytest.raises(CaseError, match="invalid JSON"):
+        parse_case_json('{"buses": [' + "1" * 5000 + "]}")
     # non-finite numbers, and ids that int() would truncate or coerce
     for section, key, value, match in (
         ("buses", "power_pu", float("nan"), "bus 1: power_pu must be finite"),
@@ -98,6 +100,19 @@ def test_schema_violations():
         ("buses", "id", True, r"buses\[0\]: id must be an integer"),
         ("branches", "from", 1.2, r"branches\[0\]: id must be an integer"),
         ("branches", "to", 2.9, r"branches\[0\]: id must be an integer"),
+        # numbers that float() would coerce from booleans and strings
+        ("buses", "power_pu", True, r"buses\[0\]: power_pu must be a number, got True"),
+        ("buses", "power_pu", "0.5", r"buses\[0\]: power_pu must be a number, got '0.5'"),
+        ("branches", "susceptance_pu", "2",
+         r"branches\[0\]: susceptance_pu must be a number, got '2'"),
+        ("branches", "susceptance_pu", True,
+         r"branches\[0\]: susceptance_pu must be a number, got True"),
+        ("branches", "reactance_pu", True,
+         r"branches\[0\]: reactance_pu must be a number, got True"),
+        ("branches", "reactance_pu", "0.1",
+         r"branches\[0\]: reactance_pu must be a number, got '0.1'"),
+        ("buses", "power_pu", 10 ** 400, "bus 1: power_pu must be finite, got inf"),
+        ("branches", "susceptance_pu", -10 ** 400, "branch 1-2: .*got -inf"),
     ):
         raw = json.loads(MINIMAL)
         if key == "susceptance_pu":
@@ -173,8 +188,7 @@ def test_substitute_case_shape_and_round_trip(tmp_path):
     out = tmp_path / "again.json"
     write_case(case, out)
     assert load_case(out) == case
-    from resilnet import is_connected
-    assert is_connected(case.graph(), tol=1e-9)
+    assert algebraic_connectivity(case.graph()) > 1e-9
 
 
 def test_substitute_case_regenerates_from_its_tool(tmp_path, monkeypatch, capsys):
