@@ -210,7 +210,6 @@ class TrajectoryEnsemble:
     theta: np.ndarray
     freq: np.ndarray
     realizations: int
-    seed: int
     onset: float
 
     def __post_init__(self) -> None:
@@ -233,7 +232,7 @@ def _horizon(g: WeightedGraph, noise: NoiseSpec, h: float, T: float,
     return steps, k0
 
 
-def _ensemble(theta: np.ndarray, h: float, R: int, seed: int,
+def _ensemble(theta: np.ndarray, h: float, R: int,
               onset: float) -> TrajectoryEnsemble:
     """Gauge time-major phases (steps+1, rows, n) and wrap them as R realizations.
 
@@ -255,7 +254,6 @@ def _ensemble(theta: np.ndarray, h: float, R: int, seed: int,
         theta=theta.transpose(1, 2, 0),
         freq=freq.transpose(1, 2, 0),
         realizations=R,
-        seed=seed,
         onset=onset,
     )
 
@@ -321,7 +319,7 @@ def integrate_nonlinear(
         f1 += f4
         f1 += 2.0 * f2
         np.subtract(end, f1 @ inc_sixth, out=theta[t + 1])
-    return _ensemble(theta, h, R, seed, noise.onset)
+    return _ensemble(theta, h, R, noise.onset)
 
 
 def integrate_linearized(
@@ -361,7 +359,7 @@ def integrate_linearized(
     for t in range(steps):
         dev = dev @ propagator + H[t, :, None] * forcing[None, :]
         np.add(theta0, dev, out=theta[t + 1])
-    return _ensemble(theta, h, R, seed, noise.onset)
+    return _ensemble(theta, h, R, noise.onset)
 
 
 @dataclass(frozen=True)

@@ -178,6 +178,17 @@ def _json_number(value, key: str) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _json_objects(raw: dict, section: str) -> list[dict]:
+    """A section of the case: a JSON array whose entries are all objects."""
+    entries = raw.get(section, [])
+    if not isinstance(entries, list):
+        raise CaseError(f"{section} must be a JSON array, got {entries!r}")
+    for idx, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise CaseError(f"{section}[{idx}]: must be a JSON object, got {entry!r}")
+    return entries
+
+
 def parse_case_json(text: str, name: str | None = None) -> GridCase:
     """Parse the native JSON schema."""
     try:
@@ -187,14 +198,14 @@ def parse_case_json(text: str, name: str | None = None) -> GridCase:
     if not isinstance(raw, dict):
         raise CaseError("case file must hold a JSON object")
     buses = []
-    for idx, rb in enumerate(raw.get("buses", [])):
+    for idx, rb in enumerate(_json_objects(raw, "buses")):
         try:
             buses.append(Bus(id=_json_id(rb["id"]), kind=str(rb["kind"]),
                              power_pu=_json_number(rb["power_pu"], "power_pu")))
         except (KeyError, TypeError, ValueError) as exc:
             raise CaseError(f"buses[{idx}]: {exc}") from None
     branches = []
-    for idx, rb in enumerate(raw.get("branches", [])):
+    for idx, rb in enumerate(_json_objects(raw, "branches")):
         try:
             x, s = (None if rb.get(key) is None else _json_number(rb[key], key)
                     for key in ("reactance_pu", "susceptance_pu"))

@@ -9,24 +9,25 @@ design problem; the coupling constraints (which tie every S_k entry, the
 shared slack t, and E to the edge-weight block) are spelled out here since
 the block-diagonal form alone does not imply them.
 
-Entries of constraint matrices are stored upper-triangular with symmetric
-semantics: a value v at (i, j), i < j, means the matrix holds v at both
-(i, j) and (j, i).
+A matrix is a tuple of (block, i, j, value) entries: a 0-based block index
+and a 1-based block-local position i <= j, with symmetric semantics (v at
+(i, j), i < j, is held at both (i, j) and (j, i)). ``SdpData`` stores the
+design problem and the coupling constraints; the block layout, W and A are
+derived from the problem, the layout in one place (``SdpData.layout``).
 """
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
-from .graphs import build_graph, laplacian
+from .graphs import laplacian
 from .optimize import DesignProblem
 
 __all__ = [
-    "SdpBlock",
-    "SparseSymmetric",
     "SdpData",
     "assemble_sdp",
     "encode_point",
@@ -35,63 +36,54 @@ __all__ = [
     "write_sdpa",
 ]
 
-
-@dataclass(frozen=True)
-class SdpBlock:
-    kind: str   # "psd" or "diag"
-    size: int
-    label: str
-
-
-@dataclass(frozen=True)
-class SparseSymmetric:
-    """Sparse symmetric matrix over the block layout.
-
-    Entries are (block index 0-based, row, col, value) with 1-based
-    block-local row <= col.
-    """
-
-    entries: tuple[tuple[int, int, int, float], ...]
+Entry = tuple[int, int, int, float]
+Matrix = tuple[Entry, ...]
 
 
 @dataclass(frozen=True)
 class SdpData:
     """Exact standard form min Tr(WZ) s.t. Tr(AZ)=1, couplings, Z >= 0.
 
-    Expressed at unit budget, as every DesignProblem is; the caller
-    normalizes a physical budget first (see
-    resilnet.scenarios.unit_budget_problem).
+    ``constraints`` holds the coupling constraints as (entries, rhs) pairs
+    in assembly order; everything else derives from ``problem``. Expressed
+    at unit budget, as every DesignProblem is; the caller normalizes a
+    physical budget first (see resilnet.scenarios.unit_budget_problem).
     """
 
-    dimension: int
-    blocks: tuple[SdpBlock, ...]
-    objective: SparseSymmetric
-    budget_matrix: SparseSymmetric
-    constraints: tuple[tuple[SparseSymmetric, float], ...]
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    v_prime: tuple[int, ...]
-    epsilon: float
+    problem: DesignProblem
+    constraints: tuple[tuple[Matrix, float], ...]
 
-    @property
-    def m(self) -> int:
-        return len(self.edges)
+    def layout(self) -> list[tuple[str, int]]:
+        """(label, SDPA size) per block; the diagonal block's size is negative."""
+        n = self.problem.n
+        return ([(f"S_{k}", n + 1) for k in self.problem.v_prime]
+                + [("b", -len(self.problem.edges)), ("E", n)])
 
     def block_offsets(self) -> list[int]:
-        offs = []
-        pos = 0
-        for blk in self.blocks:
-            offs.append(pos)
-            pos += blk.size
-        return offs
+        sizes = [abs(size) for _, size in self.layout()]
+        return [0, *itertools.accumulate(sizes[:-1])]
 
-    def to_dense(self, mat: SparseSymmetric) -> np.ndarray:
+    @property
+    def dimension(self) -> int:
+        return sum(abs(size) for _, size in self.layout())
+
+    @property
+    def objective(self) -> Matrix:
+        """W selects the shared slack t, held in the first S_k block."""
+        return ((0, self.problem.n + 1, self.problem.n + 1, 1.0),)
+
+    @property
+    def budget_matrix(self) -> Matrix:
+        """A sums the diagonal edge-weight block."""
+        diag_block, m = len(self.problem.v_prime), len(self.problem.edges)
+        return tuple((diag_block, i, i, 1.0) for i in range(1, m + 1))
+
+    def to_dense(self, mat: Matrix) -> np.ndarray:
         """Materialize a constraint matrix as a dense d x d array."""
         offs = self.block_offsets()
         out = np.zeros((self.dimension, self.dimension))
-        for blk, i, j, v in mat.entries:
-            r = offs[blk] + i - 1
-            c = offs[blk] + j - 1
+        for blk, i, j, v in mat:
+            r, c = offs[blk] + i - 1, offs[blk] + j - 1
             out[r, c] += v
             if r != c:
                 out[c, r] += v
@@ -100,7 +92,7 @@ class SdpData:
 
 def _edge_coefficient_entries(
     diag_block: int, edges: tuple[tuple[int, int], ...]
-) -> dict[tuple[int, int], list[tuple[int, int, int, float]]]:
+) -> dict[tuple[int, int], list[Entry]]:
     """Map (i, j) to the entries canceling that Laplacian term against the b block.
 
     Keys are 1-based matrix positions with i <= j; for edge l = (p, q),
@@ -115,69 +107,36 @@ def _edge_coefficient_entries(
     return out
 
 
-def assemble_sdp(problem: DesignProblem) -> SdpData:
-    """Assemble the standard-form SDP of the min-max design problem."""
-    n = problem.n
-    edges = problem.edges
-    m = len(edges)
-    targets = problem.v_prime
-    l = len(targets)
-    eps = problem.epsilon
-    dimension = l * (n + 1) + m + n
-
-    blocks = tuple(
-        [SdpBlock("psd", n + 1, f"S_{k}") for k in targets]
-        + [SdpBlock("diag", m, "b")]
-        + [SdpBlock("psd", n, "E")]
-    )
-    diag_block = l
-    e_block = l + 1
-
-    objective = SparseSymmetric(((0, n + 1, n + 1, 1.0),))
-    budget_matrix = SparseSymmetric(
-        tuple((diag_block, i, i, 1.0) for i in range(1, m + 1))
-    )
-
-    constraints: list[tuple[SparseSymmetric, float]] = []
-
-    def add(entries: Iterable[tuple[int, int, int, float]], rhs: float) -> None:
-        constraints.append((SparseSymmetric(tuple(entries)), rhs))
-
-    ties = _edge_coefficient_entries(diag_block, edges)
-
-    for k_idx, k in enumerate(targets):
-        # Laplacian part of S_k is affine in the edge-weight block.
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                own = 1.0 if i == j else 0.5
-                add([(k_idx, i, j, own), *ties.get((i, j), ())], 1.0 / n)
-        # Border column of S_k is the basis vector of node k.
-        for i in range(1, n + 1):
-            add([(k_idx, i, n + 1, 0.5)], 1.0 if i == k else 0.0)
-        # All S_k share one slack t.
-        if k_idx > 0:
-            add(
-                [(k_idx, n + 1, n + 1, 1.0), (0, n + 1, n + 1, -1.0)],
-                0.0,
-            )
-    # E mirrors the Laplacian block shifted by the spectral floor.
+def _laplacian_ties(block: int, n: int, ties: dict[tuple[int, int], list[Entry]],
+                    shift: float) -> list[tuple[Matrix, float]]:
+    """Row-major upper-triangular ties of a block's L + 11^T/n - shift*I part."""
+    out = []
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             own = 1.0 if i == j else 0.5
-            add([(e_block, i, j, own), *ties.get((i, j), ())],
-                1.0 / n - (eps if i == j else 0.0))
+            out.append((((block, i, j, own), *ties.get((i, j), ())),
+                        1.0 / n - (shift if i == j else 0.0)))
+    return out
 
-    return SdpData(
-        dimension=dimension,
-        blocks=blocks,
-        objective=objective,
-        budget_matrix=budget_matrix,
-        constraints=tuple(constraints),
-        n=n,
-        edges=edges,
-        v_prime=targets,
-        epsilon=eps,
-    )
+
+def assemble_sdp(problem: DesignProblem) -> SdpData:
+    """Assemble the standard-form SDP of the min-max design problem."""
+    n, l = problem.n, len(problem.v_prime)
+    ties = _edge_coefficient_entries(l, problem.edges)
+    constraints = []
+    for k_idx, k in enumerate(problem.v_prime):
+        # Laplacian part of S_k is affine in the edge-weight block.
+        constraints += _laplacian_ties(k_idx, n, ties, 0.0)
+        # Border column of S_k is the basis vector of node k.
+        constraints += [(((k_idx, i, n + 1, 0.5),), 1.0 if i == k else 0.0)
+                        for i in range(1, n + 1)]
+        # All S_k share one slack t.
+        if k_idx > 0:
+            constraints.append(
+                (((k_idx, n + 1, n + 1, 1.0), (0, n + 1, n + 1, -1.0)), 0.0))
+    # E mirrors the Laplacian block shifted by the spectral floor.
+    constraints += _laplacian_ties(l + 1, n, ties, problem.epsilon)
+    return SdpData(problem=problem, constraints=tuple(constraints))
 
 
 def encode_point(sdp: SdpData, b: np.ndarray, t: float) -> np.ndarray:
@@ -186,51 +145,52 @@ def encode_point(sdp: SdpData, b: np.ndarray, t: float) -> np.ndarray:
     Z satisfies every coupling constraint by construction and is PSD
     exactly when b is feasible and t >= max_k e_k^T (L + 11^T/n)^{-1} e_k.
     """
+    p = sdp.problem
+    n, m, l = p.n, len(p.edges), len(p.v_prime)
     b = np.asarray(b, dtype=float)
-    if b.shape != (sdp.m,):
-        raise ValueError(f"b has shape {b.shape}, expected ({sdp.m},)")
-    n = sdp.n
-    M = laplacian(build_graph(n, sdp.edges, np.ones(sdp.m)), b) + 1.0 / n
+    if b.shape != (m,):
+        raise ValueError(f"b has shape {b.shape}, expected ({m},)")
+    M = laplacian(p.template, b) + 1.0 / n
     Z = np.zeros((sdp.dimension, sdp.dimension))
     offs = sdp.block_offsets()
-    for k_idx, k in enumerate(sdp.v_prime):
-        o = offs[k_idx]
+    for o, k in zip(offs, p.v_prime):
         Z[o:o + n, o:o + n] = M
         Z[o + k - 1, o + n] = 1.0
         Z[o + n, o + k - 1] = 1.0
         Z[o + n, o + n] = t
-    od = offs[len(sdp.v_prime)]
-    Z[od:od + sdp.m, od:od + sdp.m] = np.diag(b)
-    oe = offs[len(sdp.v_prime) + 1]
-    Z[oe:oe + n, oe:oe + n] = M - sdp.epsilon * np.eye(n)
+    od, oe = offs[l], offs[l + 1]
+    Z[od:od + m, od:od + m] = np.diag(b)
+    Z[oe:oe + n, oe:oe + n] = M - p.epsilon * np.eye(n)
     return Z
 
 
 def decode_point(sdp: SdpData, Z: np.ndarray) -> tuple[np.ndarray, float]:
     """Extract (b, t) from any Z satisfying the coupling constraints."""
+    p = sdp.problem
     offs = sdp.block_offsets()
-    od = offs[len(sdp.v_prime)]
-    b = np.diagonal(Z)[od:od + sdp.m].copy()
-    t = float(Z[offs[0] + sdp.n, offs[0] + sdp.n])
-    return b, t
+    od = offs[len(p.v_prime)]
+    b = np.diagonal(Z)[od:od + len(p.edges)].copy()
+    return b, float(Z[p.n, p.n])
 
 
 def format_sdpa(sdp: SdpData) -> str:
     """Serialize to sparse SDPA-style text, 17 significant digits.
 
-    Constraint 0 is the objective selector W, constraint 1 the budget
-    selector A (right-hand side 1), and constraints 2.. the coupling
-    constraints in assembly order. The diagonal edge-weight block is
-    written with a negative dimension, per SDPA convention.
+    Matrix 0 is the objective selector W, constraint 1 the budget selector
+    A (right-hand side 1), and constraints 2.. the coupling constraints in
+    assembly order. The diagonal edge-weight block is written with a
+    negative dimension, per SDPA convention.
     """
+    p = sdp.problem
+    layout = sdp.layout()
     lines = [
         "* resilnet standard-form SDP export",
         "* problem: min Tr(W Z) s.t. Tr(A Z) = 1, couplings, Z >= 0",
-        f"* nodes n = {sdp.n}, edges m = {sdp.m}, targets V' = {list(sdp.v_prime)}",
-        f"* spectral floor eps = {sdp.epsilon:.17g} (unit budget)",
+        f"* nodes n = {p.n}, edges m = {len(p.edges)}, targets V' = {list(p.v_prime)}",
+        f"* spectral floor eps = {p.epsilon:.17g} (unit budget)",
         "* blocks: " + ", ".join(
-            f"{idx + 1}: {blk.label} ({blk.kind} {blk.size})"
-            for idx, blk in enumerate(sdp.blocks)
+            f"{idx + 1}: {label} ({'diag' if size < 0 else 'psd'} {abs(size)})"
+            for idx, (label, size) in enumerate(layout)
         ),
         "* S_k = [[L + 11^T/n, e_k], [e_k^T, t]]; E = L + 11^T/n - eps*I",
         "* couplings, in order: per target k row-major upper-triangular",
@@ -238,22 +198,15 @@ def format_sdpa(sdp: SdpData) -> str:
         "*   shared-slack tie to S_1; finally the Laplacian ties of E.",
         "* matrix 0 below is W; constraint 1 is the budget selector A.",
         f"{1 + len(sdp.constraints)}",
-        f"{len(sdp.blocks)}",
-        " ".join(
-            str(-blk.size if blk.kind == "diag" else blk.size)
-            for blk in sdp.blocks
-        ),
+        f"{len(layout)}",
+        " ".join(str(size) for _, size in layout),
         " ".join(["1"] + [f"{rhs:.17g}" for _, rhs in sdp.constraints]),
     ]
-
-    def emit(matno: int, mat: SparseSymmetric) -> None:
-        for blk, i, j, v in mat.entries:
+    matrices = [sdp.objective, sdp.budget_matrix,
+                *(mat for mat, _ in sdp.constraints)]
+    for matno, mat in enumerate(matrices):
+        for blk, i, j, v in mat:
             lines.append(f"{matno} {blk + 1} {i} {j} {v:.17g}")
-
-    emit(0, sdp.objective)
-    emit(1, sdp.budget_matrix)
-    for c_idx, (mat, _) in enumerate(sdp.constraints, start=2):
-        emit(c_idx, mat)
     return "\n".join(lines) + "\n"
 
 

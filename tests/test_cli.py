@@ -110,6 +110,11 @@ def test_input_errors_exit_3(tmp_path, capsys):
                  "--nodes", "1"]) == 3
     err = capsys.readouterr().err
     assert "input error" in err
+    # a section that is not a JSON array is an input error, not a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"buses": 5, "branches": []}')
+    assert main(["measure", "--case", str(bad)]) == 3
+    assert "input error: buses must be a JSON array" in capsys.readouterr().err
 
 
 FLOOR_COMMANDS = (["design", "--mode", "single"], ["design", "--mode", "minmax"],

@@ -429,7 +429,7 @@ def test_empirical_blocked_sum_matches_full_formula():
                                R=3, seed=4)
     assert traj.times.size > 2 * dynamics._SPREAD_CHUNK
     traj = TrajectoryEnsemble(times=traj.times, theta=traj.theta, freq=traj.freq,
-                              realizations=3, seed=4, onset=7.3)
+                              realizations=3, onset=7.3)
     start = int(np.searchsorted(traj.times, traj.onset - 1e-12))
     f = traj.freq[:, :, start:]
     spread = f - f.mean(axis=1, keepdims=True)
@@ -461,7 +461,7 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path, stride):
     theta = rng.standard_normal(shape) * scale
     freq = -rng.standard_normal(shape) * scale[::-1]
     traj = TrajectoryEnsemble(times=np.arange(7) * 0.0123, theta=theta, freq=freq,
-                              realizations=2, seed=0, onset=0.0)
+                              realizations=2, onset=0.0)
     path = tmp_path / "traj.csv"
     export_trajectories_csv(traj, path, stride=stride)
     assert path.read_bytes() == _reference_csv(traj, stride)

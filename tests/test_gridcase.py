@@ -90,6 +90,17 @@ def test_schema_violations():
         parse_case_json("{nope")
     with pytest.raises(CaseError, match="invalid JSON"):
         parse_case_json('{"buses": [' + "1" * 5000 + "]}")
+    # sections that are not arrays of objects
+    for section, value, match in (
+        ("buses", 5, "buses must be a JSON array, got 5"),
+        ("branches", {"a": 1}, "branches must be a JSON array"),
+        ("branches", [5], r"branches\[0\]: must be a JSON object, got 5"),
+        ("buses", ["x"], r"buses\[0\]: must be a JSON object, got 'x'"),
+    ):
+        raw = json.loads(MINIMAL)
+        raw[section] = value
+        with pytest.raises(CaseError, match=match):
+            parse_case_json(json.dumps(raw))
     # non-finite numbers, and ids that int() would truncate or coerce
     for section, key, value, match in (
         ("buses", "power_pu", float("nan"), "bus 1: power_pu must be finite"),

@@ -131,7 +131,7 @@ def test_sdpa_text_round_trips_matrices():
     dims = [int(x) for x in lines[2].split()]
     rhs = [float(x) for x in lines[3].split()]
     assert ncon == 1 + len(sdp.constraints)
-    assert nblocks == len(sdp.blocks)
+    assert nblocks == len(sdp.layout())
     assert dims == [4, -3, 3]
     assert len(rhs) == ncon
     assert rhs[0] == 1.0
