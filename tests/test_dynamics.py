@@ -1,5 +1,6 @@
 """Steady states, integrators, noise processes, empirical estimator."""
 import csv
+import dataclasses
 import io
 import math
 
@@ -472,3 +473,73 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path, stride):
     buf = io.StringIO(newline="")
     export_trajectories_csv(run, buf, stride=stride)
     assert buf.getvalue().encode() == _reference_csv(run, stride)
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseSpec.ou(node=2, tau=1.5, sigma=0.2),
+    NoiseSpec.box(node=4, delta=0.3, t0=0.7, duration=2.0),
+])
+def test_nonlinear_matches_reference_rk4_across_blocks(noise):
+    # several phase-rebuild blocks, the last one partial
+    block = dynamics._STEP_BLOCK
+    steps = 3 * block + block // 3
+    assert steps % block
+    g = build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 4)],
+                    [0.6, 0.3, 0.5, 0.4, 0.7, 0.2])
+    omega = np.array([0.2, -0.1, 0.05, -0.25, 0.1])
+    theta_init = np.array([0.3, -0.2, 0.1, 0.0, -0.4])
+    h, R, seed = 4.0 / steps, 3, 21
+    T = steps * h
+    traj = integrate_nonlinear(g, omega, theta_init, noise, h=h, T=T, R=R, seed=seed)
+    ref = _reference_rk4(g, omega, theta_init, noise, h, T, R, seed)
+    assert traj.theta.shape == ref.shape == (R, 5, steps + 1)
+    assert np.abs(traj.theta - ref).max() < 1e-12
+    ref_freq = np.empty_like(ref)
+    ref_freq[:, :, 1:-1] = (ref[:, :, 2:] - ref[:, :, :-2]) / (2 * h)
+    ref_freq[:, :, 0] = (ref[:, :, 1] - ref[:, :, 0]) / h
+    ref_freq[:, :, -1] = (ref[:, :, -1] - ref[:, :, -2]) / h
+    assert np.abs(traj.freq - ref_freq).max() < 1e-9
+
+
+def test_trajectory_csv_rejects_stride_below_one():
+    traj = TrajectoryEnsemble(times=np.arange(3) * 0.1, theta=np.zeros((1, 2, 3)),
+                              freq=np.zeros((1, 2, 3)), realizations=1, onset=0.0)
+    for stride in (0, -2):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=f"stride must be a positive integer, got {stride}"):
+            export_trajectories_csv(traj, buf, stride=stride)
+        assert buf.getvalue() == ""
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.01, math.nan, math.inf])
+def test_step_and_horizon_must_be_positive_and_finite(bad):
+    g = build_graph(3, [(1, 2), (2, 3)], [0.5, 0.5])
+    ss = steady_state(g, np.zeros(3))
+    spec = NoiseSpec.ou(node=1, tau=1.0, sigma=0.1)
+    for name, kw in (("h", {"h": bad, "T": 1.0}), ("T", {"h": 0.01, "T": bad})):
+        message = f"{name} must be positive and finite, got {bad}"
+        with pytest.raises(ValueError, match=message):
+            make_noise(spec, seed=0, **kw)
+        with pytest.raises(ValueError, match=message):
+            integrate_nonlinear(g, np.zeros(3), np.zeros(3), spec, R=1, **kw)
+        with pytest.raises(ValueError, match=message):
+            integrate_linearized(g, ss, spec, R=1, **kw)
+
+
+@pytest.mark.parametrize("field", ["tau", "sigma", "delta", "t0", "duration"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_noise_spec_rejects_non_finite_fields(field, value):
+    for base in (NoiseSpec.ou(node=1), NoiseSpec.box(node=1)):
+        with pytest.raises(ValueError, match=f"noise {field} must be finite"):
+            dataclasses.replace(base, **{field: value})
+
+
+def test_nonlinear_checks_node_vector_shapes():
+    g = build_graph(3, [(1, 2), (2, 3)], [0.5, 0.5])
+    spec = NoiseSpec.box(node=1)
+    with pytest.raises(ValueError, match=r"omega has shape \(2,\), expected \(3,\)"):
+        integrate_nonlinear(g, np.zeros(2), np.zeros(3), spec, h=0.01, T=1.0, R=1)
+    with pytest.raises(ValueError, match=r"theta_init has shape \(3, 1\), expected \(3,\)"):
+        integrate_nonlinear(g, np.zeros(3), np.zeros((3, 1)), spec, h=0.01, T=1.0, R=1)
+    with pytest.raises(ValueError, match=r"omega has shape \(4,\), expected \(3,\)"):
+        steady_state(g, np.zeros(4))
