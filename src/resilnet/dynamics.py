@@ -45,7 +45,7 @@ DEFAULT_BOX_START = 10.0
 DEFAULT_BOX_DURATION = 20.0
 # Samples per block of the estimator's spread sum.
 _SPREAD_CHUNK = 2048
-# RK4 steps per block of integrate_nonlinear's phase rebuild.
+# Edge states that integrate_nonlinear maps to phases with one matmul.
 _STEP_BLOCK = 128
 
 
@@ -113,6 +113,8 @@ def _step_count(h: float, T: float) -> int:
     for name, value in (("h", h), ("T", T)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not math.isfinite(T / h):
+        raise ValueError(f"T/h is not finite for h={h} and T={T}")
     return int(round(T / h))
 
 
@@ -168,10 +170,13 @@ class SteadyState:
 
 
 def _node_vector(name: str, values: Sequence[float], n: int) -> np.ndarray:
-    """``values`` as a float array, checked to hold one entry per node."""
+    """``values`` as a float array, checked to hold one finite entry per node."""
     arr = np.asarray(values, dtype=float)
     if arr.shape != (n,):
         raise ValueError(f"{name} has shape {arr.shape}, expected ({n},)")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"{name} has non-finite entry {arr[bad[0]]} at node {bad[0] + 1}")
     return arr
 
 
@@ -306,18 +311,18 @@ def integrate_nonlinear(
     read-only views of that one run.
 
     The coupling depends on phases only through the edge differences
-    d = theta B^T (B the edges x nodes incidence), so the RK4 stages run on
-    d: each stage argument is d + c h U_t - f (c h K), with the edge
+    d = theta B^T (B the edges x nodes incidence), so RK4 integrates d
+    alone: each stage argument is d + c h U_t - f (c h K), with the edge
     coupling K = diag(b) B B^T and the edge forcing U_t = weff_t B^T, and
-    costs one matmul and one sine. Each step's stage sum
-    S_t = f1 + 2 f2 + 2 f3 + f4 is kept for a block of ``_STEP_BLOCK``
-    steps, after which one matmul and a running sum rebuild the block's
-    phases, theta_{t+1} = theta_t + h weff_t - (h/6) S_t diag(b) B. Every
-    block starts from d recomputed from the rebuilt phases, so the edge
-    state does not drift from them. Phases are stored time-major, one
-    contiguous (realizations, nodes) row per step, and ``theta`` and
-    ``freq`` are (R, n, steps + 1) views of that storage. ``omega`` and
-    ``theta_init`` must have one entry per node.
+    costs one matmul and one sine. The mean-zero phases with edge
+    differences d are d B L1^+, where L1 = B^T B is the unweighted
+    Laplacian, so each block of ``_STEP_BLOCK`` edge states is mapped to
+    phases by one matmul with that fixed edges x nodes map. Every RK4
+    increment is a multiple of B^T, so only rounding enters the cycle
+    space, and the map sends the cycle space to zero. Phases are stored
+    time-major, one contiguous (realizations, nodes) row per step, and
+    ``theta`` and ``freq`` are (R, n, steps + 1) views of that storage.
+    ``omega`` and ``theta_init`` must have one finite entry per node.
     """
     steps, k0 = _horizon(g, noise, h, T, R)
     omega = _node_vector("omega", omega, g.n)
@@ -326,22 +331,22 @@ def integrate_nonlinear(
     _stability_guard(h, float(bundle.eigenvalues[-1]))
     w = omega - omega.mean()
     H = _noise_matrix(noise, h, T, R, seed).T.copy()
-    # d' = weff B^T - sin(d) K and theta' = weff - sin(d) diag(b) B.
-    inc = np.zeros((g.m, g.n))
-    inc[np.arange(g.m), g.ei] = 1.0
-    inc[np.arange(g.m), g.ej] = -1.0
+    # d' = weff B^T - sin(d) K.
+    inc = np.eye(g.n)[g.ei] - np.eye(g.n)[g.ej]
     incT = inc.T.copy()
-    incW = np.asarray(g.b)[:, None] * inc
-    K = incW @ incT
+    K = (np.asarray(g.b)[:, None] * inc) @ incT
     K_half, K_full, K_sixth = (0.5 * h) * K, h * K, (h / 6.0) * K
-    rebuild = (-h / 6.0) * incW
+    # B L1^+ = B (L1 + 11^T/n)^{-1}, since B 1 = 0; L1 is connected because
+    # the weighted graph is.
+    phase_map = np.linalg.solve(laplacian(g, np.ones(g.m)) + 1.0 / g.n, incT).T
     # U_t = (w + eta_t e_k) B^T, scaled by h and h/2, is built per block.
     u, e = w @ incT, incT[k0]
 
     rows = H.shape[1]
     theta = np.empty((steps + 1, rows, g.n))
     theta[0] = theta_init
-    stage_sums = np.empty((_STEP_BLOCK, rows, g.m))
+    edge_states = np.empty((_STEP_BLOCK, rows, g.m))
+    d = theta[0] @ incT
     for t0 in range(0, steps, _STEP_BLOCK):
         t1 = min(t0 + _STEP_BLOCK, steps)
         # Built in place: an expression here raised validate's peak RSS by 0.4 MB.
@@ -349,12 +354,10 @@ def integrate_nonlinear(
         U_full += u
         U_full *= h
         U_half = 0.5 * U_full
-        S = stage_sums[:t1 - t0]
-        # Recomputed from the rebuilt phases, so the edge state never drifts.
-        d = theta[t0] @ incT
+        block = edge_states[:t1 - t0]
         # ndarray.dot skips the matmul ufunc's dispatch, a large share of
         # the cost of products this small.
-        for s, u_h, u_f in zip(S, U_half, U_full):
+        for d_next, u_h, u_f in zip(block, U_half, U_full):
             f1 = np.sin(d)
             mid = d + u_h
             f2 = np.sin(mid - f1.dot(K_half))
@@ -363,16 +366,11 @@ def integrate_nonlinear(
             f4 = np.sin(end - f3.dot(K_full))
             f2 += f3
             f2 += f2
-            np.add(f1, f4, out=s)
-            s += f2
-            d = end - s.dot(K_sixth)
-        # theta_{t+1} = theta_t + h weff_t - (h/6) S_t diag(b) B, summed in order.
-        block = theta[t0 + 1:t1 + 1]
-        np.matmul(S, rebuild, out=block)
-        block += h * w
-        block[:, :, k0] += h * H[t0:t1]
-        block[0] += theta[t0]
-        np.cumsum(block, axis=0, out=block)
+            f1 += f4
+            f1 += f2
+            np.subtract(end, f1.dot(K_sixth), out=d_next)
+            d = d_next
+        np.matmul(block, phase_map, out=theta[t0 + 1:t1 + 1])
     return _ensemble(theta, h, R, noise.onset)
 
 

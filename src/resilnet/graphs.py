@@ -10,7 +10,8 @@ are built once per topology and shared by ``with_weights``. They and
 ``laplacian(g, b)`` are the package's one edge-to-matrix path: every
 Laplacian (regularized, cosine-weighted, or the spectral bundle's) comes
 from ``laplacian``, and per-edge differences of a node vector x are
-``x[g.ei] - x[g.ej]``.
+``x[g.ei] - x[g.ej]``. The dense edges x nodes incidence that ``dynamics``
+integrates on is built from them too, as ``eye(n)[g.ei] - eye(n)[g.ej]``.
 """
 from __future__ import annotations
 

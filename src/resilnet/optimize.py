@@ -41,7 +41,8 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .designs import shortest_path_flow
-from .graphs import DisconnectedGraphError, WeightedGraph, build_graph, laplacian
+from .graphs import (DisconnectedGraphError, WeightedGraph, algebraic_connectivity,
+                     build_graph, laplacian)
 
 __all__ = [
     "InfeasibleDesignError",
@@ -392,10 +393,6 @@ def _follow_path(model, b: np.ndarray, scale: float, goal: float = -math.inf):
         previous, lower, s = objective, bound, s * PATH_STEP
 
 
-def _lambda2(problem: DesignProblem, b: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(laplacian(problem.template, b))[1])
-
-
 def _result(problem: DesignProblem, model: _MinMax, b: np.ndarray, state,
             lower: float, iterations: int, method: str) -> SolverResult:
     """Diagnostics of the point b with certified lower bound ``lower``."""
@@ -404,7 +401,8 @@ def _result(problem: DesignProblem, model: _MinMax, b: np.ndarray, state,
     objective = max(per_node.values())
     return SolverResult(
         b_star=b, objective=objective, per_node=per_node, iterations=iterations,
-        kkt_gap=objective - lower, feasibility=_lambda2(problem, b) - problem.epsilon,
+        kkt_gap=objective - lower,
+        feasibility=algebraic_connectivity(problem.graph(b)) - problem.epsilon,
         converged=objective - lower <= SOLVER_TOL * abs(objective),
         lower_bound=lower, method=method)
 

@@ -480,25 +480,28 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path, stride):
     NoiseSpec.box(node=4, delta=0.3, t0=0.7, duration=2.0),
 ])
 def test_nonlinear_matches_reference_rk4_across_blocks(noise):
-    # several phase-rebuild blocks, the last one partial
+    # several blocks of edge states mapped to phases, the last one partial
     block = dynamics._STEP_BLOCK
     steps = 3 * block + block // 3
     assert steps % block
-    g = build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 4)],
-                    [0.6, 0.3, 0.5, 0.4, 0.7, 0.2])
+    edges = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 4)]
     omega = np.array([0.2, -0.1, 0.05, -0.25, 0.1])
     theta_init = np.array([0.3, -0.2, 0.1, 0.0, -0.4])
     h, R, seed = 4.0 / steps, 3, 21
     T = steps * h
-    traj = integrate_nonlinear(g, omega, theta_init, noise, h=h, T=T, R=R, seed=seed)
-    ref = _reference_rk4(g, omega, theta_init, noise, h, T, R, seed)
-    assert traj.theta.shape == ref.shape == (R, 5, steps + 1)
-    assert np.abs(traj.theta - ref).max() < 1e-12
-    ref_freq = np.empty_like(ref)
-    ref_freq[:, :, 1:-1] = (ref[:, :, 2:] - ref[:, :, :-2]) / (2 * h)
-    ref_freq[:, :, 0] = (ref[:, :, 1] - ref[:, :, 0]) / h
-    ref_freq[:, :, -1] = (ref[:, :, -1] - ref[:, :, -2]) / h
-    assert np.abs(traj.freq - ref_freq).max() < 1e-9
+    # The second graph gives edge (2, 4), on the cycle 2-3-4, zero weight:
+    # the phase map still counts it, while its row of K is zero.
+    for b in ([0.6, 0.3, 0.5, 0.4, 0.7, 0.2], [0.6, 0.3, 0.5, 0.4, 0.7, 0.0]):
+        g = build_graph(5, edges, b)
+        traj = integrate_nonlinear(g, omega, theta_init, noise, h=h, T=T, R=R, seed=seed)
+        ref = _reference_rk4(g, omega, theta_init, noise, h, T, R, seed)
+        assert traj.theta.shape == ref.shape == (R, 5, steps + 1)
+        assert np.abs(traj.theta - ref).max() < 1e-12
+        ref_freq = np.empty_like(ref)
+        ref_freq[:, :, 1:-1] = (ref[:, :, 2:] - ref[:, :, :-2]) / (2 * h)
+        ref_freq[:, :, 0] = (ref[:, :, 1] - ref[:, :, 0]) / h
+        ref_freq[:, :, -1] = (ref[:, :, -1] - ref[:, :, -2]) / h
+        assert np.abs(traj.freq - ref_freq).max() < 1e-9
 
 
 def test_trajectory_csv_rejects_stride_below_one():
@@ -516,8 +519,10 @@ def test_step_and_horizon_must_be_positive_and_finite(bad):
     g = build_graph(3, [(1, 2), (2, 3)], [0.5, 0.5])
     ss = steady_state(g, np.zeros(3))
     spec = NoiseSpec.ou(node=1, tau=1.0, sigma=0.1)
-    for name, kw in (("h", {"h": bad, "T": 1.0}), ("T", {"h": 0.01, "T": bad})):
-        message = f"{name} must be positive and finite, got {bad}"
+    for message, kw in ((f"h must be positive and finite, got {bad}", {"h": bad, "T": 1.0}),
+                        (f"T must be positive and finite, got {bad}", {"h": 0.01, "T": bad}),
+                        ("T/h is not finite for h=1e-300 and T=10000000000.0",
+                         {"h": 1e-300, "T": 1e10})):
         with pytest.raises(ValueError, match=message):
             make_noise(spec, seed=0, **kw)
         with pytest.raises(ValueError, match=message):
@@ -543,3 +548,9 @@ def test_nonlinear_checks_node_vector_shapes():
         integrate_nonlinear(g, np.zeros(3), np.zeros((3, 1)), spec, h=0.01, T=1.0, R=1)
     with pytest.raises(ValueError, match=r"omega has shape \(4,\), expected \(3,\)"):
         steady_state(g, np.zeros(4))
+    with pytest.raises(ValueError, match="omega has non-finite entry nan at node 2"):
+        integrate_nonlinear(g, [0.1, math.nan, -0.1], np.zeros(3), spec, h=0.01, T=1.0, R=1)
+    with pytest.raises(ValueError, match="theta_init has non-finite entry inf at node 2"):
+        integrate_nonlinear(g, np.zeros(3), [0.0, math.inf, 0.0], spec, h=0.01, T=1.0, R=1)
+    with pytest.raises(ValueError, match="omega has non-finite entry nan at node 2"):
+        steady_state(g, [0.1, math.nan, -0.1])
