@@ -43,7 +43,8 @@ DEFAULT_OU_TAU = 50.0
 DEFAULT_BOX_DELTA = 0.1
 DEFAULT_BOX_START = 10.0
 DEFAULT_BOX_DURATION = 20.0
-# Samples per block of the estimator's spread sum.
+# Samples per block of the estimator's spread sum: each block's frequencies
+# are differenced from the phases, so no full-length frequency array exists.
 _SPREAD_CHUNK = 2048
 # Edge states that integrate_nonlinear maps to phases with one matmul.
 _STEP_BLOCK = 128
@@ -222,25 +223,63 @@ def steady_state(g: WeightedGraph, omega: Sequence[float],
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """Phase and frequency trajectories over noise realizations.
+    """Phase trajectories over noise realizations, with frequencies on demand.
 
-    ``theta`` and ``freq`` have shape (realizations, nodes, len(times));
-    frequencies come from central differences of the phases, one-sided at
-    the endpoints. The integrators return read-only views of time-major
-    storage. ``onset`` marks where the disturbance starts; samples before
-    it are transient for the empirical estimator.
+    ``theta`` has shape (realizations, nodes, len(times)); the integrators
+    return a read-only view of time-major storage. Frequencies are central
+    differences of the phases in time, one-sided at the endpoints, and are
+    not stored: ``freq_block`` computes them for a range of samples, and
+    ``freq`` builds the full array on each access. ``times`` is the uniform
+    grid ``arange(len(times)) * h``, so ``times[1]`` is the step. ``onset``
+    marks where the disturbance starts; samples before it are transient for
+    the empirical estimator.
     """
 
     times: np.ndarray
     theta: np.ndarray
-    freq: np.ndarray
     realizations: int
     onset: float
 
     def __post_init__(self) -> None:
+        if self.times.size < 2:
+            raise ValueError(f"need at least 2 samples, got {self.times.size}")
+        if self.theta.shape[-1] != self.times.size:
+            raise ValueError(f"theta has {self.theta.shape[-1]} samples on its last "
+                             f"axis, times has {self.times.size}")
+        if self.realizations != self.theta.shape[0]:
+            raise ValueError(f"realizations={self.realizations} but theta holds "
+                             f"{self.theta.shape[0]}")
         self.times.setflags(write=False)
         self.theta.setflags(write=False)
-        self.freq.setflags(write=False)
+
+    def freq_block(self, lo: int, hi: int) -> np.ndarray:
+        """Time-major (hi - lo, realizations, nodes) frequencies of samples lo..hi-1.
+
+        Reads only the phases of samples lo-1..hi, so a caller that walks
+        the samples block by block never holds more than one block.
+        """
+        if not 0 <= lo < hi <= self.times.size:
+            raise ValueError(f"need 0 <= lo < hi <= {self.times.size}, got lo={lo}, hi={hi}")
+        theta = self.theta.transpose(2, 0, 1)
+        last = theta.shape[0] - 1
+        h = self.times[1]
+        out = np.empty((hi - lo,) + theta.shape[1:])
+        # Central differences at the interior samples a..b-1 (possibly none).
+        a, b = max(lo, 1), min(hi, last)
+        np.subtract(theta[a + 1:b + 1], theta[a - 1:b - 1], out=out[a - lo:b - lo])
+        np.divide(out[a - lo:b - lo], 2.0 * h, out=out[a - lo:b - lo])
+        if lo == 0:
+            out[0] = (theta[1] - theta[0]) / h
+        if hi == last + 1:
+            out[-1] = (theta[-1] - theta[-2]) / h
+        return out
+
+    @property
+    def freq(self) -> np.ndarray:
+        """Read-only (realizations, nodes, len(times)) frequencies, built on each access."""
+        freq = self.freq_block(0, self.times.size).transpose(1, 2, 0)
+        freq.setflags(write=False)
+        return freq
 
 
 def _horizon(g: WeightedGraph, noise: NoiseSpec, h: float, T: float,
@@ -261,23 +300,15 @@ def _ensemble(theta: np.ndarray, h: float, R: int,
               onset: float) -> TrajectoryEnsemble:
     """Gauge time-major phases (steps+1, rows, n) and wrap them as R realizations.
 
-    Frequencies are central differences in time, one-sided at the ends.
-    With one row standing for R identical realizations (a box pulse), the
-    ensemble holds read-only broadcast views of it.
+    Only the phases are kept; the ensemble computes frequencies from them
+    on demand. With one row standing for R identical realizations (a box
+    pulse), the ensemble holds a read-only broadcast view of it.
     """
     theta -= theta.mean(axis=2, keepdims=True)
-    freq = np.empty_like(theta)
-    # In place: a temporary would be another (steps - 1, rows, n) array.
-    np.subtract(theta[2:], theta[:-2], out=freq[1:-1])
-    np.divide(freq[1:-1], 2.0 * h, out=freq[1:-1])
-    freq[0] = (theta[1] - theta[0]) / h
-    freq[-1] = (theta[-1] - theta[-2]) / h
-    shape = (theta.shape[0], R, theta.shape[2])
-    theta, freq = np.broadcast_to(theta, shape), np.broadcast_to(freq, shape)
+    theta = np.broadcast_to(theta, (theta.shape[0], R, theta.shape[2]))
     return TrajectoryEnsemble(
-        times=np.arange(shape[0]) * h,
+        times=np.arange(theta.shape[0]) * h,
         theta=theta.transpose(1, 2, 0),
-        freq=freq.transpose(1, 2, 0),
         realizations=R,
         onset=onset,
     )
@@ -321,7 +352,8 @@ def integrate_nonlinear(
     increment is a multiple of B^T, so only rounding enters the cycle
     space, and the map sends the cycle space to zero. Phases are stored
     time-major, one contiguous (realizations, nodes) row per step, and
-    ``theta`` and ``freq`` are (R, n, steps + 1) views of that storage.
+    ``theta`` is an (R, n, steps + 1) view of that storage; it is the only
+    array kept, and frequencies are differenced from it on demand.
     ``omega`` and ``theta_init`` must have one finite entry per node.
     """
     steps, k0 = _horizon(g, noise, h, T, R)
@@ -389,8 +421,8 @@ def integrate_linearized(
     deterministic part advances by the exact matrix exponential, with the
     disturbance held constant over each step. Phases are reported as
     steady state plus deviation, so they compare directly against the
-    nonlinear integrator. Storage and box handling are as in
-    ``integrate_nonlinear``.
+    nonlinear integrator. Storage (phases only, frequencies on demand) and
+    box handling are as in ``integrate_nonlinear``.
     """
     steps, k0 = _horizon(g, noise, h, T, R)
     theta0 = np.asarray(steady.theta0, dtype=float)
@@ -436,8 +468,9 @@ def empirical_vulnerability(traj: TrajectoryEnsemble) -> EmpiricalMeasure:
 
     Averages sum_i (freq_i - mean_j freq_j)^2 over the samples at or after
     the disturbance onset, then over realizations. The spread is summed
-    over blocks of ``_SPREAD_CHUNK`` samples, so no full-length temporary
-    is made. Raises ``ValueError`` when no sample lies at or after the
+    over blocks of ``_SPREAD_CHUNK`` samples, each block's frequencies
+    taken from ``traj.freq_block``, so no full-length temporary is made.
+    Raises ``ValueError`` when no sample lies at or after the
     onset.
     """
     # The samples at or after the onset are a suffix of the sorted times.
@@ -446,10 +479,9 @@ def empirical_vulnerability(traj: TrajectoryEnsemble) -> EmpiricalMeasure:
     if count < 1:
         raise ValueError(f"onset {traj.onset} lies after the last sample "
                          f"t={traj.times[-1]:.10g}; nothing to average")
-    freq = traj.freq.transpose(2, 0, 1)
-    per_real = np.zeros(traj.freq.shape[0])
+    per_real = np.zeros(traj.realizations)
     for lo in range(start, traj.times.size, _SPREAD_CHUNK):
-        f = freq[lo:lo + _SPREAD_CHUNK]
+        f = traj.freq_block(lo, min(lo + _SPREAD_CHUNK, traj.times.size))
         spread = f - f.mean(axis=2, keepdims=True)
         per_real += np.einsum("tri,tri->r", spread, spread)
     per_real /= count
@@ -477,6 +509,7 @@ def export_trajectories_csv(traj: TrajectoryEnsemble, path_or_file: str | IO[str
     needs quoting). One printf-style ``%.10g`` template covers the
     realizations x nodes rows of a time slice: the slice's time string is
     joined in once, and all of its rows are formatted with a single ``%``.
+    Each written slice's frequencies come from ``traj.freq_block``.
     """
     if stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride}")
@@ -487,7 +520,7 @@ def export_trajectories_csv(traj: TrajectoryEnsemble, path_or_file: str | IO[str
     def _write(fh: IO[str]) -> None:
         fh.write("time,realization,node,theta,freq\r\n")
         for t in range(0, traj.times.size, stride):
-            pairs = np.stack((traj.theta[:, :, t], traj.freq[:, :, t]), axis=-1)
+            pairs = np.stack((traj.theta[:, :, t], traj.freq_block(t, t + 1)[0]), axis=-1)
             template = f"{traj.times[t]:.10g}".join(suffixes)
             fh.write(template % tuple(pairs.ravel().tolist()))
 

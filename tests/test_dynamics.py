@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import math
+import types
 
 import numpy as np
 import pytest
@@ -429,7 +430,7 @@ def test_empirical_blocked_sum_matches_full_formula():
     traj = integrate_nonlinear(g, np.zeros(4), np.zeros(4), spec, h=0.01, T=50.0,
                                R=3, seed=4)
     assert traj.times.size > 2 * dynamics._SPREAD_CHUNK
-    traj = TrajectoryEnsemble(times=traj.times, theta=traj.theta, freq=traj.freq,
+    traj = TrajectoryEnsemble(times=traj.times, theta=traj.theta,
                               realizations=3, onset=7.3)
     start = int(np.searchsorted(traj.times, traj.onset - 1e-12))
     f = traj.freq[:, :, start:]
@@ -458,11 +459,16 @@ def _reference_csv(traj, stride):
 def test_trajectory_csv_bytes_match_csv_writer(tmp_path, stride):
     rng = np.random.default_rng(8)
     shape = (2, 3, 7)
-    scale = np.array([1e-300, -1e-12, -3.5, 1e5, 5e-324, -0.0, 123456789.123])
-    theta = rng.standard_normal(shape) * scale
-    freq = -rng.standard_normal(shape) * scale[::-1]
-    traj = TrajectoryEnsemble(times=np.arange(7) * 0.0123, theta=theta, freq=freq,
+    # The differences of these phases put -0.0 (t=1), subnormals (t=3) and
+    # values of 1e5 and above (t>=4) in the freq column.
+    scale = np.array([0.0, 1e-300, -0.0, -3.5, 1e-310, 2.5e3, -123456789.123])
+    theta = np.abs(rng.standard_normal(shape)) * scale
+    traj = TrajectoryEnsemble(times=np.arange(7) * 0.0123, theta=theta,
                               realizations=2, onset=0.0)
+    freq = traj.freq
+    assert np.any((freq == 0) & np.signbit(freq))
+    assert np.any((freq != 0) & (np.abs(freq) < np.finfo(float).tiny))
+    assert np.any(np.abs(freq) >= 1e5)
     path = tmp_path / "traj.csv"
     export_trajectories_csv(traj, path, stride=stride)
     assert path.read_bytes() == _reference_csv(traj, stride)
@@ -506,12 +512,90 @@ def test_nonlinear_matches_reference_rk4_across_blocks(noise):
 
 def test_trajectory_csv_rejects_stride_below_one():
     traj = TrajectoryEnsemble(times=np.arange(3) * 0.1, theta=np.zeros((1, 2, 3)),
-                              freq=np.zeros((1, 2, 3)), realizations=1, onset=0.0)
+                              realizations=1, onset=0.0)
     for stride in (0, -2):
         buf = io.StringIO()
         with pytest.raises(ValueError, match=f"stride must be a positive integer, got {stride}"):
             export_trajectories_csv(traj, buf, stride=stride)
         assert buf.getvalue() == ""
+
+
+def _blocked_spread(traj, freq):
+    """The estimator's per-realization sum over ``_SPREAD_CHUNK`` blocks of ``freq``."""
+    start = int(np.searchsorted(traj.times, traj.onset - 1e-12))
+    freq = freq.transpose(2, 0, 1)
+    per_real = np.zeros(traj.realizations)
+    for lo in range(start, traj.times.size, dynamics._SPREAD_CHUNK):
+        f = freq[lo:lo + dynamics._SPREAD_CHUNK]
+        spread = f - f.mean(axis=2, keepdims=True)
+        per_real += np.einsum("tri,tri->r", spread, spread)
+    return per_real / (traj.times.size - start)
+
+
+def test_estimator_and_csv_never_build_full_freq(monkeypatch):
+    g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)], [0.3, 0.2, 0.3, 0.2])
+    omega = np.array([0.05, 0.0, -0.02, -0.03])
+    ou = integrate_nonlinear(g, omega, np.zeros(4), NoiseSpec.ou(node=2, tau=2.0, sigma=0.1),
+                             h=0.01, T=50.0, R=3, seed=4)
+    assert ou.times.size > 2 * dynamics._SPREAD_CHUNK
+    # onset inside the first block
+    ou = TrajectoryEnsemble(times=ou.times, theta=ou.theta, realizations=3, onset=7.3)
+    box = integrate_nonlinear(g, omega, np.zeros(4),
+                              NoiseSpec.box(node=3, delta=0.2, t0=1.5, duration=2.0),
+                              h=0.01, T=8.0, R=3, seed=0)
+    expected = []
+    for traj in (ou, box):
+        freq, again = traj.freq, traj.freq
+        assert not freq.flags.writeable and not np.shares_memory(freq, again)
+        assert np.array_equal(freq, again)
+        with pytest.raises(AttributeError):
+            traj.freq = again
+        stored = types.SimpleNamespace(times=traj.times, theta=traj.theta, freq=freq,
+                                       realizations=traj.realizations)
+        expected.append((_blocked_spread(traj, freq), _reference_csv(stored, 1)))
+
+    def no_full_freq(self):
+        raise AssertionError("full freq array built")
+
+    monkeypatch.setattr(TrajectoryEnsemble, "freq", property(no_full_freq))
+    for traj, (per_real, csv_bytes) in zip((ou, box), expected):
+        m = empirical_vulnerability(traj)
+        assert m.per_realization == tuple(per_real.tolist())
+        assert m.value == float(per_real.mean())
+        assert m.stderr == float(per_real.std(ddof=1) / math.sqrt(3))
+        buf = io.StringIO(newline="")
+        export_trajectories_csv(traj, buf)
+        assert buf.getvalue().encode() == csv_bytes
+
+
+@pytest.mark.parametrize("times, theta, realizations, message", [
+    (np.arange(3) * 0.1, np.zeros((1, 2, 4)), 1,
+     "theta has 4 samples on its last axis, times has 3"),
+    (np.arange(1) * 0.1, np.zeros((1, 2, 1)), 1, "need at least 2 samples, got 1"),
+    (np.arange(3) * 0.1, np.zeros((2, 2, 3)), 3, "realizations=3 but theta holds 2"),
+])
+def test_trajectory_ensemble_rejects_mismatched_inputs(times, theta, realizations, message):
+    with pytest.raises(ValueError, match=message):
+        TrajectoryEnsemble(times=times, theta=theta, realizations=realizations, onset=0.0)
+
+
+@pytest.mark.parametrize("samples", [2, 3, 5])
+def test_freq_block_matches_differences_on_every_range(samples):
+    h = 0.1
+    theta = np.random.default_rng(samples).standard_normal((2, 3, samples))
+    traj = TrajectoryEnsemble(times=np.arange(samples) * h, theta=theta,
+                              realizations=2, onset=0.0)
+    ref = np.empty_like(theta)
+    ref[:, :, 1:-1] = (theta[:, :, 2:] - theta[:, :, :-2]) / (2 * h)
+    ref[:, :, 0] = (theta[:, :, 1] - theta[:, :, 0]) / h
+    ref[:, :, -1] = (theta[:, :, -1] - theta[:, :, -2]) / h
+    ref = ref.transpose(2, 0, 1)
+    for lo in range(samples):
+        for hi in range(lo + 1, samples + 1):
+            assert np.array_equal(traj.freq_block(lo, hi), ref[lo:hi])
+    for lo, hi in ((0, 0), (-1, 2), (2, samples + 1), (2, 1)):
+        with pytest.raises(ValueError, match=f"got lo={lo}, hi={hi}"):
+            traj.freq_block(lo, hi)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.01, math.nan, math.inf])

@@ -1,0 +1,140 @@
+"""Outputs pinned byte for byte: stdout and every written file of CLI runs.
+
+A change that alters one of these outputs on purpose updates its pin and
+says so in CHANGES.md. Output paths in stdout are replaced by ``<out>``, so
+the pins do not depend on where the test writes.
+"""
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from resilnet.cli import main
+
+CASES_DIR = Path(__file__).resolve().parents[1] / "cases"
+K5 = str(CASES_DIR / "k5_toy.json")
+NY57 = str(CASES_DIR / "ny57_substitute.json")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _digests(argv: list[str], out: Path, capsys) -> dict[str, str]:
+    """sha256 of the normalized stdout and of every file the run wrote to ``out``."""
+    assert main(argv) == 0
+    digests = {"stdout": _sha256(capsys.readouterr().out.replace(str(out), "<out>").encode())}
+    if out.exists():
+        digests.update((p.name, _sha256(p.read_bytes())) for p in sorted(out.iterdir()))
+    return digests
+
+
+@pytest.mark.parametrize("argv, pins", [
+    (["measure", "--case", NY57], {
+        "stdout":
+            "356349c01f1bfff4fa1ca8ccfd128807c49f6baa27fedda6e83d757784200a27",
+    }),
+    (["design", "--case", NY57, "--mode", "single", "--nodes", "generators"], {
+        "stdout":
+            "3b368da09eeda5ec1290ccfa02189b5b3ebc30cab90a1987c38d5a2b4d59bb7a",
+        "figdata_bars.csv":
+            "b0f30912f158d3ce2331596a549950152eaddf7c9bc63f759bcb8a425792d447",
+        "figdata_network_after.csv":
+            "94acf9b98b62ea53194d72bb4ee60aaa506de9d11bcb13003844c6dcd83a2e52",
+        "figdata_network_before.csv":
+            "4cbefb1588dcd8e745ab059247905ba4d65adb4af83839d7b85ced07c3a29230",
+        "measures.csv":
+            "29174b3189ae494c868301a159eabb482645ed499dc8dca0f6bf16e835f4f055",
+        "report.json":
+            "c6dbb263146fe52bfb5a0a58b09dfc38becfa450eb8d713be7bbe6576dbd441c",
+        "weights.csv":
+            "9453c62d5cbbca97a75fb0f630c577162fcbd17284681d9114ccd87a05236192",
+    }),
+    (["design", "--case", NY57, "--mode", "minmax", "--nodes", "generators"], {
+        "stdout":
+            "0f5965b440fbbf3a1264173c8aa143cfb0bd18d2955e39500875745fc2fea2cd",
+        "figdata_bars.csv":
+            "d6f64f8f0bd6ec4ef83b665e9da6f7c5c7fe46d8cef5b5eec09e1e93115dcf90",
+        "figdata_network_after.csv":
+            "6e02ce57d6abf4190bb7c2114c40799c3bf3b0275814759f6ed4af0d03ce3e04",
+        "figdata_network_before.csv":
+            "4cbefb1588dcd8e745ab059247905ba4d65adb4af83839d7b85ced07c3a29230",
+        "measures.csv":
+            "dee1bfedb93a5d0c0a8c3a0c7ff61e9c9e20b5c5fd02d543e6f6dff022af07c0",
+        "report.json":
+            "69ba3d1516bdad7a0802e002a91ba700ae74bb945798ca19fc43ef91496c24db",
+        "weights.csv":
+            "299a502c7108ba645b50131a799fee9603b64eab5707d263e442e7752c498876",
+    }),
+    (["design", "--case", NY57, "--mode", "minmax", "--nodes", "4,6",
+      "--epsilon", "5.05"], {
+        "stdout":
+            "c091dd3d257eecbf36f01231e050f014a0b36bceb0499525b5234cf40e26434e",
+        "figdata_bars.csv":
+            "4270fcf9c137f38533638d6ca1a7c0b8710059e94a66069b40790cdce716bcdd",
+        "figdata_network_after.csv":
+            "9c1f46a51814e6587adcf2c57d9306127008d31089ad3750244dcdcb3e2624eb",
+        "figdata_network_before.csv":
+            "4cbefb1588dcd8e745ab059247905ba4d65adb4af83839d7b85ced07c3a29230",
+        "measures.csv":
+            "fb7a65849aae5e092b245bf4ef0bcc370cb20cbecd4ee6b322642b9ac687b7d9",
+        "report.json":
+            "376f4e36a0cc5126752a704359f4905996ae68c3e35597ebe101859dae7af0a9",
+        "weights.csv":
+            "88f1b837b321ae1a20bbc3af53f81d9dbc67813478972a8fdfcbb033c2451786",
+    }),
+    (["design", "--case", K5, "--mode", "single", "--nodes", "all"], {
+        "stdout":
+            "db6a1841a6913d78b5ca5a66dfdce31c3528de18b1c87e682b9ee16e9651dd5c",
+        "figdata_bars.csv":
+            "831452f4678b878b6e91f33103772ba5c789f2601660d2eedfff5e80dd4de127",
+        "figdata_network_after.csv":
+            "9087c1baae45ce8694fa07a845a0b3c59d1f7a71d4f75009b7d8f90277521251",
+        "figdata_network_before.csv":
+            "85b883c32552d3c630ba9e9cdfe11989ff3f18e2297ac2b84073f1fddaf2f35e",
+        "measures.csv":
+            "fd9db52bf637e487d71927e5789dffd6671f593566945d93e93b900a0a24694c",
+        "report.json":
+            "c9ff2fa3a443824d379d20ede33481e3f8c4e2d925a3f0459e249ea5d64d540d",
+        "weights.csv":
+            "8c840cd7e7523270056ebcdf3ab0a4e392198d0baa47c593ae8165b11da9f448",
+    }),
+    (["design", "--case", K5, "--mode", "minmax", "--nodes", "all"], {
+        "stdout":
+            "0f534b9235a5f30b425700618df08168e99ef16d3832f5b0a030d6b8424e1d20",
+        "figdata_bars.csv":
+            "002910088dc3af061aaff4d100271035e6186e0609ef82925ac2f088335e09ca",
+        "figdata_network_after.csv":
+            "9818128f30ed423f8384cf02564f7e2d20b4a1a831df755393159b52e872c969",
+        "figdata_network_before.csv":
+            "85b883c32552d3c630ba9e9cdfe11989ff3f18e2297ac2b84073f1fddaf2f35e",
+        "measures.csv":
+            "5c5e5fdda29d3f498f31afed3740c55f1b9f7ae261fea86103e690a655d05f0d",
+        "report.json":
+            "76b87c41431319058d08929647f4749936bb30aea4795e2557c235bcb06dd889",
+        "weights.csv":
+            "09e9daf80759c33b862c2a27cb8fd3a8bdb3d755de1bfe2cffe6b71657019261",
+    }),
+], ids=["ny57-measure", "ny57-single", "ny57-minmax", "ny57-minmax-4,6-eps5.05",
+        "k5-single", "k5-minmax"])
+def test_cli_outputs_are_pinned(tmp_path, capsys, argv, pins):
+    out = tmp_path / "out"
+    if argv[0] == "design":
+        argv = argv + ["--out", str(out)]
+    assert _digests(argv, out, capsys) == pins
+
+
+def test_k5_minmax_box_simulation_is_pinned(tmp_path, capsys):
+    design = tmp_path / "design"
+    assert main(["design", "--case", K5, "--mode", "minmax", "--nodes", "all",
+                 "--out", str(design)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = ["simulate", "--case", K5, "--weights", str(design / "weights.csv"),
+            "--noise", "box", "--node", "1", "--out", str(out)]
+    assert _digests(argv, out, capsys) == {
+        "stdout":
+            "216c44af84e27ba0aefef3ab1e28b489c826d7b42bc40a6b6fa8523b392224a7",
+        "trajectories.csv":
+            "9ef0110c8b78bd4ce070a62120e178fa7f4ac0351efbe1472c6ee834df132ee6",
+    }
