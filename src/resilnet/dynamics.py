@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
 import numpy as np
@@ -470,6 +470,8 @@ def empirical_vulnerability(traj: TrajectoryEnsemble) -> EmpiricalMeasure:
     the disturbance onset, then over realizations. The spread is summed
     over blocks of ``_SPREAD_CHUNK`` samples, each block's frequencies
     taken from ``traj.freq_block``, so no full-length temporary is made.
+    A box ensemble, R views of one stored run, is summed over that run
+    once, with the result bit-identical to summing all R.
     Raises ``ValueError`` when no sample lies at or after the
     onset.
     """
@@ -479,12 +481,21 @@ def empirical_vulnerability(traj: TrajectoryEnsemble) -> EmpiricalMeasure:
     if count < 1:
         raise ValueError(f"onset {traj.onset} lies after the last sample "
                          f"t={traj.times[-1]:.10g}; nothing to average")
-    per_real = np.zeros(traj.realizations)
+    # Realizations with a zero stride are views of one stored run.
+    shared = traj.realizations > 1 and traj.theta.strides[0] == 0
+    stored = replace(traj, theta=traj.theta[:1], realizations=1) if shared else traj
+    per_real = np.zeros(stored.realizations)
     for lo in range(start, traj.times.size, _SPREAD_CHUNK):
-        f = traj.freq_block(lo, min(lo + _SPREAD_CHUNK, traj.times.size))
+        f = stored.freq_block(lo, min(lo + _SPREAD_CHUNK, traj.times.size))
         spread = f - f.mean(axis=2, keepdims=True)
-        per_real += np.einsum("tri,tri->r", spread, spread)
+        if shared:
+            # Per-sample sums, then in sample order: einsum's order for R > 1.
+            per_real += np.add.accumulate(np.einsum("tri,tri->tr", spread, spread))[-1]
+        else:
+            per_real += np.einsum("tri,tri->r", spread, spread)
     per_real /= count
+    if shared:
+        per_real = np.repeat(per_real, traj.realizations)
     value = float(per_real.mean())
     if traj.realizations >= 2:
         stderr = float(per_real.std(ddof=1) / math.sqrt(traj.realizations))

@@ -12,10 +12,13 @@ Laplacian (regularized, cosine-weighted, or the spectral bundle's) comes
 from ``laplacian``, and per-edge differences of a node vector x are
 ``x[g.ei] - x[g.ej]``. The dense edges x nodes incidence that ``dynamics``
 integrates on is built from them too, as ``eye(n)[g.ei] - eye(n)[g.ej]``.
+``spectral_bundle`` caches per graph what callers read: (L + 11^T/n)^{-1},
+which gives L^+ and the resistances, and the spectrum from one ``eigvalsh``.
 """
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -36,8 +39,10 @@ __all__ = [
     "resistance_matrix",
 ]
 
-# Eigenvalues below CONNECTIVITY_RTOL * lambda_n count as zero when deciding
-# connectivity; the relative threshold survives rescaling of the budget.
+# spectral_bundle treats L + 11^T/n as singular when its smallest eigenvalue,
+# min(lambda_2, 1), is at most CONNECTIVITY_RTOL * lambda_n. This tests the
+# conditioning of the regularized Laplacian, not connectivity: the 1 does not
+# scale with the weights, so a connected graph with weights near 1e9 fails too.
 CONNECTIVITY_RTOL = 1e-9
 
 # Laplacian contributions of one edge, matching WeightedGraph._scatter.
@@ -124,34 +129,40 @@ def _checked_weights(b: Iterable[float], m: int) -> np.ndarray:
 class SpectralBundle:
     """Cached spectral data of one graph.
 
-    ``pseudoinverse`` is obtained from the identity
-    L^+ = (L + 11^T/n)^{-1} - 11^T/n, valid for connected graphs; the
-    eigendecomposition of L is kept alongside as an independent cross-check.
+    ``reg_inverse`` is (L + 11^T/n)^{-1}; for a connected graph the
+    pseudoinverse is L^+ = reg_inverse - 11^T/n. ``eigenvalues`` is the
+    ascending Laplacian spectrum. The tests cross-check L^+ against the
+    eigendecomposition of L.
     """
 
-    laplacian: np.ndarray
     reg_inverse: np.ndarray
-    pseudoinverse: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
     def __post_init__(self) -> None:
-        for a in (self.laplacian, self.reg_inverse, self.pseudoinverse,
-                  self.eigenvalues, self.eigenvectors):
-            a.setflags(write=False)
+        self.reg_inverse.setflags(write=False)
+        self.eigenvalues.setflags(write=False)
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]], b: Sequence[float]) -> WeightedGraph:
     """Construct a validated WeightedGraph from 1-based edge pairs.
 
     Raises GraphConstructionError naming the offending edge index (1-based)
-    for self-loops, duplicate pairs, negative weights, or a length mismatch.
+    for non-integer endpoints, self-loops, duplicate pairs, negative weights,
+    or a length mismatch. ``n`` and the endpoints may be Python or numpy
+    integers, but not bools.
     """
+    if not _is_integer(n):
+        raise GraphConstructionError(f"node count must be an integer, got n={n!r}")
     if n < 2:
         raise GraphConstructionError(f"need at least 2 nodes, got n={n}")
     pairs = []
     seen: set[tuple[int, int]] = set()
     for l, (i, j) in enumerate(edges, start=1):
+        if not (_is_integer(i) and _is_integer(j)):
+            raise GraphConstructionError(
+                f"edge {l}: endpoints ({i!r}, {j!r}) must be integers"
+            )
+        i, j = int(i), int(j)
         if not (1 <= i <= n and 1 <= j <= n):
             raise GraphConstructionError(
                 f"edge {l}: endpoint out of range in ({i}, {j}) with n={n}"
@@ -165,7 +176,11 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], b: Sequence[float]) ->
             )
         seen.add(pair)
         pairs.append(pair)
-    return WeightedGraph(n, tuple(pairs), _checked_weights(b, len(pairs)))
+    return WeightedGraph(int(n), tuple(pairs), _checked_weights(b, len(pairs)))
+
+
+def _is_integer(x: object) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def complete_graph_edges(n: int) -> list[tuple[int, int]]:
@@ -183,42 +198,38 @@ def laplacian(g: WeightedGraph, b: np.ndarray | None = None) -> np.ndarray:
 def spectral_bundle(g: WeightedGraph) -> SpectralBundle:
     """Spectral data of g, computed once and cached on the graph.
 
-    Raises SingularLaplacianError when L + 11^T/n is numerically singular,
-    which happens exactly when the graph is (effectively) disconnected.
+    Raises SingularLaplacianError when L + 11^T/n is numerically singular
+    (see CONNECTIVITY_RTOL): always for a disconnected graph, and also for
+    a connected one whose weights are too large for the regularization.
     """
     cached = getattr(g, "_bundle")
     if cached is not None:
         return cached
     L = laplacian(g)
-    eigvals, eigvecs = np.linalg.eigh(L)
+    eigvals = np.linalg.eigvalsh(L)
     lam_n = max(float(eigvals[-1]), 0.0)
-    if min(float(eigvals[1]), 1.0) <= CONNECTIVITY_RTOL * max(lam_n, 1e-300):
+    smallest = min(float(eigvals[1]), 1.0)
+    if smallest <= CONNECTIVITY_RTOL * max(lam_n, 1e-300):
         raise SingularLaplacianError(
-            "regularized Laplacian is singular: graph is disconnected "
-            f"(lambda_2 = {eigvals[1]:.3e})"
+            "regularized Laplacian L + 11^T/n is numerically singular: its "
+            f"smallest eigenvalue min(lambda_2, 1) = {smallest:.3e} is at most "
+            f"{CONNECTIVITY_RTOL:g} * lambda_n = {lam_n:.3e} (the graph is "
+            "disconnected, or its weights are too large)"
         )
-    ones = np.full((g.n, g.n), 1.0 / g.n)
-    reg_inverse = np.linalg.inv(L + ones)
-    bundle = SpectralBundle(
-        laplacian=L,
-        reg_inverse=reg_inverse,
-        pseudoinverse=reg_inverse - ones,
-        eigenvalues=eigvals,
-        eigenvectors=eigvecs,
-    )
+    bundle = SpectralBundle(reg_inverse=np.linalg.inv(L + 1.0 / g.n),
+                            eigenvalues=eigvals)
     object.__setattr__(g, "_bundle", bundle)
     return bundle
 
 
 def algebraic_connectivity(g: WeightedGraph) -> float:
     """Second-smallest Laplacian eigenvalue; ~0 for disconnected graphs."""
-    cached = getattr(g, "_bundle")
-    eigvals = cached.eigenvalues if cached is not None else np.linalg.eigvalsh(laplacian(g))
-    return max(float(eigvals[1]), 0.0)
+    return max(float(np.linalg.eigvalsh(laplacian(g))[1]), 0.0)
 
 
 def resistance_matrix(g: WeightedGraph) -> np.ndarray:
     """All-pairs effective resistance matrix (zero diagonal); g must be connected."""
-    lp = spectral_bundle(g).pseudoinverse
-    d = np.diag(lp)
-    return d[:, None] + d[None, :] - 2.0 * lp
+    # The 11^T/n of the regularized inverse cancels in x_ii + x_jj - 2 x_ij.
+    x = spectral_bundle(g).reg_inverse
+    d = np.diag(x)
+    return d[:, None] + d[None, :] - 2.0 * x

@@ -392,6 +392,29 @@ def test_box_ensemble_is_one_run():
     assert m.value > 0
 
 
+def test_box_ensemble_estimate_differences_one_row(monkeypatch):
+    g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 3)], [0.5, 0.3, 0.4, 0.2])
+    omega = np.array([0.1, -0.05, 0.0, -0.05])
+    spec = NoiseSpec.box(node=3, delta=0.2, t0=0.5, duration=1.5)
+    many = integrate_nonlinear(g, omega, np.zeros(4), spec, h=0.01, T=4.0, R=4, seed=3)
+    per_real = _blocked_spread(many, many.freq)
+    rows = []
+    freq_block = TrajectoryEnsemble.freq_block
+
+    def counting(self, lo, hi):
+        out = freq_block(self, lo, hi)
+        rows.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(TrajectoryEnsemble, "freq_block", counting)
+    m = empirical_vulnerability(many)
+    assert rows and set(rows) == {1}
+    assert m.per_realization == tuple(per_real.tolist())
+    assert len(set(m.per_realization)) == 1 and len(m.per_realization) == 4
+    assert m.value == float(per_real.mean())
+    assert m.stderr == 0.0 and not m.low_realizations
+
+
 def test_degenerate_horizons_rejected(monkeypatch):
     g = build_graph(3, [(1, 2), (2, 3)], [0.5, 0.5])
     ss = steady_state(g, np.zeros(3))

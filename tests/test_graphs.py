@@ -92,6 +92,21 @@ def test_laplacian_matches_reference_loop():
         assert np.abs(laplacian(g, b) - expected).max() <= 1e-14
 
 
+def test_non_integer_nodes_rejected():
+    with pytest.raises(GraphConstructionError, match=r"edge 1: endpoints \(1, 2\.5\)"):
+        build_graph(3, [(1, 2.5), (2, 3)], [0.5, 0.5])
+    with pytest.raises(GraphConstructionError, match="edge 2: endpoints"):
+        build_graph(3, [(1, 2), (2.0, 3)], [0.5, 0.5])
+    with pytest.raises(GraphConstructionError, match="edge 1: endpoints"):
+        build_graph(3, [(True, 2)], [0.5])
+    for n in (3.0, True, np.float64(3.0)):
+        with pytest.raises(GraphConstructionError, match="node count must be an integer"):
+            build_graph(n, [(1, 2), (2, 3)], [0.5, 0.5])
+    g = build_graph(np.int64(3), [(np.int32(1), np.int64(2)), (2, np.uint8(3))], [0.5, 0.5])
+    assert g.n == 3 and g.edges == ((0, 1), (1, 2))
+    assert all(type(v) is int for v in (g.n, *g.edges[0], *g.edges[1]))
+
+
 def test_length_mismatch_rejected():
     with pytest.raises(GraphConstructionError, match="length"):
         build_graph(3, [(1, 2), (2, 3)], [0.5])
@@ -103,12 +118,17 @@ def test_weights_are_immutable():
         g.b[0] = 2.0
 
 
+def _bundle_pinv(g):
+    """L^+ as the bundle gives it: the regularized inverse minus 11^T/n."""
+    return spectral_bundle(g).reg_inverse - 1.0 / g.n
+
+
 def test_bundle_single_edge():
     g = build_graph(2, [(1, 2)], [1.0])
     sb = spectral_bundle(g)
-    assert np.allclose(sb.laplacian, [[1.0, -1.0], [-1.0, 1.0]])
+    assert np.allclose(laplacian(g), [[1.0, -1.0], [-1.0, 1.0]])
     assert np.allclose(sb.eigenvalues, [0.0, 2.0])
-    assert abs(sb.pseudoinverse[0, 0] - 0.25) < 1e-12
+    assert abs(_bundle_pinv(g)[0, 0] - 0.25) < 1e-12
 
 
 def test_bundle_complete_graph_spectrum():
@@ -118,12 +138,21 @@ def test_bundle_complete_graph_spectrum():
     assert np.allclose(sb.eigenvalues[1:], 0.5, atol=1e-12)
 
 
+def test_bundle_has_only_inverse_and_spectrum():
+    g = build_graph(3, [(1, 2), (2, 3)], [0.5, 0.5])
+    sb = spectral_bundle(g)
+    assert set(vars(sb)) == {"reg_inverse", "eigenvalues"}
+    for a in (sb.reg_inverse, sb.eigenvalues):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
 def test_bundle_pseudoinverse_identities():
     rng = np.random.default_rng(1)
     for _ in range(25):
         g = random_connected_graph(rng, int(rng.integers(3, 9)))
         sb = spectral_bundle(g)
-        L, lp = sb.laplacian, sb.pseudoinverse
+        L, lp = laplacian(g), _bundle_pinv(g)
         assert np.abs(lp @ np.ones(g.n)).max() < 1e-10
         assert np.abs(lp @ L @ lp - lp).max() < 1e-9
         assert np.abs(L @ lp @ L - L).max() < 1e-9
@@ -132,8 +161,10 @@ def test_bundle_pseudoinverse_identities():
         off = L - np.diag(np.diag(L))
         assert off.max() <= 1e-15
         # eigenvalue 0 carries the constant vector
+        lam, vecs = np.linalg.eigh(L)
         assert abs(sb.eigenvalues[0]) < 1e-9 * sb.eigenvalues[-1]
-        v1 = sb.eigenvectors[:, 0]
+        assert abs(lam[0]) < 1e-9 * lam[-1]
+        v1 = vecs[:, 0]
         assert np.abs(np.abs(v1) - 1.0 / np.sqrt(g.n)).max() < 1e-8
 
 
@@ -141,17 +172,28 @@ def test_bundle_matches_eigen_path():
     rng = np.random.default_rng(2)
     for _ in range(10):
         g = random_connected_graph(rng, 7)
-        sb = spectral_bundle(g)
-        lam, vecs = sb.eigenvalues, sb.eigenvectors
+        lam, vecs = np.linalg.eigh(laplacian(g))
+        assert np.abs(spectral_bundle(g).eigenvalues - lam).max() < 1e-12 * lam[-1]
         inv_lam = np.where(lam > 1e-9 * lam[-1], 1.0 / np.where(lam > 0, lam, 1.0), 0.0)
         lp_eig = (vecs * inv_lam) @ vecs.T
-        assert np.abs(lp_eig - sb.pseudoinverse).max() < 1e-9
+        assert np.abs(lp_eig - _bundle_pinv(g)).max() < 1e-9
 
 
 def test_bundle_disconnected_raises():
     g = build_graph(4, [(1, 2), (3, 4)], [1.0, 1.0])
-    with pytest.raises(SingularLaplacianError):
+    with pytest.raises(SingularLaplacianError, match="numerically singular"):
         spectral_bundle(g)
+
+
+def test_bundle_singular_error_names_conditioning_not_connectivity():
+    # P3 is connected; at weight 1e9 only L + 11^T/n is ill-conditioned.
+    g = build_graph(3, [(1, 2), (2, 3)], [1e9, 1e9])
+    with pytest.raises(SingularLaplacianError) as exc:
+        spectral_bundle(g)
+    msg = str(exc.value)
+    assert "min(lambda_2, 1) = 1.000e+00" in msg
+    assert "lambda_n = 3.000e+09" in msg
+    assert "disconnected, or its weights are too large" in msg
 
 
 def test_bundle_is_cached():
@@ -197,6 +239,10 @@ def test_resistance_triangle_inequality_property():
     for _ in range(60):
         g = random_connected_graph(rng, int(rng.integers(3, 9)))
         omega = resistance_matrix(g)
+        lp = np.linalg.pinv(laplacian(g))
+        d = np.diag(lp)
+        assert np.abs(omega - (d[:, None] + d[None, :] - 2.0 * lp)).max() < 1e-10
+        assert np.all(np.diag(omega) == 0.0)
         for i in range(g.n):
             for j in range(g.n):
                 for k in range(g.n):
