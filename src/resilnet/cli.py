@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from pathlib import Path
 
@@ -17,6 +16,7 @@ from .dynamics import (
     DEFAULT_H,
     DEFAULT_R,
     DEFAULT_T,
+    EmpiricalMeasure,
     NoiseSpec,
     NoSynchronizedStateError,
     default_ou_sigma,
@@ -172,10 +172,10 @@ def cmd_simulate(args) -> int:
         h = 0.4 / lam_n
         print(f"step reduced to h={h:.3g} for stiffness lambda_n={lam_n:.4g}")
     steps = int(round(DEFAULT_T / h))
-    # The box pulse ignores the seed, so its realizations would be identical.
+    # The box pulse ignores the seed, so it is integrated once.
     total = DEFAULT_R if args.noise == "ou" else 1
     batch = max(1, min(total, int(1.25e7 // (case.n * (steps + 1)))))
-    per_real: list[float] = []
+    per_real: tuple[float, ...] = ()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     done = 0
@@ -183,17 +183,16 @@ def cmd_simulate(args) -> int:
         r = min(batch, total - done)
         traj = integrate_nonlinear(graph, omega, ss.theta0, spec,
                                    h=h, T=DEFAULT_T, R=r, seed=args.seed + done)
-        per_real.extend(empirical_vulnerability(traj).per_realization)
+        per_real += empirical_vulnerability(traj).per_realization
         if done == 0:
             stride = max(1, steps // 2000)
             export_trajectories_csv(traj, out_dir / "trajectories.csv",
                                     stride=stride)
         done += r
-    values = np.array(per_real)
-    stderr = values.std(ddof=1) / math.sqrt(values.size) if values.size > 1 else 0.0
+    measure = EmpiricalMeasure(per_real)
     print(f"empirical vulnerability at bus {args.node} "
-          f"({spec.kind}, R={values.size}): {values.mean():.6g} "
-          f"+/- {stderr:.2g}")
+          f"({spec.kind}, R={len(per_real)}): {measure.value:.6g} "
+          f"+/- {measure.stderr:.2g}")
     print(f"wrote {out_dir / 'trajectories.csv'}")
     return 0
 

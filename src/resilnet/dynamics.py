@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
 
-from .graphs import WeightedGraph, laplacian, spectral_bundle
+from .graphs import WeightedGraph, _is_integer, laplacian, spectral_bundle
 
 __all__ = [
     "DEFAULT_H",
@@ -81,6 +81,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("ornstein_uhlenbeck", "box"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        if not _is_integer(self.node):
+            raise ValueError(f"target node must be an integer, got {self.node!r}")
         if self.node < 1:
             raise ValueError(f"target node must be >= 1, got {self.node}")
         for name in ("tau", "sigma", "delta", "t0", "duration"):
@@ -152,7 +154,7 @@ def _noise_matrix(spec: NoiseSpec, h: float, T: float, R: int,
                   seed: int) -> np.ndarray:
     """Per-realization disturbance rows; row r uses seed + r.
 
-    A box pulse ignores the seed, so its R realizations share one row.
+    A box pulse ignores the seed, so it has one row whatever R is.
     """
     rows = 1 if spec.kind == "box" else R
     return np.stack([make_noise(spec, h, T, seed + r) for r in range(rows)])
@@ -225,32 +227,35 @@ def steady_state(g: WeightedGraph, omega: Sequence[float],
 class TrajectoryEnsemble:
     """Phase trajectories over noise realizations, with frequencies on demand.
 
-    ``theta`` has shape (realizations, nodes, len(times)); the integrators
-    return a read-only view of time-major storage. Frequencies are central
-    differences of the phases in time, one-sided at the endpoints, and are
-    not stored: ``freq_block`` computes them for a range of samples, and
-    ``freq`` builds the full array on each access. ``times`` is the uniform
-    grid ``arange(len(times)) * h``, so ``times[1]`` is the step. ``onset``
-    marks where the disturbance starts; samples before it are transient for
-    the empirical estimator.
+    ``theta`` is the time-major (len(times), realizations, nodes) array the
+    integrators write, read-only. Frequencies are central differences of
+    the phases in time, one-sided at the endpoints, and are not stored:
+    ``freq_block`` computes them for a range of samples, and ``freq``
+    builds the full array on each access; both are time-major too.
+    ``times`` is the uniform grid ``arange(len(times)) * h``, so
+    ``times[1]`` is the step. ``onset`` marks where the disturbance starts;
+    samples before it are transient for the empirical estimator.
     """
 
     times: np.ndarray
     theta: np.ndarray
-    realizations: int
     onset: float
 
     def __post_init__(self) -> None:
         if self.times.size < 2:
             raise ValueError(f"need at least 2 samples, got {self.times.size}")
-        if self.theta.shape[-1] != self.times.size:
-            raise ValueError(f"theta has {self.theta.shape[-1]} samples on its last "
+        if self.theta.ndim != 3:
+            raise ValueError(f"theta must have 3 axes (time, realization, node), "
+                             f"got shape {self.theta.shape}")
+        if self.theta.shape[0] != self.times.size:
+            raise ValueError(f"theta has {self.theta.shape[0]} samples on its first "
                              f"axis, times has {self.times.size}")
-        if self.realizations != self.theta.shape[0]:
-            raise ValueError(f"realizations={self.realizations} but theta holds "
-                             f"{self.theta.shape[0]}")
         self.times.setflags(write=False)
         self.theta.setflags(write=False)
+
+    @property
+    def realizations(self) -> int:
+        return self.theta.shape[1]
 
     def freq_block(self, lo: int, hi: int) -> np.ndarray:
         """Time-major (hi - lo, realizations, nodes) frequencies of samples lo..hi-1.
@@ -260,9 +265,8 @@ class TrajectoryEnsemble:
         """
         if not 0 <= lo < hi <= self.times.size:
             raise ValueError(f"need 0 <= lo < hi <= {self.times.size}, got lo={lo}, hi={hi}")
-        theta = self.theta.transpose(2, 0, 1)
+        theta, h = self.theta, self.times[1]
         last = theta.shape[0] - 1
-        h = self.times[1]
         out = np.empty((hi - lo,) + theta.shape[1:])
         # Central differences at the interior samples a..b-1 (possibly none).
         a, b = max(lo, 1), min(hi, last)
@@ -276,8 +280,8 @@ class TrajectoryEnsemble:
 
     @property
     def freq(self) -> np.ndarray:
-        """Read-only (realizations, nodes, len(times)) frequencies, built on each access."""
-        freq = self.freq_block(0, self.times.size).transpose(1, 2, 0)
+        """Read-only (len(times), realizations, nodes) frequencies, built on each access."""
+        freq = self.freq_block(0, self.times.size)
         freq.setflags(write=False)
         return freq
 
@@ -288,6 +292,8 @@ def _horizon(g: WeightedGraph, noise: NoiseSpec, h: float, T: float,
     k0 = noise.node - 1
     if k0 >= g.n:
         raise ValueError(f"noise target {noise.node} out of range 1..{g.n}")
+    if not _is_integer(R):
+        raise ValueError(f"realization count must be an integer, got R={R!r}")
     if R < 1:
         raise ValueError(f"need at least one realization, got R={R}")
     steps = _step_count(h, T)
@@ -296,22 +302,15 @@ def _horizon(g: WeightedGraph, noise: NoiseSpec, h: float, T: float,
     return steps, k0
 
 
-def _ensemble(theta: np.ndarray, h: float, R: int,
-              onset: float) -> TrajectoryEnsemble:
-    """Gauge time-major phases (steps+1, rows, n) and wrap them as R realizations.
+def _ensemble(theta: np.ndarray, h: float, onset: float) -> TrajectoryEnsemble:
+    """Gauge time-major phases (steps+1, realizations, n) in place and wrap them.
 
     Only the phases are kept; the ensemble computes frequencies from them
-    on demand. With one row standing for R identical realizations (a box
-    pulse), the ensemble holds a read-only broadcast view of it.
+    on demand.
     """
     theta -= theta.mean(axis=2, keepdims=True)
-    theta = np.broadcast_to(theta, (theta.shape[0], R, theta.shape[2]))
-    return TrajectoryEnsemble(
-        times=np.arange(theta.shape[0]) * h,
-        theta=theta.transpose(1, 2, 0),
-        realizations=R,
-        onset=onset,
-    )
+    return TrajectoryEnsemble(times=np.arange(theta.shape[0]) * h, theta=theta,
+                              onset=onset)
 
 
 def _stability_guard(h: float, lam_n: float) -> None:
@@ -338,8 +337,8 @@ def integrate_nonlinear(
     as a per-step constant added to the target node's natural frequency
     (exact OU updates between steps). Realization r is seeded with
     seed + r, so results are independent of execution order. A box pulse
-    ignores the seed, so it is integrated once and its R realizations are
-    read-only views of that one run.
+    ignores the seed, so it is integrated once and the ensemble holds that
+    one run whatever R is; R counts random realizations only.
 
     The coupling depends on phases only through the edge differences
     d = theta B^T (B the edges x nodes incidence), so RK4 integrates d
@@ -351,9 +350,9 @@ def integrate_nonlinear(
     phases by one matmul with that fixed edges x nodes map. Every RK4
     increment is a multiple of B^T, so only rounding enters the cycle
     space, and the map sends the cycle space to zero. Phases are stored
-    time-major, one contiguous (realizations, nodes) row per step, and
-    ``theta`` is an (R, n, steps + 1) view of that storage; it is the only
-    array kept, and frequencies are differenced from it on demand.
+    time-major, one contiguous (realizations, nodes) row per step; that
+    (steps + 1, realizations, n) array is the ensemble's ``theta``, the
+    only array kept, and frequencies are differenced from it on demand.
     ``omega`` and ``theta_init`` must have one finite entry per node.
     """
     steps, k0 = _horizon(g, noise, h, T, R)
@@ -403,7 +402,7 @@ def integrate_nonlinear(
             np.subtract(end, f1.dot(K_sixth), out=d_next)
             d = d_next
         np.matmul(block, phase_map, out=theta[t0 + 1:t1 + 1])
-    return _ensemble(theta, h, R, noise.onset)
+    return _ensemble(theta, h, noise.onset)
 
 
 def integrate_linearized(
@@ -421,8 +420,9 @@ def integrate_linearized(
     deterministic part advances by the exact matrix exponential, with the
     disturbance held constant over each step. Phases are reported as
     steady state plus deviation, so they compare directly against the
-    nonlinear integrator. Storage (phases only, frequencies on demand) and
-    box handling are as in ``integrate_nonlinear``.
+    nonlinear integrator. Storage (time-major phases only, frequencies on
+    demand) and box handling (one run whatever R is) are as in
+    ``integrate_nonlinear``.
     """
     steps, k0 = _horizon(g, noise, h, T, R)
     theta0 = np.asarray(steady.theta0, dtype=float)
@@ -443,35 +443,50 @@ def integrate_linearized(
     for t in range(steps):
         dev = dev @ propagator + H[t, :, None] * forcing[None, :]
         np.add(theta0, dev, out=theta[t + 1])
-    return _ensemble(theta, h, R, noise.onset)
+    return _ensemble(theta, h, noise.onset)
 
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Point estimate of the empirical vulnerability with its Monte-Carlo error.
+    """Empirical vulnerability of each realization, and their ensemble mean.
 
-    ``low_realizations`` flags estimates from a single realization, where
-    no ensemble averaging (and no standard error) is possible.
+    ``value`` is the mean of ``per_realization`` and ``stderr`` its
+    Monte-Carlo standard error. ``low_realizations`` flags estimates from a
+    single realization, where no ensemble averaging (and no standard
+    error) is possible; a box pulse always gives one. Measures of separate
+    batches pool by joining their ``per_realization``.
     """
 
-    value: float
-    stderr: float
     per_realization: tuple[float, ...]
-    low_realizations: bool
+
+    def __post_init__(self) -> None:
+        if not self.per_realization:
+            raise ValueError("need at least one realization")
+
+    @property
+    def value(self) -> float:
+        return float(np.mean(self.per_realization))
+
+    @property
+    def stderr(self) -> float:
+        R = len(self.per_realization)
+        return 0.0 if R < 2 else float(np.std(self.per_realization, ddof=1) / math.sqrt(R))
+
+    @property
+    def low_realizations(self) -> bool:
+        return len(self.per_realization) < 2
 
     def __float__(self) -> float:
         return self.value
 
 
 def empirical_vulnerability(traj: TrajectoryEnsemble) -> EmpiricalMeasure:
-    """Time-averaged ensemble mean of the squared frequency spread.
+    """Time-averaged squared frequency spread of each realization.
 
     Averages sum_i (freq_i - mean_j freq_j)^2 over the samples at or after
-    the disturbance onset, then over realizations. The spread is summed
-    over blocks of ``_SPREAD_CHUNK`` samples, each block's frequencies
-    taken from ``traj.freq_block``, so no full-length temporary is made.
-    A box ensemble, R views of one stored run, is summed over that run
-    once, with the result bit-identical to summing all R.
+    the disturbance onset. The spread is summed over blocks of
+    ``_SPREAD_CHUNK`` samples, each block's frequencies taken from
+    ``traj.freq_block``, so no full-length temporary is made.
     Raises ``ValueError`` when no sample lies at or after the
     onset.
     """
@@ -481,34 +496,13 @@ def empirical_vulnerability(traj: TrajectoryEnsemble) -> EmpiricalMeasure:
     if count < 1:
         raise ValueError(f"onset {traj.onset} lies after the last sample "
                          f"t={traj.times[-1]:.10g}; nothing to average")
-    # Realizations with a zero stride are views of one stored run.
-    shared = traj.realizations > 1 and traj.theta.strides[0] == 0
-    stored = replace(traj, theta=traj.theta[:1], realizations=1) if shared else traj
-    per_real = np.zeros(stored.realizations)
+    per_real = np.zeros(traj.realizations)
     for lo in range(start, traj.times.size, _SPREAD_CHUNK):
-        f = stored.freq_block(lo, min(lo + _SPREAD_CHUNK, traj.times.size))
+        f = traj.freq_block(lo, min(lo + _SPREAD_CHUNK, traj.times.size))
         spread = f - f.mean(axis=2, keepdims=True)
-        if shared:
-            # Per-sample sums, then in sample order: einsum's order for R > 1.
-            per_real += np.add.accumulate(np.einsum("tri,tri->tr", spread, spread))[-1]
-        else:
-            per_real += np.einsum("tri,tri->r", spread, spread)
+        per_real += np.einsum("tri,tri->r", spread, spread)
     per_real /= count
-    if shared:
-        per_real = np.repeat(per_real, traj.realizations)
-    value = float(per_real.mean())
-    if traj.realizations >= 2:
-        stderr = float(per_real.std(ddof=1) / math.sqrt(traj.realizations))
-        low = False
-    else:
-        stderr = 0.0
-        low = True
-    return EmpiricalMeasure(
-        value=value,
-        stderr=stderr,
-        per_realization=tuple(float(v) for v in per_real),
-        low_realizations=low,
-    )
+    return EmpiricalMeasure(per_realization=tuple(per_real.tolist()))
 
 
 def export_trajectories_csv(traj: TrajectoryEnsemble, path_or_file: str | IO[str],
@@ -522,16 +516,16 @@ def export_trajectories_csv(traj: TrajectoryEnsemble, path_or_file: str | IO[str
     joined in once, and all of its rows are formatted with a single ``%``.
     Each written slice's frequencies come from ``traj.freq_block``.
     """
-    if stride < 1:
-        raise ValueError(f"stride must be a positive integer, got {stride}")
-    R, n = traj.theta.shape[:2]
+    if not _is_integer(stride) or stride < 1:
+        raise ValueError(f"stride must be a positive integer, got {stride!r}")
+    R, n = traj.theta.shape[1:]
     # The time string goes in front of every row suffix.
     suffixes = [""] + [f",{r},{i + 1},%.10g,%.10g\r\n" for r, i in np.ndindex(R, n)]
 
     def _write(fh: IO[str]) -> None:
         fh.write("time,realization,node,theta,freq\r\n")
         for t in range(0, traj.times.size, stride):
-            pairs = np.stack((traj.theta[:, :, t], traj.freq_block(t, t + 1)[0]), axis=-1)
+            pairs = np.stack((traj.theta[t], traj.freq_block(t, t + 1)[0]), axis=-1)
             template = f"{traj.times[t]:.10g}".join(suffixes)
             fh.write(template % tuple(pairs.ravel().tolist()))
 

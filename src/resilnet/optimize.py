@@ -41,8 +41,8 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .designs import shortest_path_flow
-from .graphs import (DisconnectedGraphError, WeightedGraph, algebraic_connectivity,
-                     build_graph, laplacian)
+from .graphs import (DisconnectedGraphError, WeightedGraph, _is_integer,
+                     algebraic_connectivity, build_graph, laplacian)
 
 __all__ = [
     "InfeasibleDesignError",
@@ -125,6 +125,9 @@ class DesignProblem:
         object.__setattr__(self, "edges", template.edge_pairs)
         if not self.v_prime:
             raise ValueError("v_prime must be a nonempty node set")
+        bad = [k for k in self.v_prime if not _is_integer(k)]
+        if bad:
+            raise ValueError(f"v_prime entries must be integers, got {bad[0]!r}")
         vp = tuple(sorted(set(int(k) for k in self.v_prime)))
         if vp[0] < 1 or vp[-1] > self.n:
             raise ValueError(f"v_prime {vp} not contained in 1..{self.n}")
@@ -424,6 +427,8 @@ def _solve(problem: DesignProblem, targets: Sequence[int]) -> SolverResult:
 
 def solve_single_node(problem: DesignProblem, k: int) -> SolverResult:
     """Minimize the vulnerability of node k over the feasible weight set."""
+    if not _is_integer(k):
+        raise ValueError(f"node must be an integer, got {k!r}")
     if not 1 <= k <= problem.n:
         raise ValueError(f"node {k} out of range 1..{problem.n}")
     try:

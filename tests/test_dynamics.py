@@ -21,6 +21,7 @@ from resilnet import (
 )
 from resilnet import dynamics
 from resilnet.dynamics import (
+    EmpiricalMeasure,
     NoSynchronizedStateError,
     TrajectoryEnsemble,
     _noise_matrix,
@@ -38,6 +39,10 @@ def test_noise_spec_validation():
         NoiseSpec.box(node=1, duration=0.0)
     with pytest.raises(ValueError, match="kind"):
         NoiseSpec(kind="spikes", node=1)
+    for node in (True, 1.5, 2.0):
+        with pytest.raises(ValueError, match=f"target node must be an integer, got {node}"):
+            NoiseSpec.box(node=node)
+    assert NoiseSpec.ou(node=np.int64(2)).node == 2
     assert NoiseSpec.ou(node=2).onset == 0.0
     assert NoiseSpec.box(node=2, t0=7.5).onset == 7.5
 
@@ -140,7 +145,7 @@ def test_nonlinear_preserves_fixed_point():
     ss = steady_state(g, omega, tol=1e-13)
     spec = NoiseSpec.box(node=1, delta=0.0, t0=1.0, duration=1.0)
     traj = integrate_nonlinear(g, omega, ss.theta0, spec, h=0.01, T=100.0, R=1, seed=0)
-    assert np.abs(traj.theta - traj.theta[:, :, :1]).max() < 1e-8
+    assert np.abs(traj.theta - traj.theta[:1]).max() < 1e-8
 
 
 def test_stability_guard():
@@ -167,8 +172,8 @@ def test_freq_consistent_with_central_differences():
     spec = NoiseSpec.ou(node=1, tau=5.0, sigma=0.1)
     traj = integrate_nonlinear(g, np.zeros(3), np.zeros(3), spec, h=0.01, T=2.0,
                                R=2, seed=5)
-    manual = (traj.theta[:, :, 2:] - traj.theta[:, :, :-2]) / 0.02
-    assert np.array_equal(traj.freq[:, :, 1:-1], manual)
+    manual = (traj.theta[2:] - traj.theta[:-2]) / 0.02
+    assert np.array_equal(traj.freq[1:-1], manual)
 
 
 def test_linearized_zero_noise_is_identically_steady():
@@ -177,7 +182,7 @@ def test_linearized_zero_noise_is_identically_steady():
     ss = steady_state(g, omega, tol=1e-13)
     spec = NoiseSpec.box(node=1, delta=0.0, t0=0.0, duration=1.0)
     traj = integrate_linearized(g, ss, spec, h=0.01, T=5.0, R=1, seed=0)
-    assert np.abs(traj.theta - ss.theta0[None, :, None]).max() < 1e-14
+    assert np.abs(traj.theta - ss.theta0[None, None, :]).max() < 1e-14
 
 
 def test_linearized_flat_state_matrix_is_minus_laplacian():
@@ -202,7 +207,7 @@ def test_linearized_flat_state_matrix_is_minus_laplacian():
     for t in range(traj.times.size - 1):
         state = phi @ state + psi @ forcing
         gauged = state - state.mean()
-        assert np.abs(traj.theta[0, :, t + 1] - gauged).max() < 1e-8
+        assert np.abs(traj.theta[t + 1, 0] - gauged).max() < 1e-8
 
 
 def test_linearized_matches_analytic_box_response():
@@ -222,7 +227,7 @@ def test_linearized_matches_analytic_box_response():
             resp = np.where(lam > 1e-12, (1 - np.exp(-lam * t)) / lam, 0.0)
         analytic = V @ (resp * coef)
         analytic -= analytic.mean()
-        assert np.abs(traj.theta[0, :, idx] - analytic).max() < 1e-8
+        assert np.abs(traj.theta[idx, 0] - analytic).max() < 1e-8
 
 
 def test_linearized_agrees_with_nonlinear_to_second_order():
@@ -245,7 +250,7 @@ def test_empirical_zero_noise_is_zero():
                                R=3, seed=0)
     m = empirical_vulnerability(traj)
     assert m.value < 1e-20
-    assert not m.low_realizations
+    assert m.low_realizations
 
 
 def test_empirical_single_realization_flagged():
@@ -255,6 +260,30 @@ def test_empirical_single_realization_flagged():
                                R=1, seed=0)
     m = empirical_vulnerability(traj)
     assert m.low_realizations and m.stderr == 0.0
+
+
+def test_ensemble_and_measure_hold_only_their_data():
+    # Everything else is derived: the realization count from theta's shape,
+    # and the estimate, its error and the low-R flag from per_realization.
+    assert [f.name for f in dataclasses.fields(TrajectoryEnsemble)] == ["times", "theta", "onset"]
+    assert [f.name for f in dataclasses.fields(EmpiricalMeasure)] == ["per_realization"]
+    with pytest.raises(ValueError, match="need at least one realization"):
+        EmpiricalMeasure(())
+    g = build_graph(3, [(1, 2), (2, 3)], [0.5, 0.5])
+    spec = NoiseSpec.ou(node=1, tau=5.0, sigma=0.05)
+    a, b = (empirical_vulnerability(integrate_nonlinear(
+        g, np.zeros(3), np.zeros(3), spec, h=0.01, T=2.0, R=R, seed=seed))
+        for R, seed in ((3, 0), (2, 3)))
+    whole = empirical_vulnerability(integrate_nonlinear(
+        g, np.zeros(3), np.zeros(3), spec, h=0.01, T=2.0, R=5, seed=0))
+    # Batches pool by joining their realizations.
+    pooled = EmpiricalMeasure(a.per_realization + b.per_realization)
+    assert pooled.per_realization == whole.per_realization
+    assert (pooled.value, pooled.stderr) == (whole.value, whole.stderr)
+    values = np.array(whole.per_realization)
+    assert whole.value == float(values.mean())
+    assert whole.stderr == float(values.std(ddof=1) / math.sqrt(5))
+    assert not whole.low_realizations and float(whole) == whole.value
 
 
 def test_empirical_excludes_pre_onset_transient():
@@ -337,11 +366,11 @@ def _reference_rk4(g, omega, theta_init, noise, h, T, R, seed):
         flow = g.b * np.sin(x[g.ei] - x[g.ej])
         return weff - (np.bincount(g.ei, flow, g.n) - np.bincount(g.ej, flow, g.n))
 
-    theta = np.empty((R, g.n, steps + 1))
+    theta = np.empty((steps + 1, R, g.n))
     for r in range(R):
         eta = make_noise(noise, h, T, seed + r)
         state = np.array(theta_init, dtype=float)
-        theta[r, :, 0] = state
+        theta[0, r] = state
         for t in range(steps):
             weff = w.copy()
             weff[k0] += eta[t]
@@ -350,8 +379,8 @@ def _reference_rk4(g, omega, theta_init, noise, h, T, R, seed):
             k3 = drift(state + 0.5 * h * k2, weff)
             k4 = drift(state + h * k3, weff)
             state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            theta[r, :, t + 1] = state
-    return theta - theta.mean(axis=1, keepdims=True)
+            theta[t + 1, r] = state
+    return theta - theta.mean(axis=2, keepdims=True)
 
 
 @pytest.mark.parametrize("noise", [
@@ -365,13 +394,15 @@ def test_nonlinear_matches_reference_rk4(noise):
     theta_init = np.array([0.3, -0.2, 0.1, 0.0, -0.4])
     h, T, R, seed = 0.01, 4.0, 3, 21
     traj = integrate_nonlinear(g, omega, theta_init, noise, h=h, T=T, R=R, seed=seed)
-    ref = _reference_rk4(g, omega, theta_init, noise, h, T, R, seed)
-    assert traj.theta.shape == ref.shape == (R, 5, 401)
+    # A box pulse is one run whatever R is.
+    runs = 1 if noise.kind == "box" else R
+    ref = _reference_rk4(g, omega, theta_init, noise, h, T, runs, seed)
+    assert traj.theta.shape == ref.shape == (401, runs, 5)
     assert np.abs(traj.theta - ref).max() < 1e-12
     ref_freq = np.empty_like(ref)
-    ref_freq[:, :, 1:-1] = (ref[:, :, 2:] - ref[:, :, :-2]) / (2 * h)
-    ref_freq[:, :, 0] = (ref[:, :, 1] - ref[:, :, 0]) / h
-    ref_freq[:, :, -1] = (ref[:, :, -1] - ref[:, :, -2]) / h
+    ref_freq[1:-1] = (ref[2:] - ref[:-2]) / (2 * h)
+    ref_freq[0] = (ref[1] - ref[0]) / h
+    ref_freq[-1] = (ref[-1] - ref[-2]) / h
     assert np.abs(traj.freq - ref_freq).max() < 1e-9
     assert not traj.theta.flags.writeable and not traj.freq.flags.writeable
 
@@ -382,12 +413,11 @@ def test_box_ensemble_is_one_run():
     spec = NoiseSpec.box(node=3, delta=0.2, t0=0.5, duration=1.5)
     many = integrate_nonlinear(g, omega, np.zeros(4), spec, h=0.01, T=4.0, R=4, seed=3)
     one = integrate_nonlinear(g, omega, np.zeros(4), spec, h=0.01, T=4.0, R=1, seed=9)
-    assert many.theta.shape == (4, 4, 401) and many.realizations == 4
-    for r in range(4):
-        assert np.array_equal(many.theta[r], one.theta[0])
-        assert np.array_equal(many.freq[r], one.freq[0])
+    assert many.theta.shape == (401, 1, 4) and many.realizations == 1
+    assert np.array_equal(many.theta, one.theta)
+    assert np.array_equal(many.freq, one.freq)
     m = empirical_vulnerability(many)
-    assert m.stderr == 0.0 and not m.low_realizations
+    assert m.stderr == 0.0 and m.low_realizations
     assert m.value == pytest.approx(empirical_vulnerability(one).value, rel=1e-14)
     assert m.value > 0
 
@@ -410,9 +440,9 @@ def test_box_ensemble_estimate_differences_one_row(monkeypatch):
     m = empirical_vulnerability(many)
     assert rows and set(rows) == {1}
     assert m.per_realization == tuple(per_real.tolist())
-    assert len(set(m.per_realization)) == 1 and len(m.per_realization) == 4
+    assert len(m.per_realization) == 1
     assert m.value == float(per_real.mean())
-    assert m.stderr == 0.0 and not m.low_realizations
+    assert m.stderr == 0.0 and m.low_realizations
 
 
 def test_degenerate_horizons_rejected(monkeypatch):
@@ -425,6 +455,10 @@ def test_degenerate_horizons_rejected(monkeypatch):
             run(noise=spec, h=0.01, T=0.004, R=2, seed=0)
         with pytest.raises(ValueError, match="at least one realization"):
             run(noise=spec, h=0.01, T=1.0, R=0, seed=0)
+        for R in (2.0, True):
+            with pytest.raises(ValueError,
+                               match=f"realization count must be an integer, got R={R}"):
+                run(noise=spec, h=0.01, T=1.0, R=R, seed=0)
         with pytest.raises(ValueError, match="out of range"):
             run(noise=NoiseSpec.ou(node=4), h=0.01, T=1.0, R=1, seed=0)
 
@@ -453,12 +487,11 @@ def test_empirical_blocked_sum_matches_full_formula():
     traj = integrate_nonlinear(g, np.zeros(4), np.zeros(4), spec, h=0.01, T=50.0,
                                R=3, seed=4)
     assert traj.times.size > 2 * dynamics._SPREAD_CHUNK
-    traj = TrajectoryEnsemble(times=traj.times, theta=traj.theta,
-                              realizations=3, onset=7.3)
+    traj = TrajectoryEnsemble(times=traj.times, theta=traj.theta, onset=7.3)
     start = int(np.searchsorted(traj.times, traj.onset - 1e-12))
-    f = traj.freq[:, :, start:]
-    spread = f - f.mean(axis=1, keepdims=True)
-    per_real = (spread * spread).sum(axis=1).mean(axis=1)
+    f = traj.freq[start:]
+    spread = f - f.mean(axis=2, keepdims=True)
+    per_real = (spread * spread).sum(axis=2).mean(axis=0)
     m = empirical_vulnerability(traj)
     assert np.allclose(m.per_realization, per_real, rtol=1e-12, atol=0)
     assert m.value == pytest.approx(per_real.mean(), rel=1e-12)
@@ -471,23 +504,22 @@ def _reference_csv(traj, stride):
     writer.writerow(["time", "realization", "node", "theta", "freq"])
     for t in range(0, traj.times.size, stride):
         for r in range(traj.realizations):
-            for i in range(traj.theta.shape[1]):
+            for i in range(traj.theta.shape[2]):
                 writer.writerow([f"{traj.times[t]:.10g}", r, i + 1,
-                                 f"{traj.theta[r, i, t]:.10g}",
-                                 f"{traj.freq[r, i, t]:.10g}"])
+                                 f"{traj.theta[t, r, i]:.10g}",
+                                 f"{traj.freq[t, r, i]:.10g}"])
     return buf.getvalue().encode()
 
 
 @pytest.mark.parametrize("stride", [1, 3])
 def test_trajectory_csv_bytes_match_csv_writer(tmp_path, stride):
     rng = np.random.default_rng(8)
-    shape = (2, 3, 7)
+    shape = (7, 2, 3)
     # The differences of these phases put -0.0 (t=1), subnormals (t=3) and
     # values of 1e5 and above (t>=4) in the freq column.
     scale = np.array([0.0, 1e-300, -0.0, -3.5, 1e-310, 2.5e3, -123456789.123])
-    theta = np.abs(rng.standard_normal(shape)) * scale
-    traj = TrajectoryEnsemble(times=np.arange(7) * 0.0123, theta=theta,
-                              realizations=2, onset=0.0)
+    theta = np.abs(rng.standard_normal(shape)) * scale[:, None, None]
+    traj = TrajectoryEnsemble(times=np.arange(7) * 0.0123, theta=theta, onset=0.0)
     freq = traj.freq
     assert np.any((freq == 0) & np.signbit(freq))
     assert np.any((freq != 0) & (np.abs(freq) < np.finfo(float).tiny))
@@ -523,20 +555,20 @@ def test_nonlinear_matches_reference_rk4_across_blocks(noise):
     for b in ([0.6, 0.3, 0.5, 0.4, 0.7, 0.2], [0.6, 0.3, 0.5, 0.4, 0.7, 0.0]):
         g = build_graph(5, edges, b)
         traj = integrate_nonlinear(g, omega, theta_init, noise, h=h, T=T, R=R, seed=seed)
-        ref = _reference_rk4(g, omega, theta_init, noise, h, T, R, seed)
-        assert traj.theta.shape == ref.shape == (R, 5, steps + 1)
+        runs = 1 if noise.kind == "box" else R
+        ref = _reference_rk4(g, omega, theta_init, noise, h, T, runs, seed)
+        assert traj.theta.shape == ref.shape == (steps + 1, runs, 5)
         assert np.abs(traj.theta - ref).max() < 1e-12
         ref_freq = np.empty_like(ref)
-        ref_freq[:, :, 1:-1] = (ref[:, :, 2:] - ref[:, :, :-2]) / (2 * h)
-        ref_freq[:, :, 0] = (ref[:, :, 1] - ref[:, :, 0]) / h
-        ref_freq[:, :, -1] = (ref[:, :, -1] - ref[:, :, -2]) / h
+        ref_freq[1:-1] = (ref[2:] - ref[:-2]) / (2 * h)
+        ref_freq[0] = (ref[1] - ref[0]) / h
+        ref_freq[-1] = (ref[-1] - ref[-2]) / h
         assert np.abs(traj.freq - ref_freq).max() < 1e-9
 
 
 def test_trajectory_csv_rejects_stride_below_one():
-    traj = TrajectoryEnsemble(times=np.arange(3) * 0.1, theta=np.zeros((1, 2, 3)),
-                              realizations=1, onset=0.0)
-    for stride in (0, -2):
+    traj = TrajectoryEnsemble(times=np.arange(3) * 0.1, theta=np.zeros((3, 1, 2)), onset=0.0)
+    for stride in (0, -2, True, 2.5):
         buf = io.StringIO()
         with pytest.raises(ValueError, match=f"stride must be a positive integer, got {stride}"):
             export_trajectories_csv(traj, buf, stride=stride)
@@ -546,7 +578,6 @@ def test_trajectory_csv_rejects_stride_below_one():
 def _blocked_spread(traj, freq):
     """The estimator's per-realization sum over ``_SPREAD_CHUNK`` blocks of ``freq``."""
     start = int(np.searchsorted(traj.times, traj.onset - 1e-12))
-    freq = freq.transpose(2, 0, 1)
     per_real = np.zeros(traj.realizations)
     for lo in range(start, traj.times.size, dynamics._SPREAD_CHUNK):
         f = freq[lo:lo + dynamics._SPREAD_CHUNK]
@@ -562,10 +593,11 @@ def test_estimator_and_csv_never_build_full_freq(monkeypatch):
                              h=0.01, T=50.0, R=3, seed=4)
     assert ou.times.size > 2 * dynamics._SPREAD_CHUNK
     # onset inside the first block
-    ou = TrajectoryEnsemble(times=ou.times, theta=ou.theta, realizations=3, onset=7.3)
+    ou = TrajectoryEnsemble(times=ou.times, theta=ou.theta, onset=7.3)
     box = integrate_nonlinear(g, omega, np.zeros(4),
                               NoiseSpec.box(node=3, delta=0.2, t0=1.5, duration=2.0),
                               h=0.01, T=8.0, R=3, seed=0)
+    assert box.realizations == 1
     expected = []
     for traj in (ou, box):
         freq, again = traj.freq, traj.freq
@@ -585,34 +617,34 @@ def test_estimator_and_csv_never_build_full_freq(monkeypatch):
         m = empirical_vulnerability(traj)
         assert m.per_realization == tuple(per_real.tolist())
         assert m.value == float(per_real.mean())
-        assert m.stderr == float(per_real.std(ddof=1) / math.sqrt(3))
+        R = per_real.size
+        assert m.stderr == (float(per_real.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0)
         buf = io.StringIO(newline="")
         export_trajectories_csv(traj, buf)
         assert buf.getvalue().encode() == csv_bytes
 
 
-@pytest.mark.parametrize("times, theta, realizations, message", [
-    (np.arange(3) * 0.1, np.zeros((1, 2, 4)), 1,
-     "theta has 4 samples on its last axis, times has 3"),
-    (np.arange(1) * 0.1, np.zeros((1, 2, 1)), 1, "need at least 2 samples, got 1"),
-    (np.arange(3) * 0.1, np.zeros((2, 2, 3)), 3, "realizations=3 but theta holds 2"),
-])
-def test_trajectory_ensemble_rejects_mismatched_inputs(times, theta, realizations, message):
+@pytest.mark.parametrize("times, theta, message", [
+    (np.arange(3) * 0.1, np.zeros((4, 1, 2)),
+     "theta has 4 samples on its first axis, times has 3"),
+    (np.arange(1) * 0.1, np.zeros((1, 1, 2)), "need at least 2 samples, got 1"),
+    (np.arange(3) * 0.1, np.zeros((3, 2)),
+     r"theta must have 3 axes \(time, realization, node\), got shape \(3, 2\)"),
+], ids=["samples-mismatch", "one-sample", "not-3-axes"])
+def test_trajectory_ensemble_rejects_mismatched_inputs(times, theta, message):
     with pytest.raises(ValueError, match=message):
-        TrajectoryEnsemble(times=times, theta=theta, realizations=realizations, onset=0.0)
+        TrajectoryEnsemble(times=times, theta=theta, onset=0.0)
 
 
 @pytest.mark.parametrize("samples", [2, 3, 5])
 def test_freq_block_matches_differences_on_every_range(samples):
     h = 0.1
-    theta = np.random.default_rng(samples).standard_normal((2, 3, samples))
-    traj = TrajectoryEnsemble(times=np.arange(samples) * h, theta=theta,
-                              realizations=2, onset=0.0)
+    theta = np.random.default_rng(samples).standard_normal((samples, 2, 3))
+    traj = TrajectoryEnsemble(times=np.arange(samples) * h, theta=theta, onset=0.0)
     ref = np.empty_like(theta)
-    ref[:, :, 1:-1] = (theta[:, :, 2:] - theta[:, :, :-2]) / (2 * h)
-    ref[:, :, 0] = (theta[:, :, 1] - theta[:, :, 0]) / h
-    ref[:, :, -1] = (theta[:, :, -1] - theta[:, :, -2]) / h
-    ref = ref.transpose(2, 0, 1)
+    ref[1:-1] = (theta[2:] - theta[:-2]) / (2 * h)
+    ref[0] = (theta[1] - theta[0]) / h
+    ref[-1] = (theta[-1] - theta[-2]) / h
     for lo in range(samples):
         for hi in range(lo + 1, samples + 1):
             assert np.array_equal(traj.freq_block(lo, hi), ref[lo:hi])

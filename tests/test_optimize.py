@@ -51,6 +51,16 @@ def test_designproblem_validation():
         DesignProblem(3, [(1, 2), (2, 3)], v_prime=[1], epsilon=math.nan)
     # no floor given: small default floor
     assert DesignProblem(2, [(1, 2)], v_prime=[1]).epsilon == pytest.approx(1e-4)
+    # node ids are integers: no silent truncation, bools are not ids
+    for bad in ([1.5], [True], [1, 2.0]):
+        with pytest.raises(ValueError, match=f"v_prime entries must be integers, got {bad[-1]}"):
+            DesignProblem(3, [(1, 2), (2, 3)], v_prime=bad)
+    p3 = DesignProblem(3, [(1, 2), (2, 3)], v_prime=[np.int64(3), 1])
+    assert p3.v_prime == (1, 3)
+    for k in (True, 1.5):
+        with pytest.raises(ValueError, match=f"node must be an integer, got {k}"):
+            solve_single_node(p3, k)
+    assert solve_single_node(p3, np.int64(2)).converged
 
 
 def test_unit_budget_problem_floor():

@@ -138,3 +138,22 @@ def test_k5_minmax_box_simulation_is_pinned(tmp_path, capsys):
         "trajectories.csv":
             "9ef0110c8b78bd4ce070a62120e178fa7f4ac0351efbe1472c6ee834df132ee6",
     }
+
+
+def test_k5_ou_simulation_is_pinned(tmp_path, capsys, monkeypatch):
+    import resilnet.cli as cli
+    monkeypatch.setattr(cli, "DEFAULT_T", 20.0)
+    monkeypatch.setattr(cli, "DEFAULT_R", 8)
+    design = tmp_path / "design"
+    assert main(["design", "--case", K5, "--mode", "minmax", "--nodes", "all",
+                 "--out", str(design)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = ["simulate", "--case", K5, "--weights", str(design / "weights.csv"),
+            "--noise", "ou", "--node", "1", "--out", str(out)]
+    assert _digests(argv, out, capsys) == {
+        "stdout":
+            "c7a28520984572cc13a2dd196b4dd89cfff5b1baa5411b35defac7609be27671",
+        "trajectories.csv":
+            "9ec50221a1e4b99e13d4265c46f3a7bd184ec7af95cfea32e6083f9f4c9235ba",
+    }

@@ -69,6 +69,12 @@ def test_tracer_hooks_read_real_results(monkeypatch):
     assert counts["sdp.bytes"] == len(format_sdpa(assemble_sdp(problem)).encode())
     assert counts["dynamics.steps"] == 2 * (2 * 100)
     assert counts["dynamics.trajectory_bytes"] > 0
+    # A box pulse is integrated once whatever R is, so its 100 steps count once.
+    span, mod, attr, hook = next(t for t in hooked if t[0] == "dynamics.integrate_nonlinear")
+    box = NoiseSpec.box(node=2)
+    hook(tracer, span, getattr(importlib.import_module(mod), attr)(
+        g, omega, ss.theta0, box, h=0.01, T=1.0, R=2))
+    assert tracer.counts["dynamics.steps"] - counts["dynamics.steps"] == 100
 
 
 def test_every_all_name_exists():
