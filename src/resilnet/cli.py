@@ -204,7 +204,7 @@ def cmd_export_sdp(args) -> int:
     sdp = assemble_sdp(problem)
     write_sdpa(sdp, args.out)
     print(f"wrote {args.out}: dimension {sdp.dimension}, "
-          f"{1 + len(sdp.constraints)} constraints, eps {problem.epsilon:.6g} "
+          f"{1 + sdp.coupling_count} constraints, eps {problem.epsilon:.6g} "
           f"(physical {eps_phys:.6g})")
     return 0
 

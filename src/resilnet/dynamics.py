@@ -121,13 +121,20 @@ def _step_count(h: float, T: float) -> int:
     return int(round(T / h))
 
 
+def _check_seed(seed: int) -> None:
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got seed={seed!r}")
+
+
 def make_noise(spec: NoiseSpec, h: float, T: float, seed: int) -> np.ndarray:
     """Disturbance signal on the uniform grid 0, h, ..., T.
 
     OU uses the exact one-step update
     eta(t+h) = eta(t) e^{-h/tau} + sigma sqrt(1 - e^{-2h/tau}) xi
-    started from the stationary distribution; the box pulse ignores the seed.
+    started from the stationary distribution; the box pulse ignores the seed,
+    which must still be a non-negative integer.
     """
+    _check_seed(seed)
     steps = _step_count(h, T)
     times = np.arange(steps + 1) * h
     if spec.kind == "box":
@@ -156,6 +163,8 @@ def _noise_matrix(spec: NoiseSpec, h: float, T: float, R: int,
 
     A box pulse ignores the seed, so it has one row whatever R is.
     """
+    # Checked before the offsets are added: True + r would pass as an int.
+    _check_seed(seed)
     rows = 1 if spec.kind == "box" else R
     return np.stack([make_noise(spec, h, T, seed + r) for r in range(rows)])
 
@@ -353,7 +362,8 @@ def integrate_nonlinear(
     time-major, one contiguous (realizations, nodes) row per step; that
     (steps + 1, realizations, n) array is the ensemble's ``theta``, the
     only array kept, and frequencies are differenced from it on demand.
-    ``omega`` and ``theta_init`` must have one finite entry per node.
+    ``omega`` and ``theta_init`` must have one finite entry per node, and
+    ``seed`` must be a non-negative integer, even for a box pulse.
     """
     steps, k0 = _horizon(g, noise, h, T, R)
     omega = _node_vector("omega", omega, g.n)
@@ -421,11 +431,12 @@ def integrate_linearized(
     disturbance held constant over each step. Phases are reported as
     steady state plus deviation, so they compare directly against the
     nonlinear integrator. Storage (time-major phases only, frequencies on
-    demand) and box handling (one run whatever R is) are as in
-    ``integrate_nonlinear``.
+    demand), box handling (one run whatever R is) and the seed check are
+    as in ``integrate_nonlinear``. ``steady.theta0`` must have one finite
+    entry per node of ``g``.
     """
     steps, k0 = _horizon(g, noise, h, T, R)
-    theta0 = np.asarray(steady.theta0, dtype=float)
+    theta0 = _node_vector("steady.theta0", steady.theta0, g.n)
     lam, V = np.linalg.eigh(laplacian(g, g.b * np.cos(theta0[g.ei] - theta0[g.ej])))
     _stability_guard(h, float(lam[-1]))
     H = _noise_matrix(noise, h, T, R, seed).T.copy()

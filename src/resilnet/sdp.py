@@ -11,15 +11,19 @@ the block-diagonal form alone does not imply them.
 
 A matrix is a tuple of (block, i, j, value) entries: a 0-based block index
 and a 1-based block-local position i <= j, with symmetric semantics (v at
-(i, j), i < j, is held at both (i, j) and (j, i)). ``SdpData`` stores the
-design problem and the coupling constraints; the block layout, W and A are
-derived from the problem, the layout in one place (``SdpData.layout``).
+(i, j), i < j, is held at both (i, j) and (j, i)). ``SdpData`` stores only
+the design problem. Everything else derives from it: the block layout in
+one place (``SdpData.layout``), W, A, and the coupling constraints, which
+come from one set of coupling rows per block kind. Every S_k block shares
+the same Laplacian tie rows, and E reuses them; ``format_sdpa`` formats
+each kind's rows once and stamps that text per block.
 """
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO
 
 import numpy as np
@@ -41,17 +45,47 @@ Matrix = tuple[Entry, ...]
 
 
 @dataclass(frozen=True)
+class _Rows:
+    """Coupling rows shared by every block of one kind.
+
+    Row (i, j, own, others) is the constraint whose entries are ``own`` at
+    (i, j) of the block it is stamped on, then ``others``, entries in fixed
+    blocks.
+    """
+
+    rows: tuple[tuple[int, int, float, tuple[Entry, ...]], ...]
+
+    @cached_property
+    def text(self) -> str:
+        """SDPA entry lines; field r is row r's matrix number, b the own block."""
+        return "".join(
+            f"{{{r}}} {{b}} {i} {j} {own:.17g}\n"
+            + "".join(f"{{{r}}} {blk + 1} {a} {c} {v:.17g}\n"
+                      for blk, a, c, v in others)
+            for r, (i, j, own, others) in enumerate(self.rows))
+
+    def stamp(self, first: int, block: int) -> str:
+        """Entry lines on 0-based ``block``, numbering the rows from ``first``."""
+        return self.text.format(*range(first, first + len(self.rows)), b=block + 1)
+
+
+# (own block, rows, right-hand sides), one run of consecutive constraints.
+Run = tuple[int, _Rows, tuple[float, ...]]
+
+
+@dataclass(frozen=True)
 class SdpData:
     """Exact standard form min Tr(WZ) s.t. Tr(AZ)=1, couplings, Z >= 0.
 
-    ``constraints`` holds the coupling constraints as (entries, rhs) pairs
-    in assembly order; everything else derives from ``problem``. Expressed
-    at unit budget, as every DesignProblem is; the caller normalizes a
-    physical budget first (see resilnet.scenarios.unit_budget_problem).
+    ``problem`` is the only stored field. The coupling constraints, the
+    layout, W and A derive from it; ``constraints`` is built on first read
+    (only ``to_dense`` callers need it), while ``format_sdpa`` works from
+    the shared coupling rows. Expressed at unit budget, as every
+    DesignProblem is; the caller normalizes a physical budget first (see
+    resilnet.scenarios.unit_budget_problem).
     """
 
     problem: DesignProblem
-    constraints: tuple[tuple[Matrix, float], ...]
 
     def layout(self) -> list[tuple[str, int]]:
         """(label, SDPA size) per block; the diagonal block's size is negative."""
@@ -68,6 +102,17 @@ class SdpData:
         return sum(abs(size) for _, size in self.layout())
 
     @property
+    def coupling_count(self) -> int:
+        """Number of coupling constraints, in closed form.
+
+        Per S_k its tri Laplacian ties and n border entries, then l - 1
+        shared-slack ties and the tri Laplacian ties of E.
+        """
+        n, l = self.problem.n, len(self.problem.v_prime)
+        tri = n * (n + 1) // 2
+        return l * (tri + n) + (l - 1) + tri
+
+    @property
     def objective(self) -> Matrix:
         """W selects the shared slack t, held in the first S_k block."""
         return ((0, self.problem.n + 1, self.problem.n + 1, 1.0),)
@@ -77,6 +122,49 @@ class SdpData:
         """A sums the diagonal edge-weight block."""
         diag_block, m = len(self.problem.v_prime), len(self.problem.edges)
         return tuple((diag_block, i, i, 1.0) for i in range(1, m + 1))
+
+    @cached_property
+    def constraints(self) -> tuple[tuple[Matrix, float], ...]:
+        """Coupling constraints as (entries, rhs) pairs in assembly order."""
+        return tuple((((block, i, j, own), *others), rhs)
+                     for block, rows, rhs_run in self._runs()
+                     for (i, j, own, others), rhs in zip(rows.rows, rhs_run))
+
+    def _runs(self) -> list[Run]:
+        """The coupling constraints in assembly order, as runs of shared rows."""
+        p = self.problem
+        n, l = p.n, len(p.v_prime)
+        # Laplacian part of a block is affine in the edge-weight block: for
+        # edge e = (a, c), a < c, L holds +b_e at (a, a) and (c, c) and -b_e
+        # at (a, c). Each row lists its ties in edge order.
+        ties = defaultdict(list)
+        for e, (a, c) in enumerate(p.edges, start=1):
+            ties[a, a].append((l, e, e, -1.0))
+            ties[c, c].append((l, e, e, -1.0))
+            ties[a, c].append((l, e, e, 1.0))
+        upper = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        laplacian_ties = _Rows(tuple((i, j, 1.0 if i == j else 0.5,
+                                      tuple(ties.get((i, j), ())))
+                                     for i, j in upper))
+        # Border column of S_k is the basis vector of node k.
+        border = _Rows(tuple((i, n + 1, 0.5, ()) for i in range(1, n + 1)))
+        # All S_k share one slack t.
+        slack = _Rows(((n + 1, n + 1, 1.0, ((0, n + 1, n + 1, -1.0),)),))
+
+        def shifted(shift: float) -> tuple[float, ...]:
+            return tuple(1.0 / n - (shift if i == j else 0.0) for i, j in upper)
+
+        target_rhs = shifted(0.0)
+        runs: list[Run] = []
+        for k_idx, k in enumerate(p.v_prime):
+            runs.append((k_idx, laplacian_ties, target_rhs))
+            runs.append((k_idx, border,
+                         tuple(1.0 if i == k else 0.0 for i in range(1, n + 1))))
+            if k_idx > 0:
+                runs.append((k_idx, slack, (0.0,)))
+        # E mirrors the Laplacian block shifted by the spectral floor.
+        runs.append((l + 1, laplacian_ties, shifted(p.epsilon)))
+        return runs
 
     def to_dense(self, mat: Matrix) -> np.ndarray:
         """Materialize a constraint matrix as a dense d x d array."""
@@ -90,53 +178,9 @@ class SdpData:
         return out
 
 
-def _edge_coefficient_entries(
-    diag_block: int, edges: tuple[tuple[int, int], ...]
-) -> dict[tuple[int, int], list[Entry]]:
-    """Map (i, j) to the entries canceling that Laplacian term against the b block.
-
-    Keys are 1-based matrix positions with i <= j; for edge l = (p, q),
-    p < q, the Laplacian holds +b_l at (p, p) and (q, q) and -b_l at (p, q).
-    Each list is in edge order.
-    """
-    out = defaultdict(list)
-    for l, (p, q) in enumerate(edges, start=1):
-        out[p, p].append((diag_block, l, l, -1.0))
-        out[q, q].append((diag_block, l, l, -1.0))
-        out[p, q].append((diag_block, l, l, 1.0))
-    return out
-
-
-def _laplacian_ties(block: int, n: int, ties: dict[tuple[int, int], list[Entry]],
-                    shift: float) -> list[tuple[Matrix, float]]:
-    """Row-major upper-triangular ties of a block's L + 11^T/n - shift*I part."""
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            own = 1.0 if i == j else 0.5
-            out.append((((block, i, j, own), *ties.get((i, j), ())),
-                        1.0 / n - (shift if i == j else 0.0)))
-    return out
-
-
 def assemble_sdp(problem: DesignProblem) -> SdpData:
     """Assemble the standard-form SDP of the min-max design problem."""
-    n, l = problem.n, len(problem.v_prime)
-    ties = _edge_coefficient_entries(l, problem.edges)
-    constraints = []
-    for k_idx, k in enumerate(problem.v_prime):
-        # Laplacian part of S_k is affine in the edge-weight block.
-        constraints += _laplacian_ties(k_idx, n, ties, 0.0)
-        # Border column of S_k is the basis vector of node k.
-        constraints += [(((k_idx, i, n + 1, 0.5),), 1.0 if i == k else 0.0)
-                        for i in range(1, n + 1)]
-        # All S_k share one slack t.
-        if k_idx > 0:
-            constraints.append(
-                (((k_idx, n + 1, n + 1, 1.0), (0, n + 1, n + 1, -1.0)), 0.0))
-    # E mirrors the Laplacian block shifted by the spectral floor.
-    constraints += _laplacian_ties(l + 1, n, ties, problem.epsilon)
-    return SdpData(problem=problem, constraints=tuple(constraints))
+    return SdpData(problem=problem)
 
 
 def encode_point(sdp: SdpData, b: np.ndarray, t: float) -> np.ndarray:
@@ -179,10 +223,16 @@ def format_sdpa(sdp: SdpData) -> str:
     Matrix 0 is the objective selector W, constraint 1 the budget selector
     A (right-hand side 1), and constraints 2.. the coupling constraints in
     assembly order. The diagonal edge-weight block is written with a
-    negative dimension, per SDPA convention.
+    negative dimension, per SDPA convention. The text is stamped from the
+    coupling rows shared per block kind, not from ``sdp.constraints``,
+    which this never builds.
     """
     p = sdp.problem
     layout = sdp.layout()
+    runs = sdp._runs()
+    rhs = [v for _, _, run_rhs in runs for v in run_rhs]
+    # The right-hand sides take a handful of values, all finite.
+    rhs_text = {v: f"{v:.17g}" for v in set(rhs)}
     lines = [
         "* resilnet standard-form SDP export",
         "* problem: min Tr(W Z) s.t. Tr(A Z) = 1, couplings, Z >= 0",
@@ -197,17 +247,20 @@ def format_sdpa(sdp: SdpData) -> str:
         "*   Laplacian ties of S_k, then the e_k border column, then the",
         "*   shared-slack tie to S_1; finally the Laplacian ties of E.",
         "* matrix 0 below is W; constraint 1 is the budget selector A.",
-        f"{1 + len(sdp.constraints)}",
+        f"{1 + len(rhs)}",
         f"{len(layout)}",
         " ".join(str(size) for _, size in layout),
-        " ".join(["1"] + [f"{rhs:.17g}" for _, rhs in sdp.constraints]),
+        " ".join(["1", *map(rhs_text.__getitem__, rhs)]),
     ]
-    matrices = [sdp.objective, sdp.budget_matrix,
-                *(mat for mat, _ in sdp.constraints)]
-    for matno, mat in enumerate(matrices):
+    for matno, mat in enumerate((sdp.objective, sdp.budget_matrix)):
         for blk, i, j, v in mat:
             lines.append(f"{matno} {blk + 1} {i} {j} {v:.17g}")
-    return "\n".join(lines) + "\n"
+    body = []
+    first = 2
+    for block, rows, _ in runs:
+        body.append(rows.stamp(first, block))
+        first += len(rows.rows)
+    return "\n".join(lines) + "\n" + "".join(body)
 
 
 def write_sdpa(sdp: SdpData, path_or_file: str | IO[str]) -> None:

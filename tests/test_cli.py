@@ -190,6 +190,20 @@ def test_simulate_realization_count(tmp_path, capsys, monkeypatch,
     assert f"R={realizations})" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("noise", ["ou", "box"])
+def test_simulate_negative_seed_exit_3(tmp_path, capsys, monkeypatch, noise):
+    import resilnet.cli as cli
+    monkeypatch.setattr(cli, "DEFAULT_T", 2.0)
+    weights = tmp_path / "w.csv"
+    weights.write_text("edge,b_star\n" + "e,0.1\n" * 10)
+    code = main(["simulate", "--case", K5, "--weights", str(weights),
+                 "--noise", noise, "--node", "1", "--seed", "-1",
+                 "--out", str(tmp_path)])
+    assert code == 3
+    assert ("input error: seed must be a non-negative integer, got seed=-1"
+            in capsys.readouterr().err)
+
+
 def test_simulate_bad_weights_exit_3(tmp_path, capsys):
     weights = tmp_path / "w.csv"
     weights.write_text("edge,b_star\n1-2,0.5\n")

@@ -91,6 +91,25 @@ def test_noise_matrix_rows_use_seed_offsets():
                           make_noise(box, 0.01, 2.0, 0)[None, :])
 
 
+def test_seed_must_be_a_non_negative_integer():
+    g = build_graph(3, [(1, 2), (2, 3)], [0.5, 0.5])
+    ss = steady_state(g, np.zeros(3))
+    for spec in (NoiseSpec.ou(node=1, tau=1.0, sigma=0.2),
+                 NoiseSpec.box(node=1, t0=0.5, duration=1.0)):
+        for seed in (-1, 1.5, True, "3"):
+            match = f"seed must be a non-negative integer, got seed={seed!r}"
+            with pytest.raises(ValueError, match=match):
+                make_noise(spec, 0.01, 2.0, seed)
+            with pytest.raises(ValueError, match=match):
+                integrate_nonlinear(g, np.zeros(3), np.zeros(3), spec,
+                                    h=0.01, T=1.0, R=2, seed=seed)
+            with pytest.raises(ValueError, match=match):
+                integrate_linearized(g, ss, spec, h=0.01, T=1.0, R=2, seed=seed)
+        # numpy integers are seeds, and give the same signal as Python ints
+        assert np.array_equal(make_noise(spec, 0.01, 2.0, np.int64(5)),
+                              make_noise(spec, 0.01, 2.0, 5))
+
+
 def test_default_ou_sigma():
     assert default_ou_sigma([0.5, -0.5]) == pytest.approx(0.05)
     assert default_ou_sigma([3.0, -3.0]) == pytest.approx(0.05)
@@ -183,6 +202,17 @@ def test_linearized_zero_noise_is_identically_steady():
     spec = NoiseSpec.box(node=1, delta=0.0, t0=0.0, duration=1.0)
     traj = integrate_linearized(g, ss, spec, h=0.01, T=5.0, R=1, seed=0)
     assert np.abs(traj.theta - ss.theta0[None, None, :]).max() < 1e-14
+
+
+def test_linearized_rejects_steady_state_of_another_graph():
+    small = build_graph(3, [(1, 2), (2, 3)], [0.5, 0.5])
+    large = build_graph(4, [(1, 2), (2, 3), (3, 4)], [0.4, 0.3, 0.3])
+    spec = NoiseSpec.box(node=1, t0=0.0, duration=1.0)
+    for g, other, n, m in ((large, small, 4, 3), (small, large, 3, 4)):
+        ss = steady_state(other, np.zeros(m))
+        with pytest.raises(ValueError,
+                           match=rf"steady.theta0 has shape \({m},\), expected \({n},\)"):
+            integrate_linearized(g, ss, spec, h=0.01, T=1.0, R=1, seed=0)
 
 
 def test_linearized_flat_state_matrix_is_minus_laplacian():

@@ -121,8 +121,36 @@ def test_thm3_optimum_round_trip():
     assert t2 == pytest.approx(0.84, abs=1e-12)
 
 
+# (n, edges, targets, floor): one, two and three targets.
+SDPA_PROBLEMS = [
+    (3, [(1, 2), (2, 3), (1, 3)], [1], 1e-3),
+    (5, complete_graph_edges(5), [1, 3], 0.05),
+    (*TOPOLOGIES["two_squares"], [2, 4, 6], 0.02),
+]
+
+
+def _reference_sdpa_lines(sdp):
+    """Every non-comment SDPA line, formatted one constraint entry at a time."""
+    layout = sdp.layout()
+    matrices = [sdp.objective, sdp.budget_matrix,
+                *(mat for mat, _ in sdp.constraints)]
+    return [
+        f"{1 + len(sdp.constraints)}",
+        f"{len(layout)}",
+        " ".join(str(size) for _, size in layout),
+        " ".join(["1"] + [f"{rhs:.17g}" for _, rhs in sdp.constraints]),
+        *(f"{matno} {blk + 1} {i} {j} {v:.17g}"
+          for matno, mat in enumerate(matrices) for blk, i, j, v in mat),
+    ]
+
+
 def test_sdpa_text_round_trips_matrices():
-    prob = DesignProblem(3, [(1, 2), (2, 3), (1, 3)], v_prime=[1], epsilon=1e-3)
+    for n, edges, v_prime, eps in SDPA_PROBLEMS:
+        _check_sdpa_round_trip(n, edges, v_prime, eps)
+
+
+def _check_sdpa_round_trip(n, edges, v_prime, eps):
+    prob = DesignProblem(n, edges, v_prime=v_prime, epsilon=eps)
     sdp = assemble_sdp(prob)
     text = format_sdpa(sdp)
     lines = [ln for ln in text.splitlines() if not ln.startswith("*")]
@@ -130,11 +158,14 @@ def test_sdpa_text_round_trips_matrices():
     nblocks = int(lines[1])
     dims = [int(x) for x in lines[2].split()]
     rhs = [float(x) for x in lines[3].split()]
-    assert ncon == 1 + len(sdp.constraints)
+    assert ncon == 1 + len(sdp.constraints) == 1 + sdp.coupling_count
     assert nblocks == len(sdp.layout())
-    assert dims == [4, -3, 3]
+    assert dims == [n + 1] * len(v_prime) + [-len(edges), n]
     assert len(rhs) == ncon
     assert rhs[0] == 1.0
+    # byte-equal to formatting sdp.constraints one entry at a time
+    comments = [ln for ln in text.splitlines() if ln.startswith("*")]
+    assert text == "\n".join(comments + _reference_sdpa_lines(sdp)) + "\n"
     # rebuild every matrix from the entry lines and compare densely
     mats = {i: np.zeros((sdp.dimension, sdp.dimension)) for i in range(ncon + 1)}
     offsets = sdp.block_offsets()
@@ -151,6 +182,16 @@ def test_sdpa_text_round_trips_matrices():
     for idx, (mat, rhs_val) in enumerate(sdp.constraints, start=2):
         assert np.array_equal(mats[idx], sdp.to_dense(mat))
         assert rhs[idx - 1] == rhs_val
+    # E's diagonal ties carry the floor, and every S_k after the first has
+    # one shared-slack tie to S_1
+    l, tri = len(v_prime), n * (n + 1) // 2
+    e_diag = [rhs_val for mat, rhs_val in sdp.constraints[-tri:]
+              if mat[0][1] == mat[0][2]]
+    assert e_diag == [1.0 / n - eps] * n
+    slack = [mat for mat, _ in sdp.constraints
+             if mat[0][1:3] == (n + 1, n + 1)]
+    assert slack == [((k, n + 1, n + 1, 1.0), (0, n + 1, n + 1, -1.0))
+                     for k in range(1, l)]
 
 
 def test_write_sdpa_to_file(tmp_path):
