@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,10 +44,9 @@ DEFAULT_OU_TAU = 50.0
 DEFAULT_BOX_DELTA = 0.1
 DEFAULT_BOX_START = 10.0
 DEFAULT_BOX_DURATION = 20.0
-# Samples per block of the estimator's spread sum: each block's frequencies
-# are differenced from the phases, so no full-length frequency array exists.
-_SPREAD_CHUNK = 2048
-# Edge states that integrate_nonlinear maps to phases with one matmul.
+# RK4 needs h * lambda_n below this; the integrators refuse larger steps.
+STEP_STIFFNESS_LIMIT = 0.5
+# Steps per block of a run's stream: noise, RK4 edge states, phases, frequencies.
 _STEP_BLOCK = 128
 
 
@@ -111,8 +111,10 @@ class NoiseSpec:
         return self.t0 if self.kind == "box" else 0.0
 
 
-def _step_count(h: float, T: float) -> int:
-    """Steps of size h in [0, T], after checking that h and T are usable."""
+def _step_count(h: float, T: float, seed: int) -> int:
+    """Steps of size h in [0, T], after checking h, T and the noise seed."""
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got seed={seed!r}")
     for name, value in (("h", h), ("T", T)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -121,52 +123,41 @@ def _step_count(h: float, T: float) -> int:
     return int(round(T / h))
 
 
-def _check_seed(seed: int) -> None:
-    if not _is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got seed={seed!r}")
+def _noise_blocks(spec: NoiseSpec, h: float, samples: int, rows: int,
+                  seed: int) -> Iterator[np.ndarray]:
+    """Disturbance samples 0..samples-1 in (block, rows) arrays of ``_STEP_BLOCK``.
+    OU: eta(t+h) = eta(t) e^{-h/tau} + sigma sqrt(1 - e^{-2h/tau}) xi, exact, from
+    the stationary law, row r drawing from seed + r. A box pulse is one row."""
+    if spec.kind == "box":
+        t = np.arange(samples) * h
+        pulse = np.where((t >= spec.t0) & (t < spec.t0 + spec.duration), spec.delta, 0.0)
+        yield from np.split(pulse[:, None], range(_STEP_BLOCK, samples, _STEP_BLOCK))
+        return
+    rho = math.exp(-h / spec.tau)
+    q = spec.sigma * math.sqrt(1.0 - rho * rho)
+    rngs = [np.random.default_rng(seed + r) for r in range(rows)]
+    eta0 = np.array([spec.sigma * rng.standard_normal() for rng in rngs])
+    driven = [0.0] * rows
+    for lo in range(0, samples, _STEP_BLOCK):
+        hi = min(lo + _STEP_BLOCK, samples)
+        first = max(lo, 1)
+        out = np.empty((hi - lo, rows))
+        out[:first - lo] = eta0
+        for r, rng in enumerate(rngs):
+            # y_t = q xi_t + rho y_{t-1} in scipy.signal.lfilter's order, without scipy.
+            ys = list(itertools.accumulate((q * rng.standard_normal(hi - first)).tolist(),
+                                           lambda y, x: x + rho * y, initial=driven[r]))
+            driven[r] = ys[-1]
+            out[first - lo:, r] = ys[1:]
+        out[first - lo:] += eta0 * np.power(rho, np.arange(first, hi))[:, None]
+        yield out
 
 
 def make_noise(spec: NoiseSpec, h: float, T: float, seed: int) -> np.ndarray:
-    """Disturbance signal on the uniform grid 0, h, ..., T.
-
-    OU uses the exact one-step update
-    eta(t+h) = eta(t) e^{-h/tau} + sigma sqrt(1 - e^{-2h/tau}) xi
-    started from the stationary distribution; the box pulse ignores the seed,
-    which must still be a non-negative integer.
-    """
-    _check_seed(seed)
-    steps = _step_count(h, T)
-    times = np.arange(steps + 1) * h
-    if spec.kind == "box":
-        return np.where((times >= spec.t0) & (times < spec.t0 + spec.duration),
-                        spec.delta, 0.0)
-    rho = math.exp(-h / spec.tau)
-    q = spec.sigma * math.sqrt(1.0 - rho * rho)
-    rng = np.random.default_rng(seed)
-    eta0 = spec.sigma * rng.standard_normal()
-    xi = rng.standard_normal(steps)
-    # The zero-started recurrence y_t = q xi_t + rho y_{t-1}, in the order of
-    # operations scipy.signal.lfilter uses; importing scipy.signal would
-    # cost more time and memory than this loop.
-    driven = np.fromiter(itertools.accumulate((q * xi).tolist(),
-                                              lambda y, x: x + rho * y),
-                         float, steps)
-    out = np.empty(steps + 1)
-    out[0] = eta0
-    out[1:] = driven + eta0 * np.power(rho, np.arange(1, steps + 1))
-    return out
-
-
-def _noise_matrix(spec: NoiseSpec, h: float, T: float, R: int,
-                  seed: int) -> np.ndarray:
-    """Per-realization disturbance rows; row r uses seed + r.
-
-    A box pulse ignores the seed, so it has one row whatever R is.
-    """
-    # Checked before the offsets are added: True + r would pass as an int.
-    _check_seed(seed)
-    rows = 1 if spec.kind == "box" else R
-    return np.stack([make_noise(spec, h, T, seed + r) for r in range(rows)])
+    """Disturbance on the grid 0, h, ..., T: row 0 of the integrators' noise
+    stream. A box pulse ignores the seed, which must still be valid."""
+    samples = _step_count(h, T, seed) + 1
+    return _stack(_noise_blocks(spec, h, samples, 1, seed), samples)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -236,14 +227,10 @@ def steady_state(g: WeightedGraph, omega: Sequence[float],
 class TrajectoryEnsemble:
     """Phase trajectories over noise realizations, with frequencies on demand.
 
-    ``theta`` is the time-major (len(times), realizations, nodes) array the
-    integrators write, read-only. Frequencies are central differences of
-    the phases in time, one-sided at the endpoints, and are not stored:
-    ``freq_block`` computes them for a range of samples, and ``freq``
-    builds the full array on each access; both are time-major too.
-    ``times`` is the uniform grid ``arange(len(times)) * h``, so
-    ``times[1]`` is the step. ``onset`` marks where the disturbance starts;
-    samples before it are transient for the empirical estimator.
+    ``theta`` is the read-only time-major (len(times), realizations, nodes)
+    array the integrators write; ``freq`` differences it (``_with_freq``) on
+    each access. ``times`` is ``arange(len(times)) * h``, so ``times[1]`` is
+    the step. Samples before ``onset`` are transient for the estimator.
     """
 
     times: np.ndarray
@@ -266,38 +253,22 @@ class TrajectoryEnsemble:
     def realizations(self) -> int:
         return self.theta.shape[1]
 
-    def freq_block(self, lo: int, hi: int) -> np.ndarray:
-        """Time-major (hi - lo, realizations, nodes) frequencies of samples lo..hi-1.
-
-        Reads only the phases of samples lo-1..hi, so a caller that walks
-        the samples block by block never holds more than one block.
-        """
-        if not 0 <= lo < hi <= self.times.size:
-            raise ValueError(f"need 0 <= lo < hi <= {self.times.size}, got lo={lo}, hi={hi}")
-        theta, h = self.theta, self.times[1]
-        last = theta.shape[0] - 1
-        out = np.empty((hi - lo,) + theta.shape[1:])
-        # Central differences at the interior samples a..b-1 (possibly none).
-        a, b = max(lo, 1), min(hi, last)
-        np.subtract(theta[a + 1:b + 1], theta[a - 1:b - 1], out=out[a - lo:b - lo])
-        np.divide(out[a - lo:b - lo], 2.0 * h, out=out[a - lo:b - lo])
-        if lo == 0:
-            out[0] = (theta[1] - theta[0]) / h
-        if hi == last + 1:
-            out[-1] = (theta[-1] - theta[-2]) / h
-        return out
+    def _blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """The stored phases cut where a run's stream cuts them, with frequencies."""
+        cuts = range(1, self.times.size, _STEP_BLOCK)
+        return _with_freq(iter(np.split(self.theta, cuts)), self.times[1])
 
     @property
     def freq(self) -> np.ndarray:
         """Read-only (len(times), realizations, nodes) frequencies, built on each access."""
-        freq = self.freq_block(0, self.times.size)
+        freq = _stack((f for _, _, f in self._blocks()), self.times.size)
         freq.setflags(write=False)
         return freq
 
 
-def _horizon(g: WeightedGraph, noise: NoiseSpec, h: float, T: float,
-             R: int) -> tuple[int, int]:
-    """Step count and 0-based target node of a run, checked before any work."""
+def _horizon(g: WeightedGraph, noise: NoiseSpec, h: float, T: float, R: int,
+             seed: int) -> tuple[np.ndarray, int, int]:
+    """Sample times, rows (one for a box pulse) and 0-based target node, checked."""
     k0 = noise.node - 1
     if k0 >= g.n:
         raise ValueError(f"noise target {noise.node} out of range 1..{g.n}")
@@ -305,73 +276,45 @@ def _horizon(g: WeightedGraph, noise: NoiseSpec, h: float, T: float,
         raise ValueError(f"realization count must be an integer, got R={R!r}")
     if R < 1:
         raise ValueError(f"need at least one realization, got R={R}")
-    steps = _step_count(h, T)
+    steps = _step_count(h, T, seed)
     if steps < 1:
         raise ValueError(f"horizon T={T} holds no step of h={h}")
-    return steps, k0
+    return np.arange(steps + 1) * h, 1 if noise.kind == "box" else R, k0
 
 
-def _ensemble(theta: np.ndarray, h: float, onset: float) -> TrajectoryEnsemble:
-    """Gauge time-major phases (steps+1, realizations, n) in place and wrap them.
+def _stack(blocks: Iterable[np.ndarray], samples: int) -> np.ndarray:
+    """Copy consecutive time-major blocks into one preallocated array."""
+    out, lo = None, 0
+    for block in blocks:
+        if out is None:
+            out = np.empty((samples,) + block.shape[1:])
+        out[lo:lo + len(block)] = block
+        lo += len(block)
+    return out
 
-    Only the phases are kept; the ensemble computes frequencies from them
-    on demand.
-    """
-    theta -= theta.mean(axis=2, keepdims=True)
-    return TrajectoryEnsemble(times=np.arange(theta.shape[0]) * h, theta=theta,
-                              onset=onset)
+
+def _gauged(phases: np.ndarray) -> np.ndarray:
+    """Time-major phases shifted in place to mean zero at every sample."""
+    phases -= phases.mean(axis=2, keepdims=True)
+    return phases
 
 
 def _stability_guard(h: float, lam_n: float) -> None:
-    if h * lam_n >= 0.5:
-        raise ValueError(
-            f"step h={h} too large for stiffness lambda_n={lam_n:.4g}; "
-            f"use h < {0.5 / lam_n:.4g}"
-        )
+    if h * lam_n >= STEP_STIFFNESS_LIMIT:
+        raise ValueError(f"step h={h} too large for stiffness lambda_n={lam_n:.4g}; "
+                         f"use h < {STEP_STIFFNESS_LIMIT / lam_n:.4g}")
 
 
-def integrate_nonlinear(
-    g: WeightedGraph,
-    omega: Sequence[float],
-    theta_init: Sequence[float],
-    noise: NoiseSpec,
-    h: float = DEFAULT_H,
-    T: float = DEFAULT_T,
-    R: int = DEFAULT_R,
-    seed: int = 0,
-) -> TrajectoryEnsemble:
-    """Integrate the full sine-coupled dynamics under the disturbance.
-
-    Classical fourth-order stepping for the drift; the disturbance enters
-    as a per-step constant added to the target node's natural frequency
-    (exact OU updates between steps). Realization r is seeded with
-    seed + r, so results are independent of execution order. A box pulse
-    ignores the seed, so it is integrated once and the ensemble holds that
-    one run whatever R is; R counts random realizations only.
-
-    The coupling depends on phases only through the edge differences
-    d = theta B^T (B the edges x nodes incidence), so RK4 integrates d
-    alone: each stage argument is d + c h U_t - f (c h K), with the edge
-    coupling K = diag(b) B B^T and the edge forcing U_t = weff_t B^T, and
-    costs one matmul and one sine. The mean-zero phases with edge
-    differences d are d B L1^+, where L1 = B^T B is the unweighted
-    Laplacian, so each block of ``_STEP_BLOCK`` edge states is mapped to
-    phases by one matmul with that fixed edges x nodes map. Every RK4
-    increment is a multiple of B^T, so only rounding enters the cycle
-    space, and the map sends the cycle space to zero. Phases are stored
-    time-major, one contiguous (realizations, nodes) row per step; that
-    (steps + 1, realizations, n) array is the ensemble's ``theta``, the
-    only array kept, and frequencies are differenced from it on demand.
-    ``omega`` and ``theta_init`` must have one finite entry per node, and
-    ``seed`` must be a non-negative integer, even for a box pulse.
-    """
-    steps, k0 = _horizon(g, noise, h, T, R)
+def _nonlinear_run(g: WeightedGraph, omega: Sequence[float], theta_init: Sequence[float],
+                   noise: NoiseSpec, h: float, T: float, R: int,
+                   seed: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """Checked run's times and gauged phase blocks: sample 0, then one per block."""
+    times, rows, k0 = _horizon(g, noise, h, T, R, seed)
     omega = _node_vector("omega", omega, g.n)
     theta_init = _node_vector("theta_init", theta_init, g.n)
     bundle = spectral_bundle(g)
     _stability_guard(h, float(bundle.eigenvalues[-1]))
     w = omega - omega.mean()
-    H = _noise_matrix(noise, h, T, R, seed).T.copy()
     # d' = weff B^T - sin(d) K.
     inc = np.eye(g.n)[g.ei] - np.eye(g.n)[g.ej]
     incT = inc.T.copy()
@@ -382,20 +325,15 @@ def integrate_nonlinear(
     phase_map = np.linalg.solve(laplacian(g, np.ones(g.m)) + 1.0 / g.n, incT).T
     # U_t = (w + eta_t e_k) B^T, scaled by h and h/2, is built per block.
     u, e = w @ incT, incT[k0]
+    start = np.repeat(theta_init[None], rows, axis=0)
 
-    rows = H.shape[1]
-    theta = np.empty((steps + 1, rows, g.n))
-    theta[0] = theta_init
-    edge_states = np.empty((_STEP_BLOCK, rows, g.m))
-    d = theta[0] @ incT
-    for t0 in range(0, steps, _STEP_BLOCK):
-        t1 = min(t0 + _STEP_BLOCK, steps)
-        # Built in place: an expression here raised validate's peak RSS by 0.4 MB.
-        U_full = H[t0:t1, :, None] * e
+    def advance(d: np.ndarray, eta: np.ndarray, block: np.ndarray) -> np.ndarray:
+        # Built in place (an expression raised validate's peak RSS by 0.4 MB) and
+        # freed on return, before the stream's consumer runs.
+        U_full = eta[:, :, None] * e
         U_full += u
         U_full *= h
         U_half = 0.5 * U_full
-        block = edge_states[:t1 - t0]
         # ndarray.dot skips the matmul ufunc's dispatch, a large share of
         # the cost of products this small.
         for d_next, u_h, u_f in zip(block, U_half, U_full):
@@ -411,8 +349,48 @@ def integrate_nonlinear(
             f1 += f2
             np.subtract(end, f1.dot(K_sixth), out=d_next)
             d = d_next
-        np.matmul(block, phase_map, out=theta[t0 + 1:t1 + 1])
-    return _ensemble(theta, h, noise.onset)
+        return d
+
+    def phases() -> Iterator[np.ndarray]:
+        d = start @ incT
+        yield _gauged(start[None])
+        edge_states = np.empty((_STEP_BLOCK, rows, g.m))
+        for eta in _noise_blocks(noise, h, times.size - 1, rows, seed):
+            d = advance(d, eta, edge_states[:len(eta)])
+            yield _gauged(edge_states[:len(eta)] @ phase_map)
+
+    return times, phases()
+
+
+def integrate_nonlinear(
+    g: WeightedGraph,
+    omega: Sequence[float],
+    theta_init: Sequence[float],
+    noise: NoiseSpec,
+    h: float = DEFAULT_H,
+    T: float = DEFAULT_T,
+    R: int = DEFAULT_R,
+    seed: int = 0,
+) -> TrajectoryEnsemble:
+    """Integrate the full sine-coupled dynamics under the disturbance.
+
+    Classical fourth-order stepping for the drift; the disturbance is a
+    per-step constant added to the target node's natural frequency (exact
+    OU updates between steps), seeded with seed + r for realization r. A
+    box pulse ignores the seed, so the ensemble holds one run whatever R is.
+
+    The coupling depends on phases only through the edge differences
+    d = theta B^T (B the edges x nodes incidence), so RK4 integrates d:
+    each stage argument is d + c h U_t - f (c h K), with K = diag(b) B B^T
+    and U_t = weff_t B^T, one matmul and one sine. The mean-zero phases are
+    d B L1^+ (L1 = B^T B), one matmul per block of edge states; the map
+    sends the cycle space, which only rounding enters, to zero. The blocks
+    fill one preallocated (steps + 1, realizations, n) ``theta``. ``omega``
+    and ``theta_init`` need one finite entry per node; ``seed`` must be a
+    non-negative integer.
+    """
+    times, phases = _nonlinear_run(g, omega, theta_init, noise, h, T, R, seed)
+    return TrajectoryEnsemble(times, _stack(phases, times.size), noise.onset)
 
 
 def integrate_linearized(
@@ -430,16 +408,14 @@ def integrate_linearized(
     deterministic part advances by the exact matrix exponential, with the
     disturbance held constant over each step. Phases are reported as
     steady state plus deviation, so they compare directly against the
-    nonlinear integrator. Storage (time-major phases only, frequencies on
-    demand), box handling (one run whatever R is) and the seed check are
-    as in ``integrate_nonlinear``. ``steady.theta0`` must have one finite
+    nonlinear integrator. Storage, box handling and the seed check are as
+    in ``integrate_nonlinear``. ``steady.theta0`` must have one finite
     entry per node of ``g``.
     """
-    steps, k0 = _horizon(g, noise, h, T, R)
+    times, rows, k0 = _horizon(g, noise, h, T, R, seed)
     theta0 = _node_vector("steady.theta0", steady.theta0, g.n)
     lam, V = np.linalg.eigh(laplacian(g, g.b * np.cos(theta0[g.ei] - theta0[g.ej])))
     _stability_guard(h, float(lam[-1]))
-    H = _noise_matrix(noise, h, T, R, seed).T.copy()
 
     z = np.clip(lam * h, 0.0, None)
     decay = np.exp(-z)
@@ -448,13 +424,34 @@ def integrate_linearized(
     propagator = (V * decay) @ V.T
     forcing = ((V * (h * phi1)) @ V.T)[:, k0]
 
-    theta = np.empty((steps + 1, H.shape[1], g.n))
-    dev = np.zeros((H.shape[1], g.n))
+    theta = np.empty((times.size, rows, g.n))
     theta[0] = theta0
-    for t in range(steps):
-        dev = dev @ propagator + H[t, :, None] * forcing[None, :]
-        np.add(theta0, dev, out=theta[t + 1])
-    return _ensemble(theta, h, noise.onset)
+    dev = np.zeros((rows, g.n))
+    noise_rows = itertools.chain.from_iterable(
+        _noise_blocks(noise, h, times.size - 1, rows, seed))
+    for eta_t, out in zip(noise_rows, theta[1:]):
+        dev = dev @ propagator + eta_t[:, None] * forcing[None, :]
+        np.add(theta0, dev, out=out)
+    return TrajectoryEnsemble(times, _gauged(theta), noise.onset)
+
+
+def _with_freq(phases: Iterator[np.ndarray],
+               h: float) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(first sample, phases, frequencies) per block: central differences in time,
+    one-sided at the run's ends; a block waits for the next one's first sample."""
+    block = next(phases)
+    before, lo = block[:1], 0
+    for after in itertools.chain(phases, [None]):
+        window = np.concatenate((before, block, block[-1:] if after is None else after[:1]))
+        freq = np.subtract(window[2:], window[:-2])
+        np.divide(freq, 2.0 * h, out=freq)
+        if lo == 0:
+            freq[0] = (window[2] - window[1]) / h
+        if after is None:
+            freq[-1] = (window[-2] - window[-3]) / h
+        del window  # a stream holds only the blocks it needs
+        yield lo, block, freq
+        before, lo, block = block[-1:].copy(), lo + len(block), after
 
 
 @dataclass(frozen=True)
@@ -464,8 +461,7 @@ class EmpiricalMeasure:
     ``value`` is the mean of ``per_realization`` and ``stderr`` its
     Monte-Carlo standard error. ``low_realizations`` flags estimates from a
     single realization, where no ensemble averaging (and no standard
-    error) is possible; a box pulse always gives one. Measures of separate
-    batches pool by joining their ``per_realization``.
+    error) is possible; a box pulse always gives one.
     """
 
     per_realization: tuple[float, ...]
@@ -491,57 +487,62 @@ class EmpiricalMeasure:
         return self.value
 
 
-def empirical_vulnerability(traj: TrajectoryEnsemble) -> EmpiricalMeasure:
-    """Time-averaged squared frequency spread of each realization.
+class _SpreadSum:
+    """Block-by-block sums behind ``empirical_vulnerability``."""
 
-    Averages sum_i (freq_i - mean_j freq_j)^2 over the samples at or after
-    the disturbance onset. The spread is summed over blocks of
-    ``_SPREAD_CHUNK`` samples, each block's frequencies taken from
-    ``traj.freq_block``, so no full-length temporary is made.
-    Raises ``ValueError`` when no sample lies at or after the
-    onset.
-    """
-    # The samples at or after the onset are a suffix of the sorted times.
-    start = int(np.searchsorted(traj.times, traj.onset - 1e-12))
-    count = traj.times.size - start
-    if count < 1:
-        raise ValueError(f"onset {traj.onset} lies after the last sample "
-                         f"t={traj.times[-1]:.10g}; nothing to average")
-    per_real = np.zeros(traj.realizations)
-    for lo in range(start, traj.times.size, _SPREAD_CHUNK):
-        f = traj.freq_block(lo, min(lo + _SPREAD_CHUNK, traj.times.size))
+    def __init__(self, times: np.ndarray, onset: float, realizations: int) -> None:
+        # The samples at or after the onset are a suffix of the sorted times.
+        self.start = int(np.searchsorted(times, onset - 1e-12))
+        self.count = times.size - self.start
+        if self.count < 1:
+            raise ValueError(f"onset {onset} lies after the last sample "
+                             f"t={times[-1]:.10g}; nothing to average")
+        self.total = np.zeros(realizations)
+
+    def add(self, lo: int, freq: np.ndarray) -> None:
+        f = freq[max(self.start - lo, 0):]
         spread = f - f.mean(axis=2, keepdims=True)
-        per_real += np.einsum("tri,tri->r", spread, spread)
-    per_real /= count
-    return EmpiricalMeasure(per_realization=tuple(per_real.tolist()))
+        self.total += np.einsum("tri,tri->r", spread, spread)
+
+    def measure(self) -> EmpiricalMeasure:
+        return EmpiricalMeasure(per_realization=tuple((self.total / self.count).tolist()))
+
+
+def empirical_vulnerability(traj: TrajectoryEnsemble) -> EmpiricalMeasure:
+    """Time average of each realization's squared frequency spread
+    sum_i (freq_i - mean_j freq_j)^2 at and after the onset, summed block by
+    block as ``resilnet simulate`` sums a run; ``ValueError`` if no sample is there."""
+    spread = _SpreadSum(traj.times, traj.onset, traj.realizations)
+    for lo, _, freq in traj._blocks():
+        spread.add(lo, freq)
+    return spread.measure()
+
+
+def _csv_rows(fh: IO[str], realizations: int, n: int, h: float,
+              stride: int) -> Callable[[int, np.ndarray, np.ndarray], None]:
+    """Write the CSV header; return the writer of a block's rows: every ``stride``-th
+    sample from time 0, first ``realizations`` realizations, as ``csv.writer`` would."""
+    # The time string goes in front of every row suffix.
+    suffixes = [""] + [f",{r},{i + 1},%.10g,%.10g\r\n"
+                       for r, i in np.ndindex(realizations, n)]
+    fh.write("time,realization,node,theta,freq\r\n")
+
+    def write(lo: int, theta: np.ndarray, freq: np.ndarray) -> None:
+        for t in range(-lo % stride, len(theta), stride):
+            pairs = np.stack((theta[t, :realizations], freq[t, :realizations]), axis=-1)
+            fh.write(f"{(lo + t) * h:.10g}".join(suffixes) % tuple(pairs.ravel().tolist()))
+
+    return write
 
 
 def export_trajectories_csv(traj: TrajectoryEnsemble, path_or_file: str | IO[str],
                             stride: int = 1) -> None:
-    """Write trajectories as CSV rows (time, realization, node, theta, freq).
-
-    Every ``stride``-th sample is written, starting at time 0. The output is
-    what ``csv.writer`` gives for these rows (``\\r\\n`` line ends, no field
-    needs quoting). One printf-style ``%.10g`` template covers the
-    realizations x nodes rows of a time slice: the slice's time string is
-    joined in once, and all of its rows are formatted with a single ``%``.
-    Each written slice's frequencies come from ``traj.freq_block``.
-    """
+    """Write trajectories as CSV rows (time, realization, node, theta, freq),
+    every ``stride``-th sample from time 0, as ``resilnet simulate`` does."""
     if not _is_integer(stride) or stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride!r}")
-    R, n = traj.theta.shape[1:]
-    # The time string goes in front of every row suffix.
-    suffixes = [""] + [f",{r},{i + 1},%.10g,%.10g\r\n" for r, i in np.ndindex(R, n)]
-
-    def _write(fh: IO[str]) -> None:
-        fh.write("time,realization,node,theta,freq\r\n")
-        for t in range(0, traj.times.size, stride):
-            pairs = np.stack((traj.theta[t], traj.freq_block(t, t + 1)[0]), axis=-1)
-            template = f"{traj.times[t]:.10g}".join(suffixes)
-            fh.write(template % tuple(pairs.ravel().tolist()))
-
-    if hasattr(path_or_file, "write"):
-        _write(path_or_file)
-    else:
-        with open(path_or_file, "w", newline="") as fh:
-            _write(fh)
+    with (nullcontext(path_or_file) if hasattr(path_or_file, "write")
+          else open(path_or_file, "w", newline="")) as fh:
+        write = _csv_rows(fh, traj.realizations, traj.theta.shape[2], traj.times[1], stride)
+        for block in traj._blocks():
+            write(*block)

@@ -1,4 +1,5 @@
 """Command-line surface: subcommands, outputs, exit codes."""
+import io
 import json
 import os
 import re
@@ -188,6 +189,92 @@ def test_simulate_realization_count(tmp_path, capsys, monkeypatch,
                  "--noise", noise, "--node", "1", "--out", str(tmp_path)])
     assert code == 0
     assert f"R={realizations})" in capsys.readouterr().out
+
+
+def _k5_ou_run(tmp_path, monkeypatch, out):
+    import resilnet.cli as cli
+    monkeypatch.setattr(cli, "DEFAULT_T", 20.0)
+    monkeypatch.setattr(cli, "DEFAULT_R", 8)
+    weights = tmp_path / "w.csv"
+    weights.write_text("edge,b_star\n" + "e,0.1\n" * 10)
+    assert main(["simulate", "--case", K5, "--weights", str(weights), "--noise", "ou",
+                 "--node", "1", "--seed", "5", "--out", str(out)]) == 0
+    return (out / "trajectories.csv").read_text().splitlines()
+
+
+def test_simulate_single_pass_matches_stored_run(tmp_path, capsys, monkeypatch):
+    # One streamed run of all 8 realizations (2,000 steps, no multiple of the
+    # block) gives the stored ensemble's estimate and CSV, bit for bit.
+    import resilnet.cli as cli
+    from resilnet import dynamics, load_case
+    measures = []
+
+    class Recording(dynamics._SpreadSum):
+        def measure(self):
+            measures.append(super().measure())
+            return measures[-1]
+
+    monkeypatch.setattr(cli, "_SpreadSum", Recording)
+    lines = _k5_ou_run(tmp_path, monkeypatch, tmp_path / "sim")
+    assert "(ornstein_uhlenbeck, R=8)" in capsys.readouterr().out
+    case = load_case(K5)
+    graph, omega = case.graph(np.full(10, 0.1)), case.omega()
+    spec = dynamics.NoiseSpec.ou(case.node_of(1), sigma=dynamics.default_ou_sigma(omega))
+    traj = dynamics.integrate_nonlinear(graph, omega, dynamics.steady_state(graph, omega).theta0,
+                                        spec, h=0.01, T=20.0, R=8, seed=5)
+    assert (traj.times.size - 1) % dynamics._STEP_BLOCK
+    assert measures[0].per_realization == dynamics.empirical_vulnerability(traj).per_realization
+    buf = io.StringIO(newline="")
+    dynamics.export_trajectories_csv(traj, buf, stride=1)
+    assert lines == buf.getvalue().splitlines()
+
+
+def test_simulate_csv_holds_the_capped_realizations(tmp_path, capsys, monkeypatch):
+    # The cap limits the CSV to the first realizations; the estimate still
+    # uses all of them.
+    import resilnet.cli as cli
+    full = _k5_ou_run(tmp_path, monkeypatch, tmp_path / "full")
+    assert {row.split(",")[1] for row in full[1:]} == {str(r) for r in range(8)}
+    estimate = capsys.readouterr().out.splitlines()[-2]
+    # A realization is 5 nodes x 2,001 samples; one value short of 3 of them
+    # leaves room for 2.
+    monkeypatch.setattr(cli, "CSV_VALUES", 3 * 5 * 2001 - 1)
+    capped = _k5_ou_run(tmp_path, monkeypatch, tmp_path / "capped")
+    assert capsys.readouterr().out.splitlines()[-2] == estimate
+    assert "R=8)" in estimate
+    assert capped == full[:1] + [row for row in full[1:] if int(row.split(",")[1]) < 2]
+
+
+def test_simulate_step_rule_matches_benchmark_copy(tmp_path, monkeypatch):
+    # perfbench/workloads.step_size copies cmd_simulate's stiffness rule.
+    import importlib
+
+    import resilnet.cli as cli
+    from resilnet import load_case
+    from resilnet.dynamics import DEFAULT_H
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    step_size = importlib.import_module("workloads").step_size
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def stop(graph, omega, theta_init, spec, h, T, R, seed):
+        seen.append((graph, h))
+        raise Stop
+
+    monkeypatch.setattr(cli, "_nonlinear_run", stop)
+    for path in (K5, NY57):
+        weights = tmp_path / "w.csv"
+        weights.write_text("edge,b_star\n" + "".join(
+            f"e,{b!r}\n" for b in load_case(path).graph().b.tolist()))
+        with pytest.raises(Stop):
+            main(["simulate", "--case", path, "--weights", str(weights),
+                  "--noise", "box", "--node", "1", "--out", str(tmp_path)])
+    (k5, h_k5), (ny57, h_ny57) = seen
+    assert h_k5 == DEFAULT_H == step_size(k5)
+    assert h_ny57 < DEFAULT_H and h_ny57 == step_size(ny57)
 
 
 @pytest.mark.parametrize("noise", ["ou", "box"])

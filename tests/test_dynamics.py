@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import types
 
@@ -24,7 +25,6 @@ from resilnet.dynamics import (
     EmpiricalMeasure,
     NoSynchronizedStateError,
     TrajectoryEnsemble,
-    _noise_matrix,
     default_ou_sigma,
     export_trajectories_csv,
 )
@@ -81,14 +81,36 @@ def test_ou_stationary_statistics():
     assert lag1 == pytest.approx(math.exp(-0.05 / 2.0), rel=0.02)
 
 
+def _reference_ou(spec, h, T, seed):
+    """OU samples with all normals drawn at once, by the scalar recurrence."""
+    steps = int(round(T / h))
+    rho = math.exp(-h / spec.tau)
+    q = spec.sigma * math.sqrt(1.0 - rho * rho)
+    rng = np.random.default_rng(seed)
+    eta0 = spec.sigma * rng.standard_normal()
+    driven = list(itertools.accumulate((q * rng.standard_normal(steps)).tolist(),
+                                       lambda y, x: x + rho * y))
+    return np.concatenate(([eta0], driven + eta0 * np.power(rho, np.arange(1, steps + 1))))
+
+
 def test_noise_matrix_rows_use_seed_offsets():
+    # The integrators' noise stream over several blocks, the last partial:
+    # row r is make_noise(seed + r), bit for bit what drawing every normal
+    # at once gives, and a box pulse is one row whatever R is.
+    block = dynamics._STEP_BLOCK
     spec = NoiseSpec.ou(node=1, tau=1.0, sigma=0.2)
-    M = _noise_matrix(spec, 0.01, 2.0, 4, seed=99)
+    h, samples = 0.01, 3 * block + 41
+    T = (samples - 1) * h
+    blocks = list(dynamics._noise_blocks(spec, h, samples, 4, 99))
+    assert [len(b) for b in blocks] == [block] * 3 + [41]
+    M = np.concatenate(blocks)
+    assert M.shape == (samples, 4)
     for r in range(4):
-        assert np.array_equal(M[r], make_noise(spec, 0.01, 2.0, 99 + r))
+        assert np.array_equal(M[:, r], make_noise(spec, h, T, 99 + r))
+        assert np.array_equal(M[:, r], _reference_ou(spec, h, T, 99 + r))
     box = NoiseSpec.box(node=1, t0=0.5, duration=1.0)
-    assert np.array_equal(_noise_matrix(box, 0.01, 2.0, 4, seed=99),
-                          make_noise(box, 0.01, 2.0, 0)[None, :])
+    B = np.concatenate(list(dynamics._noise_blocks(box, h, samples, 4, 99)))
+    assert np.array_equal(B, make_noise(box, h, T, 0)[:, None])
 
 
 def test_seed_must_be_a_non_negative_integer():
@@ -459,14 +481,14 @@ def test_box_ensemble_estimate_differences_one_row(monkeypatch):
     many = integrate_nonlinear(g, omega, np.zeros(4), spec, h=0.01, T=4.0, R=4, seed=3)
     per_real = _blocked_spread(many, many.freq)
     rows = []
-    freq_block = TrajectoryEnsemble.freq_block
+    with_freq = dynamics._with_freq
 
-    def counting(self, lo, hi):
-        out = freq_block(self, lo, hi)
-        rows.append(out.shape[1])
-        return out
+    def counting(phases, h):
+        for lo, theta, freq in with_freq(phases, h):
+            rows.append(freq.shape[1])
+            yield lo, theta, freq
 
-    monkeypatch.setattr(TrajectoryEnsemble, "freq_block", counting)
+    monkeypatch.setattr(dynamics, "_with_freq", counting)
     m = empirical_vulnerability(many)
     assert rows and set(rows) == {1}
     assert m.per_realization == tuple(per_real.tolist())
@@ -511,14 +533,15 @@ def test_empirical_rejects_onset_after_last_sample():
 
 
 def test_empirical_blocked_sum_matches_full_formula():
-    # long enough for several blocks, with the onset inside the first one
+    # long enough for many blocks, with the onset inside one
     g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)], [0.3, 0.2, 0.3, 0.2])
     spec = NoiseSpec.ou(node=2, tau=2.0, sigma=0.1)
     traj = integrate_nonlinear(g, np.zeros(4), np.zeros(4), spec, h=0.01, T=50.0,
                                R=3, seed=4)
-    assert traj.times.size > 2 * dynamics._SPREAD_CHUNK
+    assert traj.times.size > 2 * dynamics._STEP_BLOCK
     traj = TrajectoryEnsemble(times=traj.times, theta=traj.theta, onset=7.3)
     start = int(np.searchsorted(traj.times, traj.onset - 1e-12))
+    assert (start - 1) % dynamics._STEP_BLOCK  # the onset cuts a block
     f = traj.freq[start:]
     spread = f - f.mean(axis=2, keepdims=True)
     per_real = (spread * spread).sum(axis=2).mean(axis=0)
@@ -596,6 +619,43 @@ def test_nonlinear_matches_reference_rk4_across_blocks(noise):
         assert np.abs(traj.freq - ref_freq).max() < 1e-9
 
 
+@pytest.mark.parametrize("noise", [
+    NoiseSpec.ou(node=2, tau=1.5, sigma=0.2),
+    NoiseSpec.box(node=4, delta=0.3, t0=1.37, duration=2.0),
+], ids=["ou", "box"])
+def test_streamed_run_matches_stored_path_bit_for_bit(noise):
+    # The single pass resilnet simulate makes (each block of one run to the
+    # spread sum and the CSV writer) against the stored ensemble of the same
+    # run, on a horizon that is no multiple of the block and, for the box,
+    # with the onset inside a block.
+    block = dynamics._STEP_BLOCK
+    g = build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 4)],
+                    [0.6, 0.3, 0.5, 0.4, 0.7, 0.2])
+    omega = np.array([0.2, -0.1, 0.05, -0.25, 0.1])
+    theta_init = np.array([0.3, -0.2, 0.1, 0.0, -0.4])
+    h, R, seed, stride = 0.01, 3, 21, 7
+    T = (3 * block + 57) * h
+    traj = integrate_nonlinear(g, omega, theta_init, noise, h=h, T=T, R=R, seed=seed)
+    start = int(np.searchsorted(traj.times, traj.onset - 1e-12))
+    assert (traj.times.size - 1) % block
+    assert noise.kind == "ornstein_uhlenbeck" or (start - 1) % block
+
+    times, phases = dynamics._nonlinear_run(g, omega, theta_init, noise, h, T, R, seed)
+    spread = dynamics._SpreadSum(times, noise.onset, traj.realizations)
+    streamed = io.StringIO(newline="")
+    write = dynamics._csv_rows(streamed, traj.realizations, 5, h, stride)
+    for lo, theta, freq in dynamics._with_freq(phases, h):
+        assert np.array_equal(theta, traj.theta[lo:lo + len(theta)])
+        spread.add(lo, freq)
+        write(lo, theta, freq)
+    assert np.array_equal(times, traj.times)
+    assert spread.measure().per_realization == empirical_vulnerability(traj).per_realization
+    stored = io.StringIO(newline="")
+    export_trajectories_csv(traj, stored, stride=stride)
+    assert streamed.getvalue() == stored.getvalue()
+    assert stored.getvalue().encode() == _reference_csv(traj, stride)
+
+
 def test_trajectory_csv_rejects_stride_below_one():
     traj = TrajectoryEnsemble(times=np.arange(3) * 0.1, theta=np.zeros((3, 1, 2)), onset=0.0)
     for stride in (0, -2, True, 2.5):
@@ -606,13 +666,16 @@ def test_trajectory_csv_rejects_stride_below_one():
 
 
 def _blocked_spread(traj, freq):
-    """The estimator's per-realization sum over ``_SPREAD_CHUNK`` blocks of ``freq``."""
+    """The estimator's per-realization sum of ``freq`` over a run's blocks:
+    sample 0, then ``_STEP_BLOCK`` samples at a time, cut at the onset."""
     start = int(np.searchsorted(traj.times, traj.onset - 1e-12))
     per_real = np.zeros(traj.realizations)
-    for lo in range(start, traj.times.size, dynamics._SPREAD_CHUNK):
-        f = freq[lo:lo + dynamics._SPREAD_CHUNK]
-        spread = f - f.mean(axis=2, keepdims=True)
-        per_real += np.einsum("tri,tri->r", spread, spread)
+    cuts = [0, *range(1, traj.times.size, dynamics._STEP_BLOCK), traj.times.size]
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi > start:
+            f = freq[max(lo, start):hi]
+            spread = f - f.mean(axis=2, keepdims=True)
+            per_real += np.einsum("tri,tri->r", spread, spread)
     return per_real / (traj.times.size - start)
 
 
@@ -621,8 +684,8 @@ def test_estimator_and_csv_never_build_full_freq(monkeypatch):
     omega = np.array([0.05, 0.0, -0.02, -0.03])
     ou = integrate_nonlinear(g, omega, np.zeros(4), NoiseSpec.ou(node=2, tau=2.0, sigma=0.1),
                              h=0.01, T=50.0, R=3, seed=4)
-    assert ou.times.size > 2 * dynamics._SPREAD_CHUNK
-    # onset inside the first block
+    assert ou.times.size > 2 * dynamics._STEP_BLOCK
+    # onset inside a block
     ou = TrajectoryEnsemble(times=ou.times, theta=ou.theta, onset=7.3)
     box = integrate_nonlinear(g, omega, np.zeros(4),
                               NoiseSpec.box(node=3, delta=0.2, t0=1.5, duration=2.0),
@@ -668,6 +731,8 @@ def test_trajectory_ensemble_rejects_mismatched_inputs(times, theta, message):
 
 @pytest.mark.parametrize("samples", [2, 3, 5])
 def test_freq_block_matches_differences_on_every_range(samples):
+    # The one frequency rule gives the same bytes however a run is cut
+    # into blocks, one-sample blocks at either end included.
     h = 0.1
     theta = np.random.default_rng(samples).standard_normal((samples, 2, 3))
     traj = TrajectoryEnsemble(times=np.arange(samples) * h, theta=theta, onset=0.0)
@@ -675,12 +740,15 @@ def test_freq_block_matches_differences_on_every_range(samples):
     ref[1:-1] = (theta[2:] - theta[:-2]) / (2 * h)
     ref[0] = (theta[1] - theta[0]) / h
     ref[-1] = (theta[-1] - theta[-2]) / h
-    for lo in range(samples):
-        for hi in range(lo + 1, samples + 1):
-            assert np.array_equal(traj.freq_block(lo, hi), ref[lo:hi])
-    for lo, hi in ((0, 0), (-1, 2), (2, samples + 1), (2, 1)):
-        with pytest.raises(ValueError, match=f"got lo={lo}, hi={hi}"):
-            traj.freq_block(lo, hi)
+    assert np.array_equal(traj.freq, ref)
+    for inner in itertools.product((False, True), repeat=samples - 1):
+        cuts = [0, *(t for t, cut in enumerate(inner, 1) if cut), samples]
+        blocks = [theta[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        out = list(dynamics._with_freq(iter(blocks), h))
+        assert [lo for lo, _, _ in out] == cuts[:-1]
+        for (lo, block, freq), hi in zip(out, cuts[1:]):
+            assert block is blocks[cuts.index(lo)]
+            assert np.array_equal(freq, ref[lo:hi])
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.01, math.nan, math.inf])
