@@ -157,11 +157,9 @@ def cmd_design(args) -> int:
 def cmd_simulate(args) -> int:
     case = load_case(args.case)
     weights = _load_weights(args.weights, len(case.branches))
-    if args.node not in {b.id for b in case.buses}:
-        raise InputError(f"unknown bus id {args.node}")
+    node = case.node_of(args.node)
     graph = case.graph(weights)
     omega = case.omega()
-    node = case.node_of(args.node)
     ss = steady_state(graph, omega)
     print(f"steady state: residual {ss.residual:.3e}, "
           f"max angle gap {ss.max_angle_gap:.4g} rad")

@@ -9,6 +9,8 @@ path-usage weights) are the special cases kept as independent closed
 forms. The per-edge certificate `gradient_l + measure >= 0` is sufficient
 for global optimality of any candidate point and is exposed for arbitrary
 graphs; a pass is a sufficient-condition verdict, never a necessary one.
+Node arguments are 1-based Python or numpy integers; bools, floats and
+nodes outside 1..n raise ValueError, as everywhere in the package.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DisconnectedGraphError, WeightedGraph, complete_graph_edges
+from .graphs import (DisconnectedGraphError, WeightedGraph, _is_integer, _node_index,
+                     complete_graph_edges)
 from .vulnerability import vulnerability_gradient, vulnerability_measure
 
 __all__ = [
@@ -51,16 +54,10 @@ def complete_graph_optimum(n: int, k: int) -> np.ndarray:
     lexicographic order (``complete_graph_edges``), with explicit zeros on
     the edges not incident to k; the resulting measure is ((n-1)/n)^2.
     """
-    if n < 2:
-        raise ValueError(f"complete graph needs n >= 2, got {n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"node {k} out of range 1..{n}")
-    edges = complete_graph_edges(n)
-    b = np.zeros(len(edges))
-    for l, (i, j) in enumerate(edges):
-        if k in (i, j):
-            b[l] = 1.0 / (n - 1)
-    return b
+    if not _is_integer(n) or n < 2:
+        raise ValueError(f"complete graph needs an integer n >= 2, got {n!r}")
+    center = _node_index(k, n) + 1
+    return np.array([1.0 / (n - 1) if center in e else 0.0 for e in complete_graph_edges(n)])
 
 
 def _adjacency(g: WeightedGraph) -> list[list[tuple[int, int]]]:
@@ -105,10 +102,8 @@ def _path_usage(tree: WeightedGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
     splits the tree into parts of sizes s and n - s, so a[l] = s * (n - s)
     and a_k[l] is the size of the part not containing k.
     """
-    if not 1 <= k <= tree.n:
-        raise ValueError(f"node {k} out of range 1..{tree.n}")
+    root = _node_index(k, tree.n)
     adj = _tree_adjacency(tree)
-    root = k - 1
     # Iterative post-order from the reference node: subtree sizes looking
     # away from k give the component that does not contain k.
     parent_edge = [-1] * tree.n
@@ -167,12 +162,11 @@ def shortest_path_flow(g: WeightedGraph, k: int) -> np.ndarray:
     permutes the weights and leaves every measure unchanged. Weights are
     ignored; raises DisconnectedGraphError if the topology is disconnected.
     """
-    if not 1 <= k <= g.n:
-        raise ValueError(f"node {k} out of range 1..{g.n}")
+    k0 = _node_index(k, g.n)
     adj = _adjacency(g)
     dist = [-1] * g.n
-    dist[k - 1] = 0
-    order = [k - 1]
+    dist[k0] = 0
+    order = [k0]
     for v in order:  # breadth-first: order grows while it is scanned
         for u, _ in adj[v]:
             if dist[u] < 0:

@@ -17,7 +17,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import WeightedGraph, _is_integer, laplacian, spectral_bundle
+from .graphs import WeightedGraph, _is_integer, _node_index, laplacian, spectral_bundle
 
 __all__ = [
     "DEFAULT_H",
@@ -269,9 +269,7 @@ class TrajectoryEnsemble:
 def _horizon(g: WeightedGraph, noise: NoiseSpec, h: float, T: float, R: int,
              seed: int) -> tuple[np.ndarray, int, int]:
     """Sample times, rows (one for a box pulse) and 0-based target node, checked."""
-    k0 = noise.node - 1
-    if k0 >= g.n:
-        raise ValueError(f"noise target {noise.node} out of range 1..{g.n}")
+    k0 = _node_index(noise.node, g.n)
     if not _is_integer(R):
         raise ValueError(f"realization count must be an integer, got R={R!r}")
     if R < 1:

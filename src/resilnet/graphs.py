@@ -183,6 +183,18 @@ def _is_integer(x: object) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _node_index(k: object, n: int) -> int:
+    """0-based index of node k of an n-node network: the package's one node check.
+
+    k may be a Python or numpy integer, not a bool, in 1..n; else ValueError.
+    """
+    if not _is_integer(k):
+        raise ValueError(f"node must be an integer, got {k!r}")
+    if not 1 <= k <= n:
+        raise ValueError(f"node {k} out of range 1..{n}")
+    return int(k) - 1
+
+
 def complete_graph_edges(n: int) -> list[tuple[int, int]]:
     """Canonical lexicographic edge list of K_n, 1-based pairs."""
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]

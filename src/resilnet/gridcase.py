@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .graphs import WeightedGraph, build_graph
+from .graphs import WeightedGraph, _node_index, build_graph
 
 __all__ = [
     "GENERATOR",
@@ -111,7 +112,7 @@ class GridCase:
             raise CaseError(f"unknown bus id {bus_id}") from None
 
     def bus_of(self, node: int) -> int:
-        return self.buses[node - 1].id
+        return self.buses[_node_index(node, self.n)].id
 
     @property
     def generator_ids(self) -> tuple[int, ...]:
@@ -142,10 +143,17 @@ class GridCase:
     def total_susceptance(self) -> float:
         return float(sum(br.susceptance_pu for br in self.branches))
 
+    @cached_property
+    def _topology(self) -> WeightedGraph:
+        """The branch network at unit weights, validated once on first use."""
+        return build_graph(self.n, self.edge_pairs(), np.ones(len(self.branches)))
+
     def graph(self, b: np.ndarray | None = None) -> WeightedGraph:
-        """Oscillator network with physical (or given) edge weights."""
-        weights = self.susceptances() if b is None else np.asarray(b, dtype=float)
-        return build_graph(self.n, self.edge_pairs(), weights)
+        """Oscillator network with physical (or given) edge weights.
+
+        Every call shares the one ``_topology`` and its index arrays.
+        """
+        return self._topology.with_weights(self.susceptances() if b is None else b)
 
 
 def _branch_from_fields(from_bus: int, to_bus: int, reactance, susceptance,

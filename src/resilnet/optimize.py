@@ -41,7 +41,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .designs import shortest_path_flow
-from .graphs import (DisconnectedGraphError, WeightedGraph, _is_integer,
+from .graphs import (DisconnectedGraphError, WeightedGraph, _is_integer, _node_index,
                      algebraic_connectivity, build_graph, laplacian)
 
 __all__ = [
@@ -94,7 +94,8 @@ def epsilon_from_sync(
     if not 0.0 < gamma < math.pi / 2:
         raise ValueError(f"gamma must lie in (0, pi/2), got {gamma}")
     w = np.asarray(omega, dtype=float)
-    e = np.array(list(edges), dtype=int).reshape(-1, 2) - 1
+    e = np.array([(_node_index(i, w.size), _node_index(j, w.size)) for i, j in edges],
+                 dtype=int).reshape(-1, 2)
     spread = float(np.abs(w[e[:, 0]] - w[e[:, 1]]).max(initial=0.0))
     return spread * math.sin(gamma)
 
@@ -427,16 +428,13 @@ def _solve(problem: DesignProblem, targets: Sequence[int]) -> SolverResult:
 
 def solve_single_node(problem: DesignProblem, k: int) -> SolverResult:
     """Minimize the vulnerability of node k over the feasible weight set."""
-    if not _is_integer(k):
-        raise ValueError(f"node must be an integer, got {k!r}")
-    if not 1 <= k <= problem.n:
-        raise ValueError(f"node {k} out of range 1..{problem.n}")
+    k0 = _node_index(k, problem.n)
     try:
         flow = shortest_path_flow(problem.template, k)
     except DisconnectedGraphError:
         return _solve(problem, [k])
     b = flow / flow.sum()
-    model = _MinMax(problem.template, [k - 1], problem.epsilon)
+    model = _MinMax(problem.template, [k0], problem.epsilon)
     state = model.state(b)  # None when the flow design misses the floor
     if state is None:
         return _solve(problem, [k])

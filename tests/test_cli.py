@@ -300,6 +300,15 @@ def test_simulate_bad_weights_exit_3(tmp_path, capsys):
     assert "10 branches" in capsys.readouterr().err
 
 
+def test_simulate_unknown_bus_exit_3(tmp_path, capsys):
+    weights = tmp_path / "w.csv"
+    weights.write_text("edge,b_star\n" + "e,0.1\n" * 10)
+    code = main(["simulate", "--case", K5, "--weights", str(weights),
+                 "--noise", "box", "--node", "999", "--out", str(tmp_path)])
+    assert code == 3
+    assert "input error: unknown bus id 999" in capsys.readouterr().err
+
+
 def test_runtime_path_imports_no_scipy(tmp_path):
     # scipy is a test-only dependency. The suite's conftest imports it, so
     # the commands run in a fresh interpreter.

@@ -3,15 +3,30 @@ import numpy as np
 import pytest
 
 from resilnet import (
+    DesignProblem,
     DisconnectedGraphError,
     GraphConstructionError,
+    NoiseSpec,
     SingularLaplacianError,
     algebraic_connectivity,
     build_graph,
+    commute_decomposition,
     complete_graph_edges,
+    complete_graph_optimum,
+    epsilon_from_sync,
+    integrate_linearized,
+    integrate_nonlinear,
+    optimality_certificate,
     resistance_matrix,
+    solve_single_node,
     spectral_bundle,
+    steady_state,
+    tree_optimum,
+    vulnerability_gradient,
+    vulnerability_measure,
 )
+from resilnet.designs import shortest_path_flow
+from resilnet.gridcase import Branch, Bus, GridCase
 from resilnet.graphs import laplacian
 
 from conftest import (
@@ -286,3 +301,41 @@ def test_resistance_scaling_law():
     for c in (0.5, 2.0, 10.0):
         scaled = g.with_weights(np.array(g.b) * c)
         assert abs(resistance_matrix(scaled)[0, 4] - base / c) < 1e-10
+
+
+# Every public function that takes one node, on the path 1-2-3-4 (a tree, so
+# tree_optimum applies), reduced to an array so int and np.int64 runs compare.
+_P4 = build_graph(4, [(1, 2), (2, 3), (3, 4)], [0.5, 1.0, 0.5])
+_OMEGA = np.array([0.2, -0.1, 0.1, -0.2])
+_RUN = dict(h=0.01, T=0.05, R=1, seed=0)
+_CASE = GridCase("p4", tuple(Bus(10 * i, "load", 0.0) for i in range(1, 5)),
+                 tuple(Branch(10 * i, 10 * i + 10, 1.0) for i in range(1, 4)))
+NODE_TAKERS = {
+    "vulnerability_measure": lambda k: vulnerability_measure(_P4, k),
+    "vulnerability_gradient": lambda k: vulnerability_gradient(_P4, k),
+    "commute_decomposition": lambda k: commute_decomposition(_P4, k),
+    "shortest_path_flow": lambda k: shortest_path_flow(_P4, k),
+    "tree_optimum": lambda k: tree_optimum(_P4, k),
+    "complete_graph_optimum": lambda k: complete_graph_optimum(4, k),
+    "optimality_certificate": lambda k: optimality_certificate(_P4, k).residuals,
+    "solve_single_node": lambda k: solve_single_node(
+        DesignProblem(4, _P4.edge_pairs, v_prime=[1]), k).b_star,
+    "integrate_nonlinear": lambda k: integrate_nonlinear(
+        _P4, _OMEGA, np.zeros(4), NoiseSpec.ou(node=k), **_RUN).theta,
+    "integrate_linearized": lambda k: integrate_linearized(
+        _P4, steady_state(_P4, _OMEGA), NoiseSpec.ou(node=k), **_RUN).theta,
+    "epsilon_from_sync first endpoint": lambda k: epsilon_from_sync(_OMEGA, [(k, 2)], 0.3),
+    "epsilon_from_sync second endpoint": lambda k: epsilon_from_sync(_OMEGA, [(1, k)], 0.3),
+    "GridCase.bus_of": lambda k: _CASE.bus_of(k),
+}
+
+
+@pytest.mark.parametrize("call", NODE_TAKERS.values(), ids=NODE_TAKERS.keys())
+@pytest.mark.parametrize("bad", [2.0, True, 0, 5], ids=["float", "bool", "zero", "n+1"])
+def test_every_node_argument_follows_one_rule(call, bad):
+    # NoiseSpec words its own rejection of non-integer and non-positive
+    # targets; the integrators reject n + 1 through the shared check.
+    match = "out of range 1..4" if bad == 5 else "node"
+    with pytest.raises(ValueError, match=match):
+        call(bad)
+    np.testing.assert_array_equal(np.asarray(call(np.int64(2))), np.asarray(call(2)))

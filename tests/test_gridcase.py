@@ -6,7 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resilnet import algebraic_connectivity, load_case, write_case
+from resilnet import (
+    GraphConstructionError,
+    algebraic_connectivity,
+    build_graph,
+    load_case,
+    write_case,
+)
+from resilnet.graphs import laplacian
 from resilnet.gridcase import (
     Bus,
     Branch,
@@ -228,3 +235,27 @@ def test_node_bus_mapping_with_gapped_ids():
     assert case.node_of(3) == 1 and case.node_of(10) == 2
     assert case.bus_of(1) == 3 and case.bus_of(2) == 10
     assert case.edge_pairs() == ((2, 1),)
+
+
+def test_graph_shares_one_topology(monkeypatch):
+    import resilnet.gridcase as gridcase
+    case = load_case(CASES_DIR / "ny57_substitute.json")
+    calls = []
+    monkeypatch.setattr(gridcase, "build_graph",
+                        lambda *args: calls.append(args) or build_graph(*args))
+    rng = np.random.default_rng(0)
+    b = rng.uniform(0.5, 2.0, len(case.branches))
+    g0, g1, g2 = case.graph(), case.graph(b), case.graph()
+    assert len(calls) == 1
+    assert g1.ei is g0.ei and g1.ej is g0.ej and g2.ei is g0.ei
+    for g, w in ((g0, case.susceptances()), (g1, b)):
+        ref = build_graph(case.n, case.edge_pairs(), w)
+        assert g.edges == ref.edges
+        assert np.array_equal(laplacian(g), laplacian(ref))
+    m = len(case.branches)
+    for w in (np.ones(m - 1), np.r_[-1.0, np.ones(m - 1)], np.r_[np.ones(m - 1), np.nan]):
+        with pytest.raises(GraphConstructionError) as got:
+            case.graph(w)
+        with pytest.raises(GraphConstructionError) as want:
+            build_graph(case.n, case.edge_pairs(), w)
+        assert str(got.value) == str(want.value)
