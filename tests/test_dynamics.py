@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from resilnet import (
     make_noise,
     steady_state,
 )
-from resilnet import dynamics
+from resilnet import dynamics, gridcase
 from resilnet.dynamics import (
     EmpiricalMeasure,
     NoSynchronizedStateError,
@@ -28,6 +29,7 @@ from resilnet.dynamics import (
     default_ou_sigma,
     export_trajectories_csv,
 )
+from resilnet.graphs import WeightedGraph
 
 from conftest import reference_laplacian
 
@@ -37,6 +39,10 @@ def test_noise_spec_validation():
         NoiseSpec.ou(node=1, tau=0.0)
     with pytest.raises(ValueError, match="duration"):
         NoiseSpec.box(node=1, duration=0.0)
+    with pytest.raises(ValueError, match=r"sigma >= 0, got tau=50.0, sigma=-0.1"):
+        NoiseSpec.ou(node=1, sigma=-0.1)
+    assert NoiseSpec.ou(node=1, sigma=0.0).sigma == 0.0
+    NoiseSpec(kind="box", node=1, sigma=-0.1, duration=1.0)  # a box pulse has no sigma
     with pytest.raises(ValueError, match="kind"):
         NoiseSpec(kind="spikes", node=1)
     for node in (True, 1.5, 2.0):
@@ -293,6 +299,60 @@ def test_linearized_agrees_with_nonlinear_to_second_order():
         li = integrate_linearized(g, ss, spec, h=0.005, T=30.0, R=1, seed=3)
         gaps.append(np.abs(nl.theta - li.theta).max())
     assert 3.0 < gaps[0] / gaps[1] < 5.5
+
+
+def _reference_linearized(g, steady, noise, h, T, R, seed):
+    """The exponential integrator stepped in node space, one realization at a
+    time: dev <- dev P + eta_t f, P = V e^{-z} V^T, f = (V h phi1(z) V^T) e_k."""
+    steps = int(round(T / h))
+    theta0 = np.asarray(steady.theta0)
+    cos_graph = WeightedGraph(g.n, g.edges, g.b * np.cos(theta0[g.ei] - theta0[g.ej]))
+    lam, V = np.linalg.eigh(reference_laplacian(cos_graph))
+    z = np.clip(lam * h, 0.0, None)
+    decay = np.exp(-z)
+    phi1 = np.where(z > 1e-8, (1.0 - decay) / np.where(z > 1e-8, z, 1.0), 1.0 - 0.5 * z)
+    propagator = (V * decay) @ V.T
+    forcing = ((V * (h * phi1)) @ V.T)[:, noise.node - 1]
+    theta = np.empty((steps + 1, R, g.n))
+    for r in range(R):
+        eta = make_noise(noise, h, T, seed + r)
+        dev = np.zeros(g.n)
+        theta[0, r] = theta0
+        for t in range(steps):
+            dev = dev @ propagator + eta[t] * forcing
+            theta[t + 1, r] = theta0 + dev
+    return theta - theta.mean(axis=2, keepdims=True)
+
+
+@pytest.mark.parametrize("kind", ["ou", "box"])
+@pytest.mark.parametrize("h_lam", [0.1, 0.49])
+def test_linearized_matches_reference_recurrence(kind, h_lam):
+    # ny57 at a mild and at the largest step the guard accepts, over 441
+    # steps (no multiple of the block), with the box onset inside a block.
+    case = gridcase.load_case(Path(__file__).parent.parent / "cases" / "ny57_substitute.json")
+    g, omega = case.graph(), case.omega()
+    ss = steady_state(g, omega)
+    lam_n = np.linalg.eigvalsh(reference_laplacian(
+        WeightedGraph(g.n, g.edges, g.b * np.cos(ss.theta0[g.ei] - ss.theta0[g.ej]))))[-1]
+    h, steps, R, seed = h_lam / lam_n, 441, 3, 57
+    T = steps * h
+    assert steps % dynamics._STEP_BLOCK
+    if kind == "ou":
+        noise = NoiseSpec.ou(node=6, tau=50 * h, sigma=default_ou_sigma(omega))
+    else:
+        noise = NoiseSpec.box(node=6, delta=0.05, t0=200.5 * h, duration=150 * h)
+    traj = integrate_linearized(g, ss, noise, h=h, T=T, R=R, seed=seed)
+    runs = 1 if kind == "box" else R
+    ref = _reference_linearized(g, ss, noise, h, T, runs, seed)
+    assert traj.theta.shape == ref.shape == (steps + 1, runs, g.n)
+    start = int(np.searchsorted(traj.times, traj.onset - 1e-12))
+    assert kind == "ou" or (start - 1) % dynamics._STEP_BLOCK
+    scale = np.abs(ref - ref[:1]).max()
+    assert scale > 0
+    assert np.abs(traj.theta - ref).max() <= 1e-11 * scale
+    expected = empirical_vulnerability(TrajectoryEnsemble(traj.times, ref, noise.onset))
+    assert np.allclose(empirical_vulnerability(traj).per_realization,
+                       expected.per_realization, rtol=1e-12, atol=0)
 
 
 def test_empirical_zero_noise_is_zero():
