@@ -17,7 +17,8 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import WeightedGraph, _is_integer, _node_index, laplacian, spectral_bundle
+from .graphs import (WeightedGraph, _is_integer, _node_index, _node_vector, laplacian,
+                     spectral_bundle)
 
 __all__ = [
     "DEFAULT_H",
@@ -171,17 +172,6 @@ class SteadyState:
 
     def __post_init__(self) -> None:
         self.theta0.setflags(write=False)
-
-
-def _node_vector(name: str, values: Sequence[float], n: int) -> np.ndarray:
-    """``values`` as a float array, checked to hold one finite entry per node."""
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"{name} has shape {arr.shape}, expected ({n},)")
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        raise ValueError(f"{name} has non-finite entry {arr[bad[0]]} at node {bad[0] + 1}")
-    return arr
 
 
 def steady_state(g: WeightedGraph, omega: Sequence[float],

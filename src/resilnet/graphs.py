@@ -195,6 +195,17 @@ def _node_index(k: object, n: int) -> int:
     return int(k) - 1
 
 
+def _node_vector(name: str, values: Sequence[float], n: int) -> np.ndarray:
+    """``values`` as a float array, checked to hold one finite entry per node."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (n,):
+        raise ValueError(f"{name} has shape {arr.shape}, expected ({n},)")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"{name} has non-finite entry {arr[bad[0]]} at node {bad[0] + 1}")
+    return arr
+
+
 def complete_graph_edges(n: int) -> list[tuple[int, int]]:
     """Canonical lexicographic edge list of K_n, 1-based pairs."""
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]

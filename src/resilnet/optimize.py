@@ -6,8 +6,8 @@ spectral floor lambda_2(b) >= epsilon that keeps the network connected and
 synchronizable. Callers with another budget c normalize first and rescale
 by homogeneity: measure(c*b) = measure(b)/c and lambda_2(c*b) = c*lambda_2(b)
 (resilnet.scenarios.unit_budget_problem does this for grid cases, and
-derives their floor with epsilon_from_sync). DesignProblem takes the floor
-at unit budget as given.
+derives their floor with epsilon_from_sync). DesignProblem, posed on one
+WeightedGraph, takes the floor at unit budget as given.
 
 Exact method (single node): the shortest-path flow design of
 resilnet.designs (Elfving), with lower bound (mean hop)^2, whenever it
@@ -34,15 +34,15 @@ Z1 = 0) certifies lambda_2 <= max_l a_l^T Z a_l for InfeasibleDesignError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
 from .designs import shortest_path_flow
 from .graphs import (DisconnectedGraphError, WeightedGraph, _is_integer, _node_index,
-                     algebraic_connectivity, build_graph, laplacian)
+                     _node_vector, algebraic_connectivity, laplacian)
 
 __all__ = [
     "InfeasibleDesignError",
@@ -80,23 +80,20 @@ class InfeasibleDesignError(RuntimeError):
         self.upper_bound = upper_bound
 
 
-def epsilon_from_sync(
-    omega: Sequence[float], edges: Iterable[tuple[int, int]], gamma: float
-) -> float:
+def epsilon_from_sync(omega: Sequence[float], g: WeightedGraph, gamma: float) -> float:
     """Heuristic spectral floor for a synchronized state with angle gaps <= gamma.
 
-    Evaluates max over edges of |omega_i - omega_j| times sin(gamma);
-    returns 0 for identical oscillators. The floor does not guarantee the
-    gaps: on cases/ny57_substitute.json (29 generators, gamma = pi/16 =
-    0.196) the steady angle gaps are 0.284 for the min-max design and 0.200
-    for the single-node design. The CLI's sync check reports such misses.
+    Evaluates max over the edges of g (weights ignored) of |omega_i -
+    omega_j| times sin(gamma), for one finite omega per node; returns 0 for
+    identical oscillators. The floor does not guarantee the gaps: on
+    cases/ny57_substitute.json (29 generators, gamma = pi/16 = 0.196) the
+    steady angle gaps are 0.284 for the min-max design and 0.200 for the
+    single-node design. The CLI's sync check reports such misses.
     """
     if not 0.0 < gamma < math.pi / 2:
         raise ValueError(f"gamma must lie in (0, pi/2), got {gamma}")
-    w = np.asarray(omega, dtype=float)
-    e = np.array([(_node_index(i, w.size), _node_index(j, w.size)) for i, j in edges],
-                 dtype=int).reshape(-1, 2)
-    spread = float(np.abs(w[e[:, 0]] - w[e[:, 1]]).max(initial=0.0))
+    w = _node_vector("omega", omega, g.n)
+    spread = float(np.abs(w[g.ei] - w[g.ej]).max(initial=0.0))
     return spread * math.sin(gamma)
 
 
@@ -104,26 +101,20 @@ def epsilon_from_sync(
 class DesignProblem:
     """A vulnerability-minimization instance on a fixed topology.
 
-    ``edges`` are 1-based node pairs; weights are free and sum to one.
-    ``v_prime`` is the set of nodes where disturbances are expected.
+    ``topology`` is the validated network (its weights are ignored); a
+    design b is ``topology.with_weights(b)``, weights free and summing to
+    one. ``v_prime`` is the set of nodes where disturbances are expected.
     ``epsilon`` is the spectral floor at unit budget, in (0, 1); the
     default is DEFAULT_EPSILON_SCALE = 1e-4, which keeps designs connected
     and can bind on large grids. A grid case's floor comes from its
     natural frequencies (resilnet.scenarios.unit_budget_problem).
-    ``template`` is the validated topology at unit weights.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    topology: WeightedGraph
     v_prime: tuple[int, ...]
     epsilon: float = DEFAULT_EPSILON_SCALE
-    template: WeightedGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Validates pairs, self-loops, duplicates, and normalizes to i < j.
-        template = build_graph(self.n, self.edges, np.ones(len(self.edges)))
-        object.__setattr__(self, "template", template)
-        object.__setattr__(self, "edges", template.edge_pairs)
         if not self.v_prime:
             raise ValueError("v_prime must be a nonempty node set")
         bad = [k for k in self.v_prime if not _is_integer(k)]
@@ -139,8 +130,9 @@ class DesignProblem:
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
-    def graph(self, b: Sequence[float]) -> WeightedGraph:
-        return self.template.with_weights(b)
+    @property
+    def n(self) -> int:
+        return self.topology.n
 
 
 @dataclass(frozen=True)
@@ -197,20 +189,20 @@ def _cholesky_inverse(L: np.ndarray) -> np.ndarray:
 class _MinMax:
     """Barrier of the targets' blocks and the floor; ``targets`` are 0-based."""
 
-    def __init__(self, template: WeightedGraph, targets: Sequence[int], eps: float):
-        self.template, self.n, self.eps = template, template.n, eps
-        self.ei, self.ej = template.ei, template.ej
+    def __init__(self, topology: WeightedGraph, targets: Sequence[int], eps: float):
+        self.topology, self.n, self.eps = topology, topology.n, eps
+        self.ei, self.ej = topology.ei, topology.ej
         self.targets = np.asarray(targets, dtype=int)
         self.l = self.targets.size
         self.eye = np.eye(self.n)
-        self.nu = self.l * (self.n + 1) + self.n + template.m
+        self.nu = self.l * (self.n + 1) + self.n + topology.m
 
     def state(self, b: np.ndarray):
         """Cholesky factors of M and A = M - eps*I, M^-1 and the f_k, or None.
 
         None when the factorizations fail: b misses the floor.
         """
-        M = laplacian(self.template, b) + 1.0 / self.n
+        M = laplacian(self.topology, b) + 1.0 / self.n
         try:
             LA = np.linalg.cholesky(M - self.eps * self.eye)
             LM = np.linalg.cholesky(M)
@@ -262,11 +254,11 @@ class _MinMax:
 class _Connectivity:
     """Barrier of min t s.t. Q^T L(b) Q + t I >= 0, Q a basis of 1's complement."""
 
-    def __init__(self, template: WeightedGraph):
-        n = template.n
+    def __init__(self, topology: WeightedGraph):
+        n = topology.n
         Q = np.linalg.qr(np.eye(n, n - 1) - 1.0 / n)[0]
-        self.QB = (Q[template.ei] - Q[template.ej]).T   # Q^T a_l per column
-        self.nu = n - 1 + template.m
+        self.QB = (Q[topology.ei] - Q[topology.ej]).T   # Q^T a_l per column
+        self.nu = n - 1 + topology.m
 
     def state(self, b: np.ndarray):
         return np.linalg.eigh((self.QB * b) @ self.QB.T)
@@ -406,19 +398,19 @@ def _result(problem: DesignProblem, model: _MinMax, b: np.ndarray, state,
     return SolverResult(
         b_star=b, objective=objective, per_node=per_node, iterations=iterations,
         kkt_gap=objective - lower,
-        feasibility=algebraic_connectivity(problem.graph(b)) - problem.epsilon,
+        feasibility=algebraic_connectivity(problem.topology.with_weights(b)) - problem.epsilon,
         converged=objective - lower <= SOLVER_TOL * abs(objective),
         lower_bound=lower, method=method)
 
 
 def _solve(problem: DesignProblem, targets: Sequence[int]) -> SolverResult:
     eps = problem.epsilon
-    model = _MinMax(problem.template, sorted(set(int(k) - 1 for k in targets)), eps)
-    b = np.full(problem.template.m, 1.0 / problem.template.m)
+    model = _MinMax(problem.topology, sorted(set(int(k) - 1 for k in targets)), eps)
+    b = np.full(problem.topology.m, 1.0 / problem.topology.m)
     phase1_steps = 0
     if model.state(b) is None:
         b, _, attained, upper, phase1_steps = _follow_path(
-            _Connectivity(problem.template), b, scale=eps, goal=-eps)
+            _Connectivity(problem.topology), b, scale=eps, goal=-eps)
         if model.state(b) is None:
             raise InfeasibleDesignError(eps, -attained, -upper)
     b, state, _, lower, steps = _follow_path(
@@ -430,11 +422,11 @@ def solve_single_node(problem: DesignProblem, k: int) -> SolverResult:
     """Minimize the vulnerability of node k over the feasible weight set."""
     k0 = _node_index(k, problem.n)
     try:
-        flow = shortest_path_flow(problem.template, k)
+        flow = shortest_path_flow(problem.topology, k)
     except DisconnectedGraphError:
         return _solve(problem, [k])
     b = flow / flow.sum()
-    model = _MinMax(problem.template, [k0], problem.epsilon)
+    model = _MinMax(problem.topology, [k0], problem.epsilon)
     state = model.state(b)  # None when the flow design misses the floor
     if state is None:
         return _solve(problem, [k])

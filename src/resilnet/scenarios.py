@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -54,10 +54,6 @@ def _argmin_node(values: dict[int, float]) -> int:
     vmin = min(values.values())
     cut = vmin + _IMPROVE_TOL * max(1.0, abs(vmin))
     return min(k for k, v in values.items() if v <= cut)
-
-
-def _field_dict(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 @dataclass(frozen=True)
@@ -144,12 +140,7 @@ class ScenarioReport:
 
     def to_dict(self) -> dict:
         """Fields as a JSON-ready dict; its tuples serialize as lists."""
-        d = _field_dict(self)
-        d["per_node"] = [_field_dict(o) for o in self.per_node]
-        d["b_out"] = dict(self.b_out)
-        d["sync_check"] = _field_dict(self.sync_check)
-        d["solves"] = {k: _field_dict(v) for k, v in self.solves.items()}
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioReport":
@@ -169,7 +160,7 @@ def unit_budget_problem(case: GridCase, buses: Iterable[int], gamma: float,
     """The case's unit-budget design problem over ``buses``, and its physical floor.
 
     ``epsilon`` is a physical floor in (0, total susceptance). When None,
-    the unit-budget floor is max(epsilon_from_sync(omega, edges, gamma) /
+    the unit-budget floor is max(epsilon_from_sync(omega, graph, gamma) /
     total susceptance, DEFAULT_EPSILON_SCALE), a heuristic (see
     epsilon_from_sync). ``gamma`` must lie in (0, pi/2) either way. The
     problem's weights and measures scale back by the total susceptance.
@@ -177,8 +168,9 @@ def unit_budget_problem(case: GridCase, buses: Iterable[int], gamma: float,
     if not 0.0 < gamma < math.pi / 2:
         raise ValueError(f"gamma must lie in (0, pi/2), got {gamma}")
     scale = case.total_susceptance
+    graph = case.graph()
     if epsilon is None:
-        sync = epsilon_from_sync(case.omega(), case.edge_pairs(), gamma)
+        sync = epsilon_from_sync(case.omega(), graph, gamma)
         eps_norm = max(sync / scale, DEFAULT_EPSILON_SCALE)
         epsilon = eps_norm * scale
     elif 0.0 < epsilon < scale:
@@ -186,8 +178,7 @@ def unit_budget_problem(case: GridCase, buses: Iterable[int], gamma: float,
     else:
         raise ValueError(f"epsilon must lie in (0, {scale:.6g}), the total "
                          f"susceptance of {case.name}; got {epsilon}")
-    problem = DesignProblem(case.n, case.edge_pairs(),
-                            v_prime=[case.node_of(b) for b in buses],
+    problem = DesignProblem(graph, v_prime=[case.node_of(b) for b in buses],
                             epsilon=eps_norm)
     return problem, epsilon
 

@@ -91,7 +91,7 @@ class SdpData:
         """(label, SDPA size) per block; the diagonal block's size is negative."""
         n = self.problem.n
         return ([(f"S_{k}", n + 1) for k in self.problem.v_prime]
-                + [("b", -len(self.problem.edges)), ("E", n)])
+                + [("b", -self.problem.topology.m), ("E", n)])
 
     def block_offsets(self) -> list[int]:
         sizes = [abs(size) for _, size in self.layout()]
@@ -120,7 +120,7 @@ class SdpData:
     @property
     def budget_matrix(self) -> Matrix:
         """A sums the diagonal edge-weight block."""
-        diag_block, m = len(self.problem.v_prime), len(self.problem.edges)
+        diag_block, m = len(self.problem.v_prime), self.problem.topology.m
         return tuple((diag_block, i, i, 1.0) for i in range(1, m + 1))
 
     @cached_property
@@ -138,7 +138,7 @@ class SdpData:
         # edge e = (a, c), a < c, L holds +b_e at (a, a) and (c, c) and -b_e
         # at (a, c). Each row lists its ties in edge order.
         ties = defaultdict(list)
-        for e, (a, c) in enumerate(p.edges, start=1):
+        for e, (a, c) in enumerate(p.topology.edge_pairs, start=1):
             ties[a, a].append((l, e, e, -1.0))
             ties[c, c].append((l, e, e, -1.0))
             ties[a, c].append((l, e, e, 1.0))
@@ -190,11 +190,11 @@ def encode_point(sdp: SdpData, b: np.ndarray, t: float) -> np.ndarray:
     exactly when b is feasible and t >= max_k e_k^T (L + 11^T/n)^{-1} e_k.
     """
     p = sdp.problem
-    n, m, l = p.n, len(p.edges), len(p.v_prime)
+    n, m, l = p.n, p.topology.m, len(p.v_prime)
     b = np.asarray(b, dtype=float)
     if b.shape != (m,):
         raise ValueError(f"b has shape {b.shape}, expected ({m},)")
-    M = laplacian(p.template, b) + 1.0 / n
+    M = laplacian(p.topology, b) + 1.0 / n
     Z = np.zeros((sdp.dimension, sdp.dimension))
     offs = sdp.block_offsets()
     for o, k in zip(offs, p.v_prime):
@@ -213,7 +213,7 @@ def decode_point(sdp: SdpData, Z: np.ndarray) -> tuple[np.ndarray, float]:
     p = sdp.problem
     offs = sdp.block_offsets()
     od = offs[len(p.v_prime)]
-    b = np.diagonal(Z)[od:od + len(p.edges)].copy()
+    b = np.diagonal(Z)[od:od + p.topology.m].copy()
     return b, float(Z[p.n, p.n])
 
 
@@ -236,7 +236,7 @@ def format_sdpa(sdp: SdpData) -> str:
     lines = [
         "* resilnet standard-form SDP export",
         "* problem: min Tr(W Z) s.t. Tr(A Z) = 1, couplings, Z >= 0",
-        f"* nodes n = {p.n}, edges m = {len(p.edges)}, targets V' = {list(p.v_prime)}",
+        f"* nodes n = {p.n}, edges m = {p.topology.m}, targets V' = {list(p.v_prime)}",
         f"* spectral floor eps = {p.epsilon:.17g} (unit budget)",
         "* blocks: " + ", ".join(
             f"{idx + 1}: {label} ({'diag' if size < 0 else 'psd'} {abs(size)})"

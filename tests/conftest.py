@@ -31,6 +31,10 @@ def random_connected_graph(rng: np.random.Generator, n: int,
     return build_graph(n, edges, b)
 
 
+def unit_graph(n: int, edges) -> WeightedGraph:
+    return build_graph(n, edges, np.ones(len(edges)))
+
+
 def random_tree(rng: np.random.Generator, n: int) -> WeightedGraph:
     edges = [(int(rng.integers(1, v)), v) for v in range(2, n + 1)]
     return build_graph(n, edges, np.ones(n - 1))

@@ -41,6 +41,7 @@ from conftest import (
     random_tree,
     simplex_grid,
     support_connected_mask,
+    unit_graph,
 )
 
 CASES_DIR = Path(__file__).resolve().parents[1] / "cases"
@@ -54,7 +55,7 @@ def _verdict(criterion: str, ok: bool, detail: str) -> None:
 def test_criterion_1_complete_graph_oracle():
     worst_obj = worst_w = worst_t = 0.0
     for n in (3, 4, 5, 6):
-        prob = DesignProblem(n, complete_graph_edges(n), v_prime=[1])
+        prob = DesignProblem(unit_graph(n, complete_graph_edges(n)), v_prime=[1])
         t0 = time.monotonic()
         res = solve_single_node(prob, 1)
         elapsed = time.monotonic() - t0
@@ -86,7 +87,7 @@ def test_criterion_2_tree_oracle():
         ref_val = vulnerability_measure(tree.with_weights(ref), k)
         cert = optimality_certificate(tree.with_weights(ref), k)
         res_max = float(np.abs(cert.residuals).max())
-        prob = DesignProblem(tree.n, tree.edge_pairs, v_prime=[k])
+        prob = DesignProblem(tree, v_prime=[k])
         solved = solve_single_node(prob, k)
         d_obj = abs(solved.objective - ref_val)
         worst_obj = max(worst_obj, d_obj)
@@ -113,7 +114,7 @@ def test_criterion_3_brute_force_equivalence():
         grid = grid[mask]
         for k in range(1, n + 1):
             grid_min = float(batched_measure(n, edges, grid, k).min())
-            prob = DesignProblem(n, edges, v_prime=[k])
+            prob = DesignProblem(unit_graph(n, edges), v_prime=[k])
             res = solve_single_node(prob, k)
             gap = abs(res.objective - grid_min)
             worst = max(worst, gap)
@@ -244,7 +245,7 @@ def test_criterion_8_simulation_theory_ranking():
     template = build_graph(n, edges, np.ones(m))
     incident = np.array([k in (i, j) for i, j in template.edge_pairs])
     uniform = np.full(m, 1.0 / m)
-    prob = DesignProblem(n, edges, v_prime=[k])
+    prob = DesignProblem(template, v_prime=[k])
     optimal = solve_single_node(prob, k).b_star
 
     def starved(factor: float) -> np.ndarray:
@@ -317,7 +318,7 @@ def test_criterion_10_sdp_round_trip():
     ]
     worst = 0.0
     for n, edges, v_prime in topologies:
-        prob = DesignProblem(n, edges, v_prime=v_prime, epsilon=1e-3)
+        prob = DesignProblem(unit_graph(n, edges), v_prime=v_prime, epsilon=1e-3)
         sdp = assemble_sdp(prob)
         l = len(v_prime)
         assert sdp.dimension == l * (n + 1) + len(edges) + n

@@ -147,6 +147,23 @@ def test_gamma_out_of_range_exit_3_with_epsilon(tmp_path, capsys, gamma):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", FLOOR_COMMANDS, ids=["single", "minmax", "export-sdp"])
+def test_request_validates_one_network(command, tmp_path, monkeypatch, capsys):
+    # The case's branch network is built once; the floor and the design
+    # problem are posed on that graph, not on a rebuilt copy.
+    import resilnet.graphs as graphs
+    import resilnet.gridcase as gridcase
+    import resilnet.optimize as optimize
+    build_graph, calls = graphs.build_graph, []
+    for module in (graphs, gridcase, optimize):
+        monkeypatch.setattr(module, "build_graph",
+                            lambda *args: calls.append(args) or build_graph(*args),
+                            raising=False)
+    assert main([*command, "--case", NY57, "--nodes", "generators",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
 def test_export_sdp(tmp_path):
     out = tmp_path / "k5.dat-s"
     code = main(["export-sdp", "--case", K5, "--nodes", "1,2",

@@ -268,18 +268,18 @@ def test_solve_single_node_falls_back_when_floor_binds():
     bound = _mean_hop(g, k) ** 2
     lam2 = algebraic_connectivity(g.with_weights(b))
 
-    problem = DesignProblem(6, edges, v_prime=[k])
+    problem = DesignProblem(g, v_prime=[k])
     exact = solve_single_node(problem, k)
     assert exact.iterations == 0 and exact.converged
     assert exact.method == "exact-flow"
     assert exact.lower_bound == pytest.approx(bound, rel=1e-12)
-    assert optimality_certificate(problem.graph(exact.b_star), k).optimal
+    assert optimality_certificate(g.with_weights(exact.b_star), k).optimal
     assert exact.kkt_gap == pytest.approx(0.0, abs=1e-12)
     assert exact.feasibility >= 0.0
     assert np.array_equal(exact.b_star, b)
     assert exact.objective == pytest.approx(bound, rel=1e-12)
 
-    floored = DesignProblem(6, edges, v_prime=[k], epsilon=1.2 * lam2)
+    floored = DesignProblem(g, v_prime=[k], epsilon=1.2 * lam2)
     res = solve_single_node(floored, k)
     assert res.iterations > 0
     assert res.method == "barrier" and res.converged

@@ -13,7 +13,6 @@ from resilnet import (
     commute_decomposition,
     complete_graph_edges,
     complete_graph_optimum,
-    epsilon_from_sync,
     integrate_linearized,
     integrate_nonlinear,
     optimality_certificate,
@@ -114,6 +113,12 @@ def test_non_integer_nodes_rejected():
         build_graph(3, [(1, 2), (2.0, 3)], [0.5, 0.5])
     with pytest.raises(GraphConstructionError, match="edge 1: endpoints"):
         build_graph(3, [(True, 2)], [0.5])
+    for bad in (0, 4):
+        with pytest.raises(GraphConstructionError,
+                           match=rf"edge 2: endpoint out of range in \(2, {bad}\) with n=3"):
+            build_graph(3, [(1, 2), (2, bad)], [0.5, 0.5])
+        with pytest.raises(GraphConstructionError, match="edge 1: endpoint out of range"):
+            build_graph(3, [(bad, 1)], [0.5])
     for n in (3.0, True, np.float64(3.0)):
         with pytest.raises(GraphConstructionError, match="node count must be an integer"):
             build_graph(n, [(1, 2), (2, 3)], [0.5, 0.5])
@@ -319,13 +324,11 @@ NODE_TAKERS = {
     "complete_graph_optimum": lambda k: complete_graph_optimum(4, k),
     "optimality_certificate": lambda k: optimality_certificate(_P4, k).residuals,
     "solve_single_node": lambda k: solve_single_node(
-        DesignProblem(4, _P4.edge_pairs, v_prime=[1]), k).b_star,
+        DesignProblem(_P4, v_prime=[1]), k).b_star,
     "integrate_nonlinear": lambda k: integrate_nonlinear(
         _P4, _OMEGA, np.zeros(4), NoiseSpec.ou(node=k), **_RUN).theta,
     "integrate_linearized": lambda k: integrate_linearized(
         _P4, steady_state(_P4, _OMEGA), NoiseSpec.ou(node=k), **_RUN).theta,
-    "epsilon_from_sync first endpoint": lambda k: epsilon_from_sync(_OMEGA, [(k, 2)], 0.3),
-    "epsilon_from_sync second endpoint": lambda k: epsilon_from_sync(_OMEGA, [(1, k)], 0.3),
     "GridCase.bus_of": lambda k: _CASE.bus_of(k),
 }
 

@@ -25,37 +25,46 @@ from resilnet.gridcase import Branch, Bus, GridCase
 from resilnet.optimize import DEFAULT_GAMMA, SOLVER_TOL
 from resilnet.scenarios import unit_budget_problem
 
-from conftest import floor_aware_lower_bound, random_tree
+from conftest import floor_aware_lower_bound, random_tree, unit_graph
 
 CASES_DIR = Path(__file__).resolve().parents[1] / "cases"
 
 
 def test_epsilon_from_sync():
     gamma = math.pi / 16
-    eps = epsilon_from_sync([0.5, -0.5], [(1, 2)], gamma)
+    eps = epsilon_from_sync([0.5, -0.5], unit_graph(2, [(1, 2)]), gamma)
     assert eps == pytest.approx(math.sin(gamma), abs=1e-12)
     assert eps == pytest.approx(0.19509, abs=1e-5)
-    assert epsilon_from_sync([0.7, 0.7, 0.7], [(1, 2), (2, 3)], gamma) == 0.0
-    eps3 = epsilon_from_sync([0.3, 0.1, -0.4], [(1, 2), (2, 3)], gamma)
+    path = unit_graph(3, [(1, 2), (2, 3)])
+    assert epsilon_from_sync([0.7, 0.7, 0.7], path, gamma) == 0.0
+    eps3 = epsilon_from_sync([0.3, 0.1, -0.4], path, gamma)
     assert eps3 == pytest.approx(0.5 * math.sin(gamma), abs=1e-12)
+    # omega holds one finite value per node, also at a node on no edge
+    for omega, g, match in (([math.nan, 0.1, -0.1], path, "non-finite entry nan at node 1"),
+                            ([0.1, 0.2, -0.1, 0.0], path, r"shape \(4,\), expected \(3,\)"),
+                            ([0.1, -0.1, math.inf], unit_graph(3, [(1, 2)]),
+                             "non-finite entry inf at node 3")):
+        with pytest.raises(ValueError, match=match):
+            epsilon_from_sync(omega, g, gamma)
 
 
 def test_designproblem_validation():
+    path = unit_graph(3, [(1, 2), (2, 3)])
     with pytest.raises(ValueError, match="v_prime"):
-        DesignProblem(3, [(1, 2), (2, 3)], v_prime=[])
+        DesignProblem(path, v_prime=[])
     with pytest.raises(ValueError, match="epsilon"):
-        DesignProblem(3, [(1, 2), (2, 3)], v_prime=[1], epsilon=1.5)
+        DesignProblem(path, v_prime=[1], epsilon=1.5)
     with pytest.raises(ValueError, match="epsilon"):
-        DesignProblem(3, [(1, 2), (2, 3)], v_prime=[1], epsilon=0.0)
+        DesignProblem(path, v_prime=[1], epsilon=0.0)
     with pytest.raises(ValueError, match="epsilon"):
-        DesignProblem(3, [(1, 2), (2, 3)], v_prime=[1], epsilon=math.nan)
+        DesignProblem(path, v_prime=[1], epsilon=math.nan)
     # no floor given: small default floor
-    assert DesignProblem(2, [(1, 2)], v_prime=[1]).epsilon == pytest.approx(1e-4)
+    assert DesignProblem(unit_graph(2, [(1, 2)]), v_prime=[1]).epsilon == pytest.approx(1e-4)
     # node ids are integers: no silent truncation, bools are not ids
     for bad in ([1.5], [True], [1, 2.0]):
         with pytest.raises(ValueError, match=f"v_prime entries must be integers, got {bad[-1]}"):
-            DesignProblem(3, [(1, 2), (2, 3)], v_prime=bad)
-    p3 = DesignProblem(3, [(1, 2), (2, 3)], v_prime=[np.int64(3), 1])
+            DesignProblem(path, v_prime=bad)
+    p3 = DesignProblem(path, v_prime=[np.int64(3), 1])
     assert p3.v_prime == (1, 3)
     for k in (True, 1.5):
         with pytest.raises(ValueError, match=f"node must be an integer, got {k}"):
@@ -92,12 +101,12 @@ def test_unit_budget_problem_floor():
 
 def test_solver_complete_graph_oracle():
     for n, k in ((3, 1), (4, 2), (5, 3), (6, 1)):
-        prob = DesignProblem(n, complete_graph_edges(n), v_prime=[k])
+        prob = DesignProblem(unit_graph(n, complete_graph_edges(n)), v_prime=[k])
         res = solve_single_node(prob, k)
         assert abs(res.objective - ((n - 1) / n) ** 2) < 1e-4
         assert np.abs(res.b_star - complete_graph_optimum(n, k)).max() < 1e-3
         assert res.converged
-        assert optimality_certificate(prob.graph(res.b_star), k).optimal
+        assert optimality_certificate(prob.topology.with_weights(res.b_star), k).optimal
         assert res.feasibility >= -1e-7
         assert res.b_star.min() >= 0.0
         assert res.b_star.sum() == pytest.approx(1.0, abs=1e-9)
@@ -111,28 +120,28 @@ def test_solver_tree_oracle():
         k = int(rng.integers(1, n + 1))
         ref = tree_optimum(tree, k)
         ref_val = vulnerability_measure(tree.with_weights(ref), k)
-        prob = DesignProblem(n, tree.edge_pairs, v_prime=[k])
+        prob = DesignProblem(tree, v_prime=[k])
         res = solve_single_node(prob, k)
         assert abs(res.objective - ref_val) < 1e-4
         assert np.abs(res.b_star - ref).max() < 1e-3
 
 
 def test_minmax_singleton_matches_single_node():
-    prob = DesignProblem(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)], v_prime=[2])
+    prob = DesignProblem(unit_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)]), v_prime=[2])
     a = solve_single_node(prob, 2)
     b = solve_min_max(prob)
     assert abs(a.objective - b.objective) < 1e-6
 
 
 def test_minmax_k5_symmetric_optimum():
-    prob = DesignProblem(5, complete_graph_edges(5), v_prime=[1, 2, 3, 4, 5])
+    prob = DesignProblem(unit_graph(5, complete_graph_edges(5)), v_prime=[1, 2, 3, 4, 5])
     res = solve_min_max(prob)
     assert abs(res.objective - 1.6) < 1e-4
     assert np.abs(res.b_star - 0.1).max() < 1e-3
 
 
 def test_minmax_p3_leaves():
-    prob = DesignProblem(3, [(1, 2), (2, 3)], v_prime=[1, 3])
+    prob = DesignProblem(unit_graph(3, [(1, 2), (2, 3)]), v_prime=[1, 3])
     res = solve_min_max(prob)
     assert np.abs(res.b_star - 0.5).max() < 1e-3
     assert abs(res.per_node[1] - res.per_node[3]) < 1e-4
@@ -149,7 +158,7 @@ def test_solver_monotone_versus_uniform_start():
         uniform = np.full(len(edges), 1.0 / len(edges))
         g_uni = build_graph(n, edges, uniform)
         vp = sorted(set(int(x) for x in rng.integers(1, n + 1, size=3)))
-        prob = DesignProblem(n, edges, v_prime=vp)
+        prob = DesignProblem(unit_graph(n, edges), v_prime=vp)
         res = solve_min_max(prob)
         before = max(vulnerability_measure(g_uni, k) for k in vp)
         assert res.objective <= before + 1e-9
@@ -159,13 +168,13 @@ def test_epsilon_monotonicity():
     edges = [(1, 2), (2, 3), (3, 4), (1, 4)]
     values = []
     for eps in (1e-4, 0.05, 0.15, 0.3):
-        prob = DesignProblem(4, edges, v_prime=[1], epsilon=eps)
+        prob = DesignProblem(unit_graph(4, edges), v_prime=[1], epsilon=eps)
         values.append(solve_single_node(prob, 1).objective)
     assert all(values[i] <= values[i + 1] + 1e-7 for i in range(len(values) - 1))
 
 
 def test_solver_objective_respects_universal_floor():
-    prob = DesignProblem(5, complete_graph_edges(5), v_prime=[2])
+    prob = DesignProblem(unit_graph(5, complete_graph_edges(5)), v_prime=[2])
     res = solve_single_node(prob, 2)
     g = build_graph(5, complete_graph_edges(5), res.b_star)
     # the optimized node can do no better than the per-node floor (1-1/n)^2,
@@ -178,7 +187,7 @@ def test_solver_objective_respects_universal_floor():
 
 
 def test_solver_determinism():
-    prob = DesignProblem(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)],
+    prob = DesignProblem(unit_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)]),
                          v_prime=[1, 3])
     r1 = solve_min_max(prob)
     r2 = solve_min_max(prob)
@@ -190,7 +199,7 @@ def test_solver_determinism():
 def test_infeasible_spectral_floor():
     # K5's algebraic connectivity over the unit simplex peaks at 0.5, at the
     # uniform weights; Z = (I - 11^T/5)/4 certifies a_l^T Z a_l = 0.5
-    prob = DesignProblem(5, complete_graph_edges(5), v_prime=[1], epsilon=0.8)
+    prob = DesignProblem(unit_graph(5, complete_graph_edges(5)), v_prime=[1], epsilon=0.8)
     with pytest.raises(InfeasibleDesignError) as exc:
         solve_single_node(prob, 1)
     assert exc.value.attained == pytest.approx(0.5, abs=1e-6)
@@ -226,7 +235,7 @@ def test_nonconvergence_returns_best_iterate(monkeypatch):
     edges = [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]
     # the floor lies between lambda_2 of the exact flow design (0.0543) and
     # of the uniform start (0.0764), so the barrier method must run
-    prob = DesignProblem(6, edges, v_prime=[1], epsilon=0.07)
+    prob = DesignProblem(unit_graph(6, edges), v_prime=[1], epsilon=0.07)
     res = solve_single_node(prob, 1)
     assert res.method == "barrier"
     assert not res.converged
@@ -261,7 +270,7 @@ def test_minmax_ny57_floors_against_prototype_and_lp_bound(eps_phys):
     assert res.objective == pytest.approx(objective, rel=1e-10)
     assert res.converged == converged
     assert res.feasibility >= 0.0
-    bound = floor_aware_lower_bound(problem.graph(res.b_star),
+    bound = floor_aware_lower_bound(problem.topology.with_weights(res.b_star),
                                     problem.v_prime, problem.epsilon)
     assert res.objective >= bound * (1 - 1e-12)
     assert res.lower_bound <= res.objective
@@ -278,15 +287,16 @@ def test_minmax_state_rejects_weights_below_the_floor():
     # C4 at weights w has lambda_2 = 2w, so the even design clears eps = 0.1;
     # two weak opposite edges leave M > 0 but M - eps*I indefinite.
     edges = [(1, 2), (2, 3), (3, 4), (1, 4)]
-    prob = DesignProblem(4, edges, v_prime=[1, 3], epsilon=0.1)
-    model = optimize._MinMax(prob.template, [0, 2], prob.epsilon)
+    prob = DesignProblem(unit_graph(4, edges), v_prime=[1, 3], epsilon=0.1)
+    model = optimize._MinMax(prob.topology, [0, 2], prob.epsilon)
     even = np.full(4, 0.25)
     state = model.state(even)
     assert state is not None
+    g_even = prob.topology.with_weights(even)
     assert model.objective(state) == pytest.approx(
-        max(vulnerability_measure(prob.graph(even), k) for k in (1, 3)), rel=1e-12)
+        max(vulnerability_measure(g_even, k) for k in (1, 3)), rel=1e-12)
     weak = np.array([0.49, 0.01, 0.49, 0.01])
-    assert 0.0 < algebraic_connectivity(prob.graph(weak)) < prob.epsilon
+    assert 0.0 < algebraic_connectivity(prob.topology.with_weights(weak)) < prob.epsilon
     assert model.state(weak) is None
 
 
@@ -294,13 +304,13 @@ def test_minmax_relabel_invariance():
     case = load_case(CASES_DIR / "ny57_substitute.json")
     problem, _ = unit_budget_problem(case, case.generator_ids, DEFAULT_GAMMA, None)
     ref = solve_min_max(problem)
-    g = problem.template
+    g = problem.topology
     rng = np.random.default_rng(61)
     perm = rng.permutation(g.n)           # old 0-based node -> new
     order = rng.permutation(g.m)          # new edge position -> old index
     edges = [(int(perm[g.edges[l][1]]) + 1, int(perm[g.edges[l][0]]) + 1)
              for l in order]
-    relabelled = DesignProblem(g.n, edges,
+    relabelled = DesignProblem(unit_graph(g.n, edges),
                                v_prime=[int(perm[k - 1]) + 1 for k in problem.v_prime],
                                epsilon=problem.epsilon)
     res = solve_min_max(relabelled)

@@ -22,6 +22,8 @@ from resilnet.optimize import DEFAULT_GAMMA
 from resilnet.scenarios import unit_budget_problem
 from resilnet.sdp import format_sdpa
 
+from conftest import unit_graph
+
 CASES_DIR = Path(__file__).resolve().parents[1] / "cases"
 
 TOPOLOGIES = {
@@ -42,17 +44,17 @@ def _random_feasible(rng, n, edges, eps):
 
 
 def test_dimension_formula():
-    prob = DesignProblem(3, [(1, 2), (2, 3), (1, 3)], v_prime=[1], epsilon=1e-3)
+    prob = DesignProblem(unit_graph(3, [(1, 2), (2, 3), (1, 3)]), v_prime=[1], epsilon=1e-3)
     assert assemble_sdp(prob).dimension == 1 * 4 + 3 + 3
-    prob = DesignProblem(5, complete_graph_edges(5), v_prime=[1, 3], epsilon=1e-3)
+    prob = DesignProblem(unit_graph(5, complete_graph_edges(5)), v_prime=[1, 3], epsilon=1e-3)
     assert assemble_sdp(prob).dimension == 2 * 6 + 10 + 5
     n, edges = TOPOLOGIES["two_squares"]
-    prob = DesignProblem(n, edges, v_prime=[2, 4, 6], epsilon=1e-3)
+    prob = DesignProblem(unit_graph(n, edges), v_prime=[2, 4, 6], epsilon=1e-3)
     assert assemble_sdp(prob).dimension == 3 * 7 + 7 + 6
 
 
 def test_objective_and_budget_selectors():
-    prob = DesignProblem(3, [(1, 2), (2, 3), (1, 3)], v_prime=[2], epsilon=1e-3)
+    prob = DesignProblem(unit_graph(3, [(1, 2), (2, 3), (1, 3)]), v_prime=[2], epsilon=1e-3)
     sdp = assemble_sdp(prob)
     W = sdp.to_dense(sdp.objective)
     assert W.sum() == 1.0 and W[3, 3] == 1.0
@@ -67,7 +69,7 @@ def test_objective_and_budget_selectors():
 def test_encode_satisfies_all_constraints():
     rng = np.random.default_rng(40)
     for name, (n, edges) in TOPOLOGIES.items():
-        prob = DesignProblem(n, edges, v_prime=[1, min(3, n)], epsilon=1e-3)
+        prob = DesignProblem(unit_graph(n, edges), v_prime=[1, min(3, n)], epsilon=1e-3)
         sdp = assemble_sdp(prob)
         b, g = _random_feasible(rng, n, edges, prob.epsilon)
         t = max(vulnerability_measure(g, k) for k in prob.v_prime) + 1.0 / n
@@ -82,7 +84,7 @@ def test_encode_satisfies_all_constraints():
 def test_round_trip_identity():
     rng = np.random.default_rng(41)
     for name, (n, edges) in TOPOLOGIES.items():
-        prob = DesignProblem(n, edges, v_prime=[1], epsilon=1e-3)
+        prob = DesignProblem(unit_graph(n, edges), v_prime=[1], epsilon=1e-3)
         sdp = assemble_sdp(prob)
         for _ in range(20):
             b, g = _random_feasible(rng, n, edges, prob.epsilon)
@@ -96,7 +98,7 @@ def test_decoded_point_is_feasible_with_slack_bound():
     # the PSD border block forces t >= e_k (L + 11^T/n)^{-1} e_k
     rng = np.random.default_rng(42)
     n, edges = TOPOLOGIES["triangle"]
-    prob = DesignProblem(n, edges, v_prime=[2], epsilon=1e-3)
+    prob = DesignProblem(unit_graph(n, edges), v_prime=[2], epsilon=1e-3)
     sdp = assemble_sdp(prob)
     b, g = _random_feasible(rng, n, edges, prob.epsilon)
     f = vulnerability_measure(g, 2) + 1.0 / n
@@ -111,7 +113,7 @@ def test_decoded_point_is_feasible_with_slack_bound():
 
 
 def test_thm3_optimum_round_trip():
-    prob = DesignProblem(5, complete_graph_edges(5), v_prime=[1], epsilon=1e-4)
+    prob = DesignProblem(unit_graph(5, complete_graph_edges(5)), v_prime=[1], epsilon=1e-4)
     sdp = assemble_sdp(prob)
     b = complete_graph_optimum(5, 1)
     Z = encode_point(sdp, b, 0.64 + 0.2)
@@ -150,7 +152,7 @@ def test_sdpa_text_round_trips_matrices():
 
 
 def _check_sdpa_round_trip(n, edges, v_prime, eps):
-    prob = DesignProblem(n, edges, v_prime=v_prime, epsilon=eps)
+    prob = DesignProblem(unit_graph(n, edges), v_prime=v_prime, epsilon=eps)
     sdp = assemble_sdp(prob)
     text = format_sdpa(sdp)
     lines = [ln for ln in text.splitlines() if not ln.startswith("*")]
@@ -195,7 +197,7 @@ def _check_sdpa_round_trip(n, edges, v_prime, eps):
 
 
 def test_write_sdpa_to_file(tmp_path):
-    prob = DesignProblem(3, [(1, 2), (2, 3)], v_prime=[1], epsilon=1e-3)
+    prob = DesignProblem(unit_graph(3, [(1, 2), (2, 3)]), v_prime=[1], epsilon=1e-3)
     sdp = assemble_sdp(prob)
     path = tmp_path / "problem.dat-s"
     write_sdpa(sdp, str(path))
@@ -206,7 +208,7 @@ def test_write_sdpa_to_file(tmp_path):
 
 
 def test_seventeen_digit_values_round_trip():
-    prob = DesignProblem(3, [(1, 2), (2, 3)], v_prime=[1], epsilon=1e-3)
+    prob = DesignProblem(unit_graph(3, [(1, 2), (2, 3)]), v_prime=[1], epsilon=1e-3)
     sdp = assemble_sdp(prob)
     text = format_sdpa(sdp)
     for ln in text.splitlines():

@@ -1,7 +1,11 @@
-"""Public surface: benchmark tracer targets and hooks, and every ``__all__``, resolve."""
+"""Public surface: tracer targets and hooks, every ``__all__``, README's example."""
 import importlib
 import pkgutil
+import re
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import resilnet
 from resilnet import (
@@ -13,6 +17,8 @@ from resilnet import (
     steady_state,
 )
 from resilnet.sdp import format_sdpa
+
+from conftest import unit_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,7 +43,7 @@ def test_tracer_hooks_read_real_results(monkeypatch):
     ss = steady_state(g, omega)
     spec = NoiseSpec.ou(node=2)
     n, l = 5, 2
-    problem = DesignProblem(n, complete_graph_edges(n), v_prime=[1, 3])
+    problem = DesignProblem(unit_graph(n, complete_graph_edges(n)), v_prime=[1, 3])
     calls = {
         "optimize.solve_single_node": lambda f: f(problem, 1),
         "optimize.solve_min_max": lambda f: f(problem),
@@ -84,3 +90,13 @@ def test_every_all_name_exists():
         module = importlib.import_module(f"resilnet.{name}")
         for attr in module.__all__:
             assert hasattr(module, attr), f"resilnet.{name}.{attr}"
+
+
+def test_readme_library_example_runs(capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    measure, b_star, closed_form = capsys.readouterr().out.splitlines()
+    assert float(measure) == pytest.approx(10 / 9, rel=1e-12)
+    for line in (b_star, closed_form):
+        np.testing.assert_allclose(np.array(line.strip("[]").split(), dtype=float),
+                                   [2 / 3, 1 / 3], atol=1e-8)

@@ -89,7 +89,7 @@ def validate(case: GridCase) -> None:
     graph = case.graph()
     omega = case.omega()
     scale = case.total_susceptance
-    eps_phys = epsilon_from_sync(omega, case.edge_pairs(), DEFAULT_GAMMA)
+    eps_phys = epsilon_from_sync(omega, graph, DEFAULT_GAMMA)
     lam2_phys = algebraic_connectivity(graph)
     uniform = case.graph(np.full(N_BRANCHES, scale / N_BRANCHES))
     lam2_uni = algebraic_connectivity(uniform)
