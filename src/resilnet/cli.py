@@ -16,14 +16,13 @@ from .dynamics import (
     DEFAULT_H,
     DEFAULT_R,
     DEFAULT_T,
-    STEP_STIFFNESS_LIMIT,
     NoiseSpec,
     NoSynchronizedStateError,
     default_ou_sigma,
+    simulate,
+    stable_step,
     steady_state,
 )
-from .dynamics import _csv_rows, _nonlinear_run, _SpreadSum, _with_freq
-from .graphs import spectral_bundle
 from .gridcase import CaseError, GridCase, load_case
 from .optimize import DEFAULT_GAMMA, InfeasibleDesignError
 from .scenarios import emit_report, scenario_one, scenario_two, unit_budget_problem
@@ -31,11 +30,6 @@ from .sdp import assemble_sdp, write_sdpa
 from .vulnerability import vulnerability_measure, worst_case
 
 __all__ = ["main"]
-
-
-# trajectories.csv holds the first max(1, CSV_VALUES // (n * samples))
-# realizations, as earlier versions did; all 100 on ny57 would take 0.5 GB.
-CSV_VALUES = 12_500_000
 
 
 class InputError(Exception):
@@ -167,27 +161,15 @@ def cmd_simulate(args) -> int:
         spec = NoiseSpec.ou(node, sigma=default_ou_sigma(omega))
     else:
         spec = NoiseSpec.box(node)
-    lam_n = float(spectral_bundle(graph).eigenvalues[-1])
-    h = DEFAULT_H
-    if h * lam_n >= STEP_STIFFNESS_LIMIT:
-        h = 0.4 / lam_n
+    h, lam_n = stable_step(graph)
+    if h < DEFAULT_H:
         print(f"step reduced to h={h:.3g} for stiffness lambda_n={lam_n:.4g}")
-    # The box pulse ignores the seed, so it is integrated once.
-    total = DEFAULT_R if args.noise == "ou" else 1
-    times, phases = _nonlinear_run(graph, omega, ss.theta0, spec, h=h, T=DEFAULT_T,
-                                   R=total, seed=args.seed)
-    spread = _SpreadSum(times, spec.onset, total)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "trajectories.csv", "w", newline="") as fh:
-        written = max(1, min(total, CSV_VALUES // (case.n * times.size)))
-        write = _csv_rows(fh, written, case.n, h, max(1, (times.size - 1) // 2000))
-        for lo, theta, freq in _with_freq(phases, h):
-            spread.add(lo, freq)
-            write(lo, theta, freq)
-    measure = spread.measure()
+    measure = simulate(graph, omega, ss.theta0, spec, out_dir / "trajectories.csv",
+                       h=h, T=DEFAULT_T, R=DEFAULT_R, seed=args.seed)
     print(f"empirical vulnerability at bus {args.node} "
-          f"({spec.kind}, R={total}): {measure.value:.6g} "
+          f"({spec.kind}, R={len(measure.per_realization)}): {measure.value:.6g} "
           f"+/- {measure.stderr:.2g}")
     print(f"wrote {out_dir / 'trajectories.csv'}")
     return 0

@@ -3,7 +3,8 @@
 Validation loop for the analytic measure: compute a synchronized steady
 state, stream the nonlinear (RK4) or linearized (exact per-mode) dynamics
 under a disturbance at one node as blocks of phases, and estimate the
-time-averaged squared spread of frequencies around their mean. All phases
+time-averaged squared spread of frequencies around their mean, either from a
+stored ensemble or, in ``simulate``, from one pass over the stream. All phases
 live in a co-rotating frame (natural frequencies are mean-centered) and are
 reported mean-zero per time step to suppress the neutral rotation mode.
 """
@@ -11,9 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, ContextManager, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,10 +34,12 @@ __all__ = [
     "default_ou_sigma",
     "make_noise",
     "steady_state",
+    "stable_step",
     "integrate_nonlinear",
     "integrate_linearized",
     "empirical_vulnerability",
     "export_trajectories_csv",
+    "simulate",
 ]
 
 DEFAULT_H = 0.01
@@ -47,6 +51,9 @@ DEFAULT_BOX_START = 10.0
 DEFAULT_BOX_DURATION = 20.0
 # RK4 needs h * lambda_n below this; the integrators refuse larger steps.
 STEP_STIFFNESS_LIMIT = 0.5
+# simulate's CSV holds the first max(1, CSV_VALUES // (n * samples))
+# realizations, as earlier versions did; all 100 on ny57 would take 0.5 GB.
+CSV_VALUES = 12_500_000
 # Steps per block of a run's stream: noise, RK4 edge states, phases, frequencies.
 _STEP_BLOCK = 128
 
@@ -257,9 +264,25 @@ class TrajectoryEnsemble:
         return freq
 
 
+def _too_stiff(h: float, lam_n: float) -> bool:
+    return h * lam_n >= STEP_STIFFNESS_LIMIT
+
+
+def stable_step(g: WeightedGraph) -> tuple[float, float]:
+    """The step ``resilnet simulate`` takes on g, and lambda_n, the largest
+    eigenvalue of L(b), which both integrators' guards read.
+
+    The step is DEFAULT_H, cut to 0.4 / lambda_n where DEFAULT_H * lambda_n
+    reaches STEP_STIFFNESS_LIMIT.
+    """
+    lam_n = float(spectral_bundle(g).eigenvalues[-1])
+    return (0.4 / lam_n if _too_stiff(DEFAULT_H, lam_n) else DEFAULT_H), lam_n
+
+
 def _horizon(g: WeightedGraph, noise: NoiseSpec, h: float, T: float, R: int,
              seed: int) -> tuple[np.ndarray, int, int]:
-    """Sample times, rows (one for a box pulse) and 0-based target node, checked."""
+    """Sample times, rows (one for a box pulse) and 0-based target node, checked;
+    the step against g's stiffness last, so a bad target costs no spectrum."""
     k0 = _node_index(noise.node, g.n)
     if not _is_integer(R):
         raise ValueError(f"realization count must be an integer, got R={R!r}")
@@ -268,6 +291,10 @@ def _horizon(g: WeightedGraph, noise: NoiseSpec, h: float, T: float, R: int,
     steps = _step_count(h, T, seed)
     if steps < 1:
         raise ValueError(f"horizon T={T} holds no step of h={h}")
+    lam_n = stable_step(g)[1]
+    if _too_stiff(h, lam_n):
+        raise ValueError(f"step h={h} too large for stiffness lambda_n={lam_n:.4g}; "
+                         f"use h < {STEP_STIFFNESS_LIMIT / lam_n:.4g}")
     return np.arange(steps + 1) * h, 1 if noise.kind == "box" else R, k0
 
 
@@ -288,21 +315,13 @@ def _gauged(phases: np.ndarray) -> np.ndarray:
     return phases
 
 
-def _stability_guard(h: float, lam_n: float) -> None:
-    if h * lam_n >= STEP_STIFFNESS_LIMIT:
-        raise ValueError(f"step h={h} too large for stiffness lambda_n={lam_n:.4g}; "
-                         f"use h < {STEP_STIFFNESS_LIMIT / lam_n:.4g}")
-
-
 def _nonlinear_run(g: WeightedGraph, omega: Sequence[float], theta_init: Sequence[float],
                    noise: NoiseSpec, h: float, T: float, R: int,
-                   seed: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """Checked run's times and gauged phase blocks: sample 0, then one per block."""
+                   seed: int) -> tuple[np.ndarray, int, Iterator[np.ndarray]]:
+    """Checked run's times, rows and gauged phase blocks: sample 0, then one per block."""
     times, rows, k0 = _horizon(g, noise, h, T, R, seed)
     omega = _node_vector("omega", omega, g.n)
     theta_init = _node_vector("theta_init", theta_init, g.n)
-    bundle = spectral_bundle(g)
-    _stability_guard(h, float(bundle.eigenvalues[-1]))
     w = omega - omega.mean()
     # d' = weff B^T - sin(d) K.
     inc = np.eye(g.n)[g.ei] - np.eye(g.n)[g.ej]
@@ -348,7 +367,7 @@ def _nonlinear_run(g: WeightedGraph, omega: Sequence[float], theta_init: Sequenc
             d = advance(d, eta, edge_states[:len(eta)])
             yield _gauged(edge_states[:len(eta)] @ phase_map)
 
-    return times, phases()
+    return times, rows, phases()
 
 
 def integrate_nonlinear(g: WeightedGraph, omega: Sequence[float], theta_init: Sequence[float],
@@ -371,7 +390,7 @@ def integrate_nonlinear(g: WeightedGraph, omega: Sequence[float], theta_init: Se
     and ``theta_init`` need one finite entry per node; ``seed`` must be a
     non-negative integer.
     """
-    times, phases = _nonlinear_run(g, omega, theta_init, noise, h, T, R, seed)
+    times, _, phases = _nonlinear_run(g, omega, theta_init, noise, h, T, R, seed)
     return TrajectoryEnsemble(times, _stack(phases, times.size), noise.onset)
 
 
@@ -381,11 +400,11 @@ def _linearized_run(g: WeightedGraph, steady: SteadyState, noise: NoiseSpec, h: 
     times, rows, k0 = _horizon(g, noise, h, T, R, seed)
     theta0 = _node_vector("steady.theta0", steady.theta0, g.n)
     lam, V = np.linalg.eigh(laplacian(g, g.b * np.cos(theta0[g.ei] - theta0[g.ej])))
-    _stability_guard(h, float(lam[-1]))
     z = np.clip(lam * h, 0.0, None)
     phi1 = np.where(z > 1e-8, (1.0 - np.exp(-z)) / np.where(z > 1e-8, z, 1.0), 1.0 - 0.5 * z)
-    # In a block, c_i = e^{-iz} (c_0 + sum_{s<i} e^{(s+1)z} eta_s h phi1 V[k]); the
-    # guard keeps z < 0.5, so no factor exceeds e^{0.5 _STEP_BLOCK}.
+    # In a block, c_i = e^{-iz} (c_0 + sum_{s<i} e^{(s+1)z} eta_s h phi1 V[k]). L(b) - L_c
+    # is the Laplacian of b (1 - cos gap) >= 0, so lam <= lambda_n(L(b)) and the
+    # guard keeps z < 0.5: no factor exceeds e^{0.5 _STEP_BLOCK}.
     powers = np.arange(1, _STEP_BLOCK + 1)[:, None, None] * z
     grow, shrink = np.exp(powers) * (h * phi1 * V[k0]), np.exp(-powers)
     # The gauge is linear, so it is applied once, to theta* and to each mode.
@@ -416,8 +435,9 @@ def integrate_linearized(g: WeightedGraph, steady: SteadyState, noise: NoiseSpec
     exactly, c_j <- e^{-z_j} c_j + eta h phi1(z_j) V[k, j] with z_j = lam_j h,
     phi1(z) = (1 - e^{-z})/z, a block at a time; a block's gauged phases are
     theta* + c V^T, one matmul. The update is stable for any h, but the RK4
-    guard is kept so both integrators accept the same h. Storage, box handling
-    and checks (``steady.theta0`` as ``omega``) are as in ``integrate_nonlinear``.
+    guard is kept, on lambda_n of L(b) (``stable_step``) and not of L_c, so
+    both integrators refuse the same h. Storage, box handling and checks
+    (``steady.theta0`` as ``omega``) are as in ``integrate_nonlinear``.
     """
     times, phases = _linearized_run(g, steady, noise, h, T, R, seed)
     return TrajectoryEnsemble(times, _stack(phases, times.size), noise.onset)
@@ -499,7 +519,7 @@ class _SpreadSum:
 def empirical_vulnerability(traj: TrajectoryEnsemble) -> EmpiricalMeasure:
     """Time average of each realization's squared frequency spread
     sum_i (freq_i - mean_j freq_j)^2 at and after the onset, summed block by
-    block as ``resilnet simulate`` sums a run; ``ValueError`` if no sample is there."""
+    block as ``simulate`` sums a run; ``ValueError`` if no sample is there."""
     spread = _SpreadSum(traj.times, traj.onset, traj.realizations)
     for lo, _, freq in traj._blocks():
         spread.add(lo, freq)
@@ -523,14 +543,45 @@ def _csv_rows(fh: IO[str], realizations: int, n: int, h: float,
     return write
 
 
-def export_trajectories_csv(traj: TrajectoryEnsemble, path_or_file: str | IO[str],
+def _text_out(path_or_file: str | os.PathLike | IO[str]) -> ContextManager[IO[str]]:
+    """A text file to write: the one given, left open, or the path opened for writing."""
+    if hasattr(path_or_file, "write"):
+        return nullcontext(path_or_file)
+    return open(path_or_file, "w", newline="")
+
+
+def export_trajectories_csv(traj: TrajectoryEnsemble,
+                            path_or_file: str | os.PathLike | IO[str],
                             stride: int = 1) -> None:
     """Write trajectories as CSV rows (time, realization, node, theta, freq),
-    every ``stride``-th sample from time 0, as ``resilnet simulate`` does."""
+    every ``stride``-th sample from time 0, as ``simulate`` does."""
     if not _is_integer(stride) or stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride!r}")
-    with (nullcontext(path_or_file) if hasattr(path_or_file, "write")
-          else open(path_or_file, "w", newline="")) as fh:
+    with _text_out(path_or_file) as fh:
         write = _csv_rows(fh, traj.realizations, traj.theta.shape[2], traj.times[1], stride)
         for block in traj._blocks():
             write(*block)
+
+
+def simulate(g: WeightedGraph, omega: Sequence[float], theta_init: Sequence[float],
+             noise: NoiseSpec, csv: str | os.PathLike | IO[str], h: float = DEFAULT_H,
+             T: float = DEFAULT_T, R: int = DEFAULT_R, seed: int = 0) -> EmpiricalMeasure:
+    """One pass of ``integrate_nonlinear``'s run that stores no ensemble: each
+    block of phases and frequencies goes to the spread sum and to ``csv`` (a
+    path or an open text file) before the next is made.
+
+    The estimate and the CSV bytes are those of ``empirical_vulnerability`` and
+    ``export_trajectories_csv`` on the stored run, with stride max(1, steps //
+    2000) and only the first max(1, CSV_VALUES // (n * samples)) realizations
+    written; the estimate uses all of them, one for a box pulse. Arguments are
+    checked as in ``integrate_nonlinear``, before ``csv`` is opened.
+    """
+    times, rows, phases = _nonlinear_run(g, omega, theta_init, noise, h, T, R, seed)
+    spread = _SpreadSum(times, noise.onset, rows)
+    written = max(1, min(rows, CSV_VALUES // (g.n * times.size)))
+    with _text_out(csv) as fh:
+        write = _csv_rows(fh, written, g.n, h, max(1, (times.size - 1) // 2000))
+        for lo, theta, freq in _with_freq(phases, h):
+            spread.add(lo, freq)
+            write(lo, theta, freq)
+    return spread.measure()

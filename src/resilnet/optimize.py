@@ -80,6 +80,11 @@ class InfeasibleDesignError(RuntimeError):
         self.upper_bound = upper_bound
 
 
+def _require_graph(name: str, value: object) -> None:
+    if not isinstance(value, WeightedGraph):
+        raise TypeError(f"{name} must be a WeightedGraph, got {type(value).__name__}")
+
+
 def epsilon_from_sync(omega: Sequence[float], g: WeightedGraph, gamma: float) -> float:
     """Heuristic spectral floor for a synchronized state with angle gaps <= gamma.
 
@@ -90,6 +95,7 @@ def epsilon_from_sync(omega: Sequence[float], g: WeightedGraph, gamma: float) ->
     steady angle gaps are 0.284 for the min-max design and 0.200 for the
     single-node design. The CLI's sync check reports such misses.
     """
+    _require_graph("g", g)
     if not 0.0 < gamma < math.pi / 2:
         raise ValueError(f"gamma must lie in (0, pi/2), got {gamma}")
     w = _node_vector("omega", omega, g.n)
@@ -115,6 +121,7 @@ class DesignProblem:
     epsilon: float = DEFAULT_EPSILON_SCALE
 
     def __post_init__(self) -> None:
+        _require_graph("topology", self.topology)
         if not self.v_prime:
             raise ValueError("v_prime must be a nonempty node set")
         bad = [k for k in self.v_prime if not _is_integer(k)]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -139,8 +139,9 @@ class ScenarioReport:
         return [int(key) for key, d in self.solves.items() if not d.converged]
 
     def to_dict(self) -> dict:
-        """Fields as a JSON-ready dict; its tuples serialize as lists."""
-        return asdict(self)
+        """Fields as a JSON-ready dict that serializes as ``dataclasses.asdict``'s;
+        its tuples serialize as lists and are shared, not copied."""
+        return _json_ready(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioReport":
@@ -153,6 +154,18 @@ class ScenarioReport:
             "sync_check": SyncCheck(**d["sync_check"]),
             "solves": {k: SolveDiagnostics(**v) for k, v in d["solves"].items()},
         })
+
+
+def _json_ready(value):
+    """Dataclasses as dicts of their fields, rebuilt with the containers that hold
+    them; every other value as it is."""
+    if is_dataclass(value):
+        return {f.name: _json_ready(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {k: _json_ready(v) for k, v in value.items()}
+    if isinstance(value, tuple) and value and is_dataclass(value[0]):
+        return [_json_ready(v) for v in value]
+    return value
 
 
 def unit_budget_problem(case: GridCase, buses: Iterable[int], gamma: float,

@@ -226,12 +226,11 @@ def test_simulate_single_pass_matches_stored_run(tmp_path, capsys, monkeypatch):
     from resilnet import dynamics, load_case
     measures = []
 
-    class Recording(dynamics._SpreadSum):
-        def measure(self):
-            measures.append(super().measure())
-            return measures[-1]
+    def recording(*args, **kwargs):
+        measures.append(dynamics.simulate(*args, **kwargs))
+        return measures[-1]
 
-    monkeypatch.setattr(cli, "_SpreadSum", Recording)
+    monkeypatch.setattr(cli, "simulate", recording)
     lines = _k5_ou_run(tmp_path, monkeypatch, tmp_path / "sim")
     assert "(ornstein_uhlenbeck, R=8)" in capsys.readouterr().out
     case = load_case(K5)
@@ -249,13 +248,13 @@ def test_simulate_single_pass_matches_stored_run(tmp_path, capsys, monkeypatch):
 def test_simulate_csv_holds_the_capped_realizations(tmp_path, capsys, monkeypatch):
     # The cap limits the CSV to the first realizations; the estimate still
     # uses all of them.
-    import resilnet.cli as cli
+    import resilnet.dynamics as dynamics
     full = _k5_ou_run(tmp_path, monkeypatch, tmp_path / "full")
     assert {row.split(",")[1] for row in full[1:]} == {str(r) for r in range(8)}
     estimate = capsys.readouterr().out.splitlines()[-2]
     # A realization is 5 nodes x 2,001 samples; one value short of 3 of them
     # leaves room for 2.
-    monkeypatch.setattr(cli, "CSV_VALUES", 3 * 5 * 2001 - 1)
+    monkeypatch.setattr(dynamics, "CSV_VALUES", 3 * 5 * 2001 - 1)
     capped = _k5_ou_run(tmp_path, monkeypatch, tmp_path / "capped")
     assert capsys.readouterr().out.splitlines()[-2] == estimate
     assert "R=8)" in estimate
@@ -263,12 +262,13 @@ def test_simulate_csv_holds_the_capped_realizations(tmp_path, capsys, monkeypatc
 
 
 def test_simulate_step_rule_matches_benchmark_copy(tmp_path, monkeypatch):
-    # perfbench/workloads.step_size copies cmd_simulate's stiffness rule.
+    # perfbench/workloads.step_size copies dynamics.stable_step's stiffness
+    # rule, which cmd_simulate takes its step from.
     import importlib
 
     import resilnet.cli as cli
     from resilnet import load_case
-    from resilnet.dynamics import DEFAULT_H
+    from resilnet.dynamics import DEFAULT_H, stable_step
 
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     step_size = importlib.import_module("workloads").step_size
@@ -277,11 +277,11 @@ def test_simulate_step_rule_matches_benchmark_copy(tmp_path, monkeypatch):
     class Stop(Exception):
         pass
 
-    def stop(graph, omega, theta_init, spec, h, T, R, seed):
+    def stop(graph, omega, theta_init, spec, csv, h, T, R, seed):
         seen.append((graph, h))
         raise Stop
 
-    monkeypatch.setattr(cli, "_nonlinear_run", stop)
+    monkeypatch.setattr(cli, "simulate", stop)
     for path in (K5, NY57):
         weights = tmp_path / "w.csv"
         weights.write_text("edge,b_star\n" + "".join(
@@ -290,8 +290,8 @@ def test_simulate_step_rule_matches_benchmark_copy(tmp_path, monkeypatch):
             main(["simulate", "--case", path, "--weights", str(weights),
                   "--noise", "box", "--node", "1", "--out", str(tmp_path)])
     (k5, h_k5), (ny57, h_ny57) = seen
-    assert h_k5 == DEFAULT_H == step_size(k5)
-    assert h_ny57 < DEFAULT_H and h_ny57 == step_size(ny57)
+    assert h_k5 == DEFAULT_H == stable_step(k5)[0] == step_size(k5)
+    assert h_ny57 < DEFAULT_H and h_ny57 == stable_step(ny57)[0] == step_size(ny57)
 
 
 @pytest.mark.parametrize("noise", ["ou", "box"])
@@ -331,6 +331,7 @@ def test_runtime_path_imports_no_scipy(tmp_path):
     # the commands run in a fresh interpreter.
     script = f"""
 import sys
+from resilnet import cli
 from resilnet.cli import main
 K5, OUT = {K5!r}, {str(tmp_path)!r}
 assert main(["measure", "--case", K5]) == 0
@@ -340,6 +341,9 @@ assert main(["design", "--case", K5, "--mode", "minmax", "--nodes", "generators"
              "--out", OUT + "/minmax"]) == 0
 assert main(["export-sdp", "--case", K5, "--nodes", "1,2",
              "--out", OUT + "/k5.dat-s"]) == 0
+cli.DEFAULT_T = 20.0  # the box pulse starts at t = 10
+assert main(["simulate", "--case", K5, "--weights", OUT + "/minmax/weights.csv",
+             "--noise", "box", "--node", "1", "--out", OUT + "/sim"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,

@@ -28,6 +28,7 @@ from resilnet.dynamics import (
     TrajectoryEnsemble,
     default_ou_sigma,
     export_trajectories_csv,
+    stable_step,
 )
 from resilnet.graphs import WeightedGraph
 
@@ -200,6 +201,21 @@ def test_stability_guard():
     spec = NoiseSpec.box(node=1)
     with pytest.raises(ValueError, match="use h <"):
         integrate_nonlinear(g, [0, 0], [0, 0], spec, h=0.01, T=1.0, R=1, seed=0)
+
+
+def test_integrators_refuse_the_same_step():
+    # lambda_n(L) = 3 on the unit path, but the steady state's cos weights are
+    # 0.6, so lambda_n(L_c) = 1.8: h = 0.175 passes a guard on L_c only.
+    g = build_graph(3, [(1, 2), (2, 3)], [1.0, 1.0])
+    omega = np.array([0.8, 0.0, -0.8])
+    ss = steady_state(g, omega, tol=1e-13)
+    spec = NoiseSpec.ou(node=2, tau=1.0, sigma=0.1)
+    assert stable_step(g) == (0.01, pytest.approx(3.0))
+    with pytest.raises(ValueError, match="use h <") as nonlinear:
+        integrate_nonlinear(g, omega, ss.theta0, spec, h=0.175, T=1.0, R=1, seed=0)
+    with pytest.raises(ValueError, match="use h <") as linearized:
+        integrate_linearized(g, ss, spec, h=0.175, T=1.0, R=1, seed=0)
+    assert str(linearized.value) == str(nonlinear.value)
 
 
 def test_nonlinear_shift_invariance():
@@ -615,12 +631,13 @@ def _reference_csv(traj, stride):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["time", "realization", "node", "theta", "freq"])
+    freq = traj.freq  # built on each access
     for t in range(0, traj.times.size, stride):
         for r in range(traj.realizations):
             for i in range(traj.theta.shape[2]):
                 writer.writerow([f"{traj.times[t]:.10g}", r, i + 1,
                                  f"{traj.theta[t, r, i]:.10g}",
-                                 f"{traj.freq[t, r, i]:.10g}"])
+                                 f"{freq[t, r, i]:.10g}"])
     return buf.getvalue().encode()
 
 
@@ -683,33 +700,41 @@ def test_nonlinear_matches_reference_rk4_across_blocks(noise):
     NoiseSpec.ou(node=2, tau=1.5, sigma=0.2),
     NoiseSpec.box(node=4, delta=0.3, t0=1.37, duration=2.0),
 ], ids=["ou", "box"])
-def test_streamed_run_matches_stored_path_bit_for_bit(noise):
-    # The single pass resilnet simulate makes (each block of one run to the
-    # spread sum and the CSV writer) against the stored ensemble of the same
-    # run, on a horizon that is no multiple of the block and, for the box,
-    # with the onset inside a block.
+def test_streamed_run_matches_stored_path_bit_for_bit(noise, monkeypatch):
+    # The single pass of simulate (each block of one run to the spread sum
+    # and the CSV writer) against the stored ensemble of the same run, on a
+    # horizon that is no multiple of the block and, for the box, with the
+    # onset inside a block; 6,073 steps make simulate's CSV stride 3.
     block = dynamics._STEP_BLOCK
     g = build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 4)],
                     [0.6, 0.3, 0.5, 0.4, 0.7, 0.2])
     omega = np.array([0.2, -0.1, 0.05, -0.25, 0.1])
     theta_init = np.array([0.3, -0.2, 0.1, 0.0, -0.4])
-    h, R, seed, stride = 0.01, 3, 21, 7
-    T = (3 * block + 57) * h
+    h, R, seed, stride = 0.01, 3, 21, 3
+    T = (47 * block + 57) * h
     traj = integrate_nonlinear(g, omega, theta_init, noise, h=h, T=T, R=R, seed=seed)
     start = int(np.searchsorted(traj.times, traj.onset - 1e-12))
     assert (traj.times.size - 1) % block
+    assert (traj.times.size - 1) // 2000 == stride
     assert noise.kind == "ornstein_uhlenbeck" or (start - 1) % block
 
-    times, phases = dynamics._nonlinear_run(g, omega, theta_init, noise, h, T, R, seed)
-    spread = dynamics._SpreadSum(times, noise.onset, traj.realizations)
+    freq_ref, seen = traj.freq, []
+    with_freq = dynamics._with_freq
+
+    def checked(phases, h):
+        for lo, theta, freq in with_freq(phases, h):
+            assert np.array_equal(theta, traj.theta[lo:lo + len(theta)])
+            assert np.array_equal(freq, freq_ref[lo:lo + len(freq)])
+            seen.extend(range(lo, lo + len(theta)))
+            yield lo, theta, freq
+
+    monkeypatch.setattr(dynamics, "_with_freq", checked)
     streamed = io.StringIO(newline="")
-    write = dynamics._csv_rows(streamed, traj.realizations, 5, h, stride)
-    for lo, theta, freq in dynamics._with_freq(phases, h):
-        assert np.array_equal(theta, traj.theta[lo:lo + len(theta)])
-        spread.add(lo, freq)
-        write(lo, theta, freq)
-    assert np.array_equal(times, traj.times)
-    assert spread.measure().per_realization == empirical_vulnerability(traj).per_realization
+    measure = dynamics.simulate(g, omega, theta_init, noise, streamed,
+                                h=h, T=T, R=R, seed=seed)
+    monkeypatch.undo()
+    assert seen == list(range(traj.times.size))
+    assert measure.per_realization == empirical_vulnerability(traj).per_realization
     stored = io.StringIO(newline="")
     export_trajectories_csv(traj, stored, stride=stride)
     assert streamed.getvalue() == stored.getvalue()

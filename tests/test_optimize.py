@@ -72,6 +72,16 @@ def test_designproblem_validation():
     assert solve_single_node(p3, np.int64(2)).converged
 
 
+@pytest.mark.parametrize("topology", [3, [(1, 2), (2, 3)], None],
+                         ids=["int", "edge-list", "none"])
+def test_design_inputs_must_be_a_graph(topology):
+    kind = type(topology).__name__
+    with pytest.raises(TypeError, match=f"topology must be a WeightedGraph, got {kind}"):
+        DesignProblem(topology, v_prime=[1])
+    with pytest.raises(TypeError, match=f"g must be a WeightedGraph, got {kind}"):
+        epsilon_from_sync([0.1, 0.0, -0.1], topology, DEFAULT_GAMMA)
+
+
 def test_unit_budget_problem_floor():
     # P3 with frequencies (0.5, -0.2, -0.3) and total susceptance 2: the
     # largest edge spread is 0.7, so the unit-budget floor is 0.7 sin(gamma) / 2.
