@@ -164,14 +164,13 @@ def cmd_simulate(args) -> int:
     h, lam_n = stable_step(graph)
     if h < DEFAULT_H:
         print(f"step reduced to h={h:.3g} for stiffness lambda_n={lam_n:.4g}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    measure = simulate(graph, omega, ss.theta0, spec, out_dir / "trajectories.csv",
+    csv_path = Path(args.out) / "trajectories.csv"
+    measure = simulate(graph, omega, ss.theta0, spec, csv_path,
                        h=h, T=DEFAULT_T, R=DEFAULT_R, seed=args.seed)
     print(f"empirical vulnerability at bus {args.node} "
           f"({spec.kind}, R={len(measure.per_realization)}): {measure.value:.6g} "
           f"+/- {measure.stderr:.2g}")
-    print(f"wrote {out_dir / 'trajectories.csv'}")
+    print(f"wrote {csv_path}")
     return 0
 
 

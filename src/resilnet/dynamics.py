@@ -15,6 +15,7 @@ import math
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
+from pathlib import Path
 from typing import IO, Callable, ContextManager, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -544,9 +545,11 @@ def _csv_rows(fh: IO[str], realizations: int, n: int, h: float,
 
 
 def _text_out(path_or_file: str | os.PathLike | IO[str]) -> ContextManager[IO[str]]:
-    """A text file to write: the one given, left open, or the path opened for writing."""
+    """A text file to write: the one given, left open, or the path opened for
+    writing, its parent directory made first."""
     if hasattr(path_or_file, "write"):
         return nullcontext(path_or_file)
+    Path(path_or_file).parent.mkdir(parents=True, exist_ok=True)
     return open(path_or_file, "w", newline="")
 
 

@@ -9,10 +9,10 @@ by homogeneity: measure(c*b) = measure(b)/c and lambda_2(c*b) = c*lambda_2(b)
 derives their floor with epsilon_from_sync). DesignProblem, posed on one
 WeightedGraph, takes the floor at unit budget as given.
 
-Exact method (single node): the shortest-path flow design of
-resilnet.designs (Elfving), with lower bound (mean hop)^2, whenever it
-meets the floor. Barrier method (min-max, and single node otherwise): with
-M = L(b) + 11^T/n and f_k = e_k^T M^-1 e_k, path following (Boyd and
+Exact method (a one-target design, from solve_single_node or solve_min_max):
+the flow design of resilnet.designs (Elfving), with lower bound (mean
+hop)^2, whenever it meets the floor. Barrier method (every other design):
+with M = L(b) + 11^T/n and f_k = e_k^T M^-1 e_k, path following (Boyd and
 Vandenberghe 2004, ch. 11) on the SDP min t s.t. [M e_k; e_k^T t] >= 0 per
 target k and M - eps*I >= 0. Each block's barrier is -log det M -
 log(t - f_k); t is eliminated through sum_k 1/(t - f_k) = s, and Newton
@@ -346,13 +346,12 @@ def _lp_bound(c: np.ndarray, S: np.ndarray, z: np.ndarray, eps: float) -> float:
     return best
 
 
-def _follow_path(model, b: np.ndarray, scale: float, goal: float = -math.inf):
-    """Follow the central path of ``model`` plus -sum(log b) from b > 0.
+def _follow_path(model, b: np.ndarray, state, scale: float, goal: float = -math.inf):
+    """Follow the central path of ``model`` plus -sum(log b) from b > 0 and its state.
 
     Returns the best point visited, its state and objective, the best lower
     bound and the Newton steps; stops early at an objective below ``goal``.
     """
-    state = model.state(b)
     best = (model.objective(state), b, state)
     m, s = b.size, model.nu / scale
     lower, steps, previous = -math.inf, 0, math.inf
@@ -411,34 +410,35 @@ def _result(problem: DesignProblem, model: _MinMax, b: np.ndarray, state,
 
 
 def _solve(problem: DesignProblem, targets: Sequence[int]) -> SolverResult:
-    eps = problem.epsilon
-    model = _MinMax(problem.topology, sorted(set(int(k) - 1 for k in targets)), eps)
-    b = np.full(problem.topology.m, 1.0 / problem.topology.m)
-    phase1_steps = 0
-    if model.state(b) is None:
+    """A lone target's flow design if it meets the floor, else the floored barrier."""
+    eps, topology = problem.epsilon, problem.topology
+    model = _MinMax(topology, sorted(set(int(k) - 1 for k in targets)), eps)
+    if model.l == 1:
+        try:
+            flow = shortest_path_flow(topology, int(model.targets[0]) + 1)
+            b = flow / flow.sum()
+            state = model.state(b)  # None when the flow design misses the floor
+        except DisconnectedGraphError:
+            state = None
+        if state is not None:
+            # The flows sum to the mean hop distance; its square is Elfving's bound.
+            return _result(problem, model, b, state, float(flow.sum()) ** 2, 0, "exact-flow")
+    b = np.full(topology.m, 1.0 / topology.m)
+    state, phase1_steps = model.state(b), 0
+    if state is None:
+        connectivity = _Connectivity(topology)
         b, _, attained, upper, phase1_steps = _follow_path(
-            _Connectivity(problem.topology), b, scale=eps, goal=-eps)
-        if model.state(b) is None:
+            connectivity, b, connectivity.state(b), scale=eps, goal=-eps)
+        state = model.state(b)
+        if state is None:
             raise InfeasibleDesignError(eps, -attained, -upper)
-    b, state, _, lower, steps = _follow_path(
-        model, b, scale=model.objective(model.state(b)))
+    b, state, _, lower, steps = _follow_path(model, b, state, scale=model.objective(state))
     return _result(problem, model, b, state, lower, phase1_steps + steps, "barrier")
 
 
 def solve_single_node(problem: DesignProblem, k: int) -> SolverResult:
     """Minimize the vulnerability of node k over the feasible weight set."""
-    k0 = _node_index(k, problem.n)
-    try:
-        flow = shortest_path_flow(problem.topology, k)
-    except DisconnectedGraphError:
-        return _solve(problem, [k])
-    b = flow / flow.sum()
-    model = _MinMax(problem.topology, [k0], problem.epsilon)
-    state = model.state(b)  # None when the flow design misses the floor
-    if state is None:
-        return _solve(problem, [k])
-    # The flows sum to the mean hop distance; its square is Elfving's bound.
-    return _result(problem, model, b, state, float(flow.sum()) ** 2, 0, "exact-flow")
+    return _solve(problem, [_node_index(k, problem.n) + 1])
 
 
 def solve_min_max(problem: DesignProblem) -> SolverResult:

@@ -302,10 +302,12 @@ def test_simulate_negative_seed_exit_3(tmp_path, capsys, monkeypatch, noise):
     weights.write_text("edge,b_star\n" + "e,0.1\n" * 10)
     code = main(["simulate", "--case", K5, "--weights", str(weights),
                  "--noise", noise, "--node", "1", "--seed", "-1",
-                 "--out", str(tmp_path)])
+                 "--out", str(tmp_path / "out")])
     assert code == 3
     assert ("input error: seed must be a non-negative integer, got seed=-1"
             in capsys.readouterr().err)
+    # a rejected run writes nothing, not even its output directory
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_bad_weights_exit_3(tmp_path, capsys):

@@ -137,10 +137,23 @@ def test_solver_tree_oracle():
 
 
 def test_minmax_singleton_matches_single_node():
-    prob = DesignProblem(unit_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)]), v_prime=[2])
-    a = solve_single_node(prob, 2)
-    b = solve_min_max(prob)
-    assert abs(a.objective - b.objective) < 1e-6
+    # One target is one rule from either entry: the flow design where it
+    # meets the floor, the same barrier run where it does not.
+    toy = DesignProblem(unit_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)]), v_prime=[2])
+    case = load_case(CASES_DIR / "ny57_substitute.json")
+    bus6, _ = unit_budget_problem(case, [6], DEFAULT_GAMMA, None)
+    # The 4-cycle's flow design for node 1 has lambda_2 = 0.317, below this floor.
+    c4 = DesignProblem(unit_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), v_prime=[1],
+                       epsilon=0.45)
+    for prob, method in ((toy, "exact-flow"), (bus6, "exact-flow"), (c4, "barrier")):
+        (k,) = prob.v_prime
+        a = solve_single_node(prob, k)
+        b = solve_min_max(prob)
+        assert a.method == b.method == method
+        assert np.array_equal(a.b_star, b.b_star)
+        assert (a.iterations, a.objective, a.lower_bound) == (
+            b.iterations, b.objective, b.lower_bound)
+        assert (a.iterations == 0) == (method == "exact-flow")
 
 
 def test_minmax_k5_symmetric_optimum():

@@ -59,6 +59,12 @@ def test_scenario_one_single_candidate_matches_single_solve():
     assert outcome.node == 3
     assert outcome.after == pytest.approx(res.objective / scale, abs=1e-8)
     assert report.b_out["3"] == pytest.approx(res.b_star * scale, abs=1e-8)
+    # A one-bus min-max is the same design: ny57 bus 3's flow design meets its floor.
+    ny57 = load_case(CASES_DIR / "ny57_substitute.json")
+    one, two = scenario_one(ny57, [3]), scenario_two(ny57, [3])
+    assert two.solves["minmax"].method == one.solves["3"].method == "exact-flow"
+    assert two.b_out["minmax"] == one.b_out["3"]
+    assert two.per_node[0].after == one.per_node[0].after
 
 
 def test_scenario_two_p3_toy():
