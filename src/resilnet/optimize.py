@@ -9,27 +9,36 @@ by homogeneity: measure(c*b) = measure(b)/c and lambda_2(c*b) = c*lambda_2(b)
 derives their floor with epsilon_from_sync). DesignProblem, posed on one
 WeightedGraph, takes the floor at unit budget as given.
 
-Exact method (a one-target design, from solve_single_node or solve_min_max):
-the flow design of resilnet.designs (Elfving), with lower bound (mean
-hop)^2, whenever it meets the floor. Barrier method (every other design):
-with M = L(b) + 11^T/n and f_k = e_k^T M^-1 e_k, path following (Boyd and
-Vandenberghe 2004, ch. 11) on the SDP min t s.t. [M e_k; e_k^T t] >= 0 per
-target k and M - eps*I >= 0. Each block's barrier is -log det M -
-log(t - f_k); t is eliminated through sum_k 1/(t - f_k) = s, and Newton
-steps on b use the Schur-complemented Hessian in a diag(b)-scaled KKT
-system. s grows PATH_STEP-fold per centering until neither objective nor
-bound moves by STALL_RTOL; MAX_ITERS caps each path's Newton steps.
+One rule solves every design (_solve, behind solve_single_node and
+solve_min_max): take the floor-free optimum if it meets the floor, since
+it is then optimal under the floor too and its bound still holds. For one
+target that is the flow design of resilnet.designs (Elfving), reported as
+exact with lower bound (mean hop)^2. For two or more it is the barrier
+method without the floor, run only when the uniform start meets the floor
+and abandoned at the first centering that ends below it. Otherwise the
+barrier method runs with the floor from the uniform start; its Newton
+steps add to any abandoned ones.
+
+Barrier method: with M = L(b) + 11^T/n and f_k = e_k^T M^-1 e_k, path
+following (Boyd and Vandenberghe 2004, ch. 11) on the SDP min t s.t.
+[M e_k; e_k^T t] >= 0 per target k and M - eps*I >= 0 (dropped without
+the floor). Each block's barrier is -log det M - log(t - f_k); t is
+eliminated through sum_k 1/(t - f_k) = s, and Newton steps on b use the
+Schur-complemented Hessian in a diag(b)-scaled KKT system. s grows
+PATH_STEP-fold per centering until neither objective nor bound moves by
+STALL_RTOL; MAX_ITERS caps each path's Newton steps.
 
 The lower bound is never nu/s: with A = M - eps*I and Z = P A^-1 P /
 tr(P A^-1 P) (P = I - 11^T/n), h(b') = sum_k pi_k f_k(b') - zeta tr(Z A(b'))
 is convex and at most max_k f_k(b') where the floor holds, for pi on the
-simplex and zeta >= 0; a small LP picks pi and zeta for the best
-linearization bound. ``converged`` means a relative gap <= SOLVER_TOL.
-All factorizations are numpy.linalg: Cholesky factors test M > 0 and
-A > 0 and give the log-determinants, and the inverses are L^-T L^-1.
-When the uniform start misses the floor, phase 1 maximizes lambda_2 the
-same way (Ghosh and Boyd 2006); failing that, its dual Z (Z >= 0, tr Z = 1,
-Z1 = 0) certifies lambda_2 <= max_l a_l^T Z a_l for InfeasibleDesignError.
+simplex and zeta >= 0 (zeta = 0 without the floor); a small LP picks pi
+and zeta for the best linearization bound. ``converged`` means a relative
+gap <= SOLVER_TOL. All factorizations are numpy.linalg: Cholesky factors
+test M > 0 and A > 0 and give the log-determinants, and the inverses are
+L^-T L^-1. When the uniform start misses the floor, phase 1 maximizes
+lambda_2 the same way (Ghosh and Boyd 2006); failing that, its dual Z
+(Z >= 0, tr Z = 1, Z1 = 0) certifies lambda_2 <= max_l a_l^T Z a_l for
+InfeasibleDesignError.
 """
 from __future__ import annotations
 
@@ -194,24 +203,28 @@ def _cholesky_inverse(L: np.ndarray) -> np.ndarray:
 
 
 class _MinMax:
-    """Barrier of the targets' blocks and the floor; ``targets`` are 0-based."""
+    """Barrier of the targets' blocks and, unless ``eps`` is None, the floor.
 
-    def __init__(self, topology: WeightedGraph, targets: Sequence[int], eps: float):
+    ``targets`` are 0-based.
+    """
+
+    def __init__(self, topology: WeightedGraph, targets: Sequence[int],
+                 eps: float | None = None):
         self.topology, self.n, self.eps = topology, topology.n, eps
         self.ei, self.ej = topology.ei, topology.ej
         self.targets = np.asarray(targets, dtype=int)
         self.l = self.targets.size
         self.eye = np.eye(self.n)
-        self.nu = self.l * (self.n + 1) + self.n + topology.m
+        self.nu = self.l * (self.n + 1) + topology.m + (0 if eps is None else self.n)
 
     def state(self, b: np.ndarray):
-        """Cholesky factors of M and A = M - eps*I, M^-1 and the f_k, or None.
+        """Cholesky factors of M and A = M - eps*I (None without a floor), M^-1 and the f_k.
 
-        None when the factorizations fail: b misses the floor.
+        None when a factorization fails: b misses the floor.
         """
         M = laplacian(self.topology, b) + 1.0 / self.n
         try:
-            LA = np.linalg.cholesky(M - self.eps * self.eye)
+            LA = None if self.eps is None else np.linalg.cholesky(M - self.eps * self.eye)
             LM = np.linalg.cholesky(M)
         except LinAlgError:
             return None
@@ -230,8 +243,9 @@ class _MinMax:
         LM, LA, M_inv, f = state
         u, gaps = _eliminate(f, s)
         logdet_M = 2.0 * np.log(np.diag(LM)).sum()
-        logdet_A = 2.0 * np.log(np.diag(LA)).sum()
-        value = s * (f.max() + u) - np.log(gaps).sum() - self.l * logdet_M - logdet_A
+        value = s * (f.max() + u) - np.log(gaps).sum() - self.l * logdet_M
+        if LA is not None:
+            value -= 2.0 * np.log(np.diag(LA)).sum()
         if not derivs:
             return value
         w = 1.0 / gaps
@@ -239,23 +253,30 @@ class _MinMax:
         U = M_inv[:, self.targets]
         D = U[self.ei] - U[self.ej]          # df_k/db_l = -D[l, k]^2
         S = D * D
-        R, RA = self._edge_form(M_inv), self._edge_form(_cholesky_inverse(LA))
+        R = self._edge_form(M_inv)
         # Schur complement over t of the w^2 terms, centred against cancellation.
         Sc = S - ((S @ w2) / w2.sum())[:, None]
-        hess = 2.0 * ((D * w) @ D.T) * R + (Sc * w2) @ Sc.T + self.l * R * R + RA * RA
-        return value, -S @ w - self.l * np.diag(R) - np.diag(RA), hess
+        hess = 2.0 * ((D * w) @ D.T) * R + (Sc * w2) @ Sc.T + self.l * R * R
+        grad = -S @ w - self.l * np.diag(R)
+        if LA is not None:
+            RA = self._edge_form(_cholesky_inverse(LA))
+            hess += RA * RA
+            grad -= np.diag(RA)
+        return value, grad, hess
 
     def lower_bound(self, state, s: float) -> float:
         _, LA, M_inv, f = state
         U = M_inv[:, self.targets]
         D = U[self.ei] - U[self.ej]
-        A_inv = _cholesky_inverse(LA)
-        RA = self._edge_form(A_inv)
-        # tr(P A^-1 P), since A^-1 1 = 1 / (1 - eps).
-        z = np.diag(RA) / (np.trace(A_inv) - 1.0 / (1.0 - self.eps))
+        floor = ()
+        if LA is not None:
+            A_inv = _cholesky_inverse(LA)
+            # tr(P A^-1 P), since A^-1 1 = 1 / (1 - eps).
+            z = np.diag(self._edge_form(A_inv)) / (np.trace(A_inv) - 1.0 / (1.0 - self.eps))
+            floor = (z, self.eps)
         # (1 - 1/n)^2 bounds every L+_kk at unit budget (vulnerability.lower_bound).
         return max((1.0 - 1.0 / self.n) ** 2,
-                   _lp_bound(2.0 * (f - 1.0 / self.n), D * D, z, self.eps))
+                   _lp_bound(2.0 * (f - 1.0 / self.n), D * D, *floor))
 
 
 class _Connectivity:
@@ -298,20 +319,26 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return min(1.0, float(np.min(-v[neg] / dv[neg]))) if neg.any() else 1.0
 
 
-def _lp_bound(c: np.ndarray, S: np.ndarray, z: np.ndarray, eps: float) -> float:
+def _lp_bound(c: np.ndarray, S: np.ndarray, z: np.ndarray | None = None,
+              eps: float = 0.0) -> float:
     """Best c.pi + eps*zeta - max_l (S pi + zeta z)_l over pi in the simplex, zeta >= 0.
 
     Every such (pi, zeta) gives a valid bound. Candidates are the dual
     iterates of Mehrotra's predictor-corrector on min tau over mu in the
     simplex with z.mu >= eps and tau >= c_k - (S^T mu)_k (standard form with
-    tau shifted to be nonnegative); each is scored exactly.
+    tau shifted to be nonnegative); each is scored exactly. Without a floor
+    (z None) the LP has no zeta row or column, and zeta = 0.
     """
     m, l = S.shape
-    A = np.zeros((l + 2, m + l + 2))
-    A[:l, :m], A[:l, m], A[:l, m + 1:-1] = S.T, 1.0, -np.eye(l)
-    A[l, :m], A[l, -1], A[l + 1, :m] = z, -1.0, 1.0
-    b = np.concatenate([c + max(0.0, float((S.max(axis=0) - c).min())), [eps, 1.0]])
-    cost = np.eye(1, m + l + 2, m)[0]
+    floor = z is not None
+    A = np.zeros((l + 1 + floor, m + l + 1 + floor))
+    A[:l, :m], A[:l, m], A[:l, m + 1:m + l + 1] = S.T, 1.0, -np.eye(l)
+    A[-1, :m] = 1.0
+    if floor:
+        A[l, :m], A[l, -1] = z, -1.0
+    shift = max(0.0, float((S.max(axis=0) - c).min()))
+    b = np.concatenate([c + shift, [eps] if floor else [], [1.0]])
+    cost = np.eye(1, A.shape[1], m)[0]
     gram = A @ A.T
     x, y = A.T @ np.linalg.solve(gram, b), np.linalg.solve(gram, A @ cost)
     r = cost - A.T @ y
@@ -341,16 +368,18 @@ def _lp_bound(c: np.ndarray, S: np.ndarray, z: np.ndarray, eps: float) -> float:
         x, y, r = x + ap * dx, y + ad * dy, r + ad * dr
         pi = np.maximum(y[:l], 0.0)
         if pi.sum() > 0.0:  # the bound is jointly homogeneous in (pi, zeta)
-            pi, zeta = pi / pi.sum(), max(float(y[l]), 0.0) / pi.sum()
-            best = max(best, float(c @ pi + eps * zeta - (S @ pi + zeta * z).max()))
+            pi, zeta = pi / pi.sum(), (max(float(y[l]), 0.0) / pi.sum() if floor else 0.0)
+            reach = S @ pi + zeta * z if floor else S @ pi
+            best = max(best, float(c @ pi + eps * zeta - reach.max()))
     return best
 
 
-def _follow_path(model, b: np.ndarray, state, scale: float, goal: float = -math.inf):
+def _follow_path(model, b: np.ndarray, state, scale: float, stop=None):
     """Follow the central path of ``model`` plus -sum(log b) from b > 0 and its state.
 
     Returns the best point visited, its state and objective, the best lower
-    bound and the Newton steps; stops early at an objective below ``goal``.
+    bound, the Newton steps and whether ``stop(b, state)`` ended the path
+    early at the end of a centering.
     """
     best = (model.objective(state), b, state)
     m, s = b.size, model.nu / scale
@@ -389,9 +418,10 @@ def _follow_path(model, b: np.ndarray, state, scale: float, goal: float = -math.
                 best = (model.objective(state), b, state)
         objective = model.objective(state)
         bound = max(lower, model.lower_bound(state, s))
-        if (objective < goal or steps >= MAX_ITERS
+        stopped = stop is not None and stop(b, state)
+        if (stopped or steps >= MAX_ITERS
                 or max(previous - objective, bound - lower) <= STALL_RTOL * scale):
-            return best[1], best[2], best[0], bound, steps
+            return best[1], best[2], best[0], bound, steps, stopped
         previous, lower, s = objective, bound, s * PATH_STEP
 
 
@@ -410,12 +440,18 @@ def _result(problem: DesignProblem, model: _MinMax, b: np.ndarray, state,
 
 
 def _solve(problem: DesignProblem, targets: Sequence[int]) -> SolverResult:
-    """A lone target's flow design if it meets the floor, else the floored barrier."""
+    """The floor-free optimum if it meets the floor, else the floored barrier.
+
+    The floor-free candidate is a lone target's flow design, or the barrier
+    without the floor from a uniform start that meets it, abandoned at the
+    first centering that ends below the floor.
+    """
     eps, topology = problem.epsilon, problem.topology
-    model = _MinMax(topology, sorted(set(int(k) - 1 for k in targets)), eps)
+    targets = sorted(set(int(k) - 1 for k in targets))
+    model = _MinMax(topology, targets, eps)
     if model.l == 1:
         try:
-            flow = shortest_path_flow(topology, int(model.targets[0]) + 1)
+            flow = shortest_path_flow(topology, targets[0] + 1)
             b = flow / flow.sum()
             state = model.state(b)  # None when the flow design misses the floor
         except DisconnectedGraphError:
@@ -424,16 +460,28 @@ def _solve(problem: DesignProblem, targets: Sequence[int]) -> SolverResult:
             # The flows sum to the mean hop distance; its square is Elfving's bound.
             return _result(problem, model, b, state, float(flow.sum()) ** 2, 0, "exact-flow")
     b = np.full(topology.m, 1.0 / topology.m)
-    state, phase1_steps = model.state(b), 0
+    # spent: Newton steps of the abandoned floor-free path or of phase 1.
+    state, spent = model.state(b), 0
+    if state is not None and model.l > 1:
+        free = _MinMax(topology, targets)
+        b_free, _, _, lower, spent, missed = _follow_path(
+            free, b, free.state(b), scale=model.objective(state),
+            stop=lambda b, _: model.state(b) is None)
+        state_free = None if missed else model.state(b_free)
+        if state_free is not None:
+            # A floor-free optimum that meets the floor is optimal under it,
+            # and the floor-free bound still holds there.
+            return _result(problem, model, b_free, state_free, lower, spent, "barrier")
     if state is None:
         connectivity = _Connectivity(topology)
-        b, _, attained, upper, phase1_steps = _follow_path(
-            connectivity, b, connectivity.state(b), scale=eps, goal=-eps)
+        b, _, attained, upper, spent, _ = _follow_path(
+            connectivity, b, connectivity.state(b), scale=eps,
+            stop=lambda _, state: connectivity.objective(state) < -eps)
         state = model.state(b)
         if state is None:
             raise InfeasibleDesignError(eps, -attained, -upper)
-    b, state, _, lower, steps = _follow_path(model, b, state, scale=model.objective(state))
-    return _result(problem, model, b, state, lower, phase1_steps + steps, "barrier")
+    b, state, _, lower, steps, _ = _follow_path(model, b, state, scale=model.objective(state))
+    return _result(problem, model, b, state, lower, spent + steps, "barrier")
 
 
 def solve_single_node(problem: DesignProblem, k: int) -> SolverResult:

@@ -1,4 +1,5 @@
 """Design problem and the exact and barrier solvers."""
+import hashlib
 import math
 from pathlib import Path
 
@@ -281,11 +282,36 @@ PUBLISHED = {None: (53.5163355850, True), 2.0: (53.5243554738, True),
              4.5: (63.3660802625, False)}
 
 
+def _record_paths(monkeypatch) -> list:
+    """Record the floor (None: floor-free) of every barrier path a solve follows."""
+    floors = []
+    follow = optimize._follow_path
+
+    def spy(model, *args, **kwargs):
+        if isinstance(model, optimize._MinMax):
+            floors.append(model.eps)
+        return follow(model, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "_follow_path", spy)
+    return floors
+
+
+# The floored path's results on the 29 ny57 generators where the floor binds:
+# sha256 of b_star's float64 bytes, objective, lower bound, Newton steps.
+FLOORED = {
+    4.0: ("8a526166d009826f9a4a3805f2a1c78b4b8681221d322f1a755c93b9d322729e",
+          57.506844687853665, 57.50680882224688, 241),
+    4.5: ("3834c71fde8581a41f4bf50395f0903d92419604b0f1cb16ed271218c713bcf9",
+          63.36608026254591, 63.365823557483964, 126),
+}
+
+
 @pytest.mark.parametrize("eps_phys", list(PROTOTYPE))
-def test_minmax_ny57_floors_against_prototype_and_lp_bound(eps_phys):
+def test_minmax_ny57_floors_against_prototype_and_lp_bound(monkeypatch, eps_phys):
     case = load_case(CASES_DIR / "ny57_substitute.json")
     problem, _ = unit_budget_problem(case, case.generator_ids, DEFAULT_GAMMA,
                                      eps_phys)
+    floors = _record_paths(monkeypatch)
     res = solve_min_max(problem)
     assert res.method == "barrier"
     assert res.objective <= PROTOTYPE[eps_phys] + 0.5e-7
@@ -300,10 +326,63 @@ def test_minmax_ny57_floors_against_prototype_and_lp_bound(eps_phys):
     assert res.kkt_gap == pytest.approx(res.objective - res.lower_bound, abs=0.0)
     assert res.converged == (res.kkt_gap <= SOLVER_TOL * res.objective)
     if eps_phys is None:
-        # the protect input: certified, and the oracle agrees
+        # The protect input: the floor-free optimum has lambda_2 1.5e-3 above
+        # the floor, so it is the design, certified by the floor-free bound,
+        # in fewer Newton steps than the floored path's 117.
+        assert floors == [None]
         assert res.converged
+        assert 0.0 <= res.kkt_gap <= SOLVER_TOL * res.objective
+        assert res.feasibility > 0.0
         assert res.objective - bound <= SOLVER_TOL * res.objective
-        assert res.iterations < 200
+        assert res.iterations < 117
+    else:
+        # The uniform start misses these floors: only the floored path runs.
+        assert floors == [problem.epsilon]
+    if eps_phys in FLOORED:
+        digest, objective, lower, steps = FLOORED[eps_phys]
+        assert hashlib.sha256(res.b_star.tobytes()).hexdigest() == digest
+        assert (res.objective, res.lower_bound, res.iterations) == (objective, lower, steps)
+
+
+def test_minmax_abandons_the_floor_free_path_below_the_floor(monkeypatch):
+    # C4 with adjacent targets: the uniform start has lambda_2 = 0.5, the
+    # floor-free optimum 0.191, so the floor-free path starts at eps = 0.35
+    # and is abandoned at its first centering that ends below the floor.
+    prob = DesignProblem(unit_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), v_prime=[1, 2],
+                         epsilon=0.35)
+    model = optimize._MinMax(prob.topology, [0, 1], prob.epsilon)
+    uniform = np.full(4, 0.25)
+    start = model.state(uniform)
+    b, _, _, lower, steps, _ = optimize._follow_path(
+        model, uniform, start, scale=model.objective(start))
+    assert steps == 73
+    floors = _record_paths(monkeypatch)
+    res = solve_min_max(prob)
+    assert floors == [None, prob.epsilon]
+    assert res.method == "barrier" and res.converged and res.feasibility >= 0.0
+    # The floored path's result, with the 9 abandoned Newton steps counted.
+    assert np.array_equal(res.b_star, b)
+    assert res.lower_bound == lower
+    assert res.iterations == steps + 9
+
+
+def test_minmax_114_bus_recipe_grid_is_certified(monkeypatch):
+    # The ny57 recipe at twice the size, built as the case tool builds it.
+    monkeypatch.syspath_prepend(str(CASES_DIR.parent / "tools"))
+    import make_substitute_case as tool
+    for name, value in (("N_BUSES", 114), ("N_GENERATORS", 57), ("N_BRANCHES", 188),
+                        ("SEED", 114)):
+        monkeypatch.setattr(tool, name, value)
+    case = tool.make_case()
+    problem, _ = unit_budget_problem(case, case.generator_ids, DEFAULT_GAMMA, None)
+    res = solve_min_max(problem)
+    assert res.converged
+    assert res.feasibility >= 0.0
+    assert res.objective == pytest.approx(113.9944646591674, rel=1e-9)
+    bound = floor_aware_lower_bound(problem.topology.with_weights(res.b_star),
+                                    problem.v_prime, problem.epsilon)
+    assert res.objective >= bound * (1 - 1e-12)
+    assert res.lower_bound <= res.objective
 
 
 def test_minmax_state_rejects_weights_below_the_floor():

@@ -54,17 +54,17 @@ def _digests(argv: list[str], out: Path, capsys) -> dict[str, str]:
         "stdout":
             "0f5965b440fbbf3a1264173c8aa143cfb0bd18d2955e39500875745fc2fea2cd",
         "figdata_bars.csv":
-            "d6f64f8f0bd6ec4ef83b665e9da6f7c5c7fe46d8cef5b5eec09e1e93115dcf90",
+            "2722a13a8b5526b3e8b74613c2bec7f6650125cd9bbf36ffc3f84929be6c8fa7",
         "figdata_network_after.csv":
-            "6e02ce57d6abf4190bb7c2114c40799c3bf3b0275814759f6ed4af0d03ce3e04",
+            "62ebc15cc2b14b72ae6e510c60a971d58f14e0930d32bf8288e70c20e54edfa1",
         "figdata_network_before.csv":
             "4cbefb1588dcd8e745ab059247905ba4d65adb4af83839d7b85ced07c3a29230",
         "measures.csv":
-            "dee1bfedb93a5d0c0a8c3a0c7ff61e9c9e20b5c5fd02d543e6f6dff022af07c0",
+            "e4b5e1f6c96036f3252f04f62d0f220264f11d9cccdd5cfff18af16413a5ab2a",
         "report.json":
-            "69ba3d1516bdad7a0802e002a91ba700ae74bb945798ca19fc43ef91496c24db",
+            "d92468efc42be077430a72a21647537dbd7d6f6888c177576ba9c73632277155",
         "weights.csv":
-            "299a502c7108ba645b50131a799fee9603b64eab5707d263e442e7752c498876",
+            "1eaf724292233916ab8dfa7fc4efeb5f4fff6cc7ea1c986d5bf2f7239ae4cfe3",
     }),
     (["design", "--case", NY57, "--mode", "minmax", "--nodes", "4,6",
       "--epsilon", "5.05"], {
