@@ -25,7 +25,8 @@ from .dynamics import (
 )
 from .gridcase import CaseError, GridCase, load_case
 from .optimize import DEFAULT_GAMMA, InfeasibleDesignError
-from .scenarios import emit_report, scenario_one, scenario_two, unit_budget_problem
+from .scenarios import (_bus_ids, emit_report, scenario_one, scenario_two,
+                        unit_budget_problem)
 from .sdp import assemble_sdp, write_sdpa
 from .vulnerability import vulnerability_measure, worst_case
 
@@ -54,11 +55,7 @@ def _parse_nodes(spec: str, case: GridCase) -> list[int]:
         raise InputError(f"cannot parse node list {spec!r}") from None
     if not ids:
         raise InputError("empty node list")
-    known = {b.id for b in case.buses}
-    missing = [i for i in ids if i not in known]
-    if missing:
-        raise InputError(f"unknown bus ids {missing}")
-    return sorted(set(ids))
+    return _bus_ids(case, ids)
 
 
 def _load_weights(path: str, m: int) -> np.ndarray:

@@ -12,8 +12,9 @@ Laplacian (regularized, cosine-weighted, or the spectral bundle's) comes
 from ``laplacian``, and per-edge differences of a node vector x are
 ``x[g.ei] - x[g.ej]``. The dense edges x nodes incidence that ``dynamics``
 integrates on is built from them too, as ``eye(n)[g.ei] - eye(n)[g.ej]``.
-``spectral_bundle`` caches per graph what callers read: (L + 11^T/n)^{-1},
-which gives L^+ and the resistances, and the spectrum from one ``eigvalsh``.
+``spectral_bundle`` caches per graph what callers read: the pseudoinverse
+L^+, exact at any weight scale, and the spectrum from one ``eigvalsh``. It
+is the one place that knows how L^+ comes from the singular L.
 """
 from __future__ import annotations
 
@@ -39,10 +40,8 @@ __all__ = [
     "resistance_matrix",
 ]
 
-# spectral_bundle treats L + 11^T/n as singular when its smallest eigenvalue,
-# min(lambda_2, 1), is at most CONNECTIVITY_RTOL * lambda_n. This tests the
-# conditioning of the regularized Laplacian, not connectivity: the 1 does not
-# scale with the weights, so a connected graph with weights near 1e9 fails too.
+# spectral_bundle treats L as numerically disconnected when lambda_2 is at most
+# CONNECTIVITY_RTOL * lambda_n. The test is scale-free, like L^+ itself.
 CONNECTIVITY_RTOL = 1e-9
 
 # Laplacian contributions of one edge, matching WeightedGraph._scatter.
@@ -58,7 +57,7 @@ class DisconnectedGraphError(ValueError):
 
 
 class SingularLaplacianError(DisconnectedGraphError):
-    """The regularized Laplacian L + 11^T/n is numerically singular."""
+    """The Laplacian's second eigenvalue is numerically zero."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,17 +128,16 @@ def _checked_weights(b: Iterable[float], m: int) -> np.ndarray:
 class SpectralBundle:
     """Cached spectral data of one graph.
 
-    ``reg_inverse`` is (L + 11^T/n)^{-1}; for a connected graph the
-    pseudoinverse is L^+ = reg_inverse - 11^T/n. ``eigenvalues`` is the
+    ``pinv`` is the Laplacian pseudoinverse L^+ and ``eigenvalues`` the
     ascending Laplacian spectrum. The tests cross-check L^+ against the
     eigendecomposition of L.
     """
 
-    reg_inverse: np.ndarray
+    pinv: np.ndarray
     eigenvalues: np.ndarray
 
     def __post_init__(self) -> None:
-        self.reg_inverse.setflags(write=False)
+        self.pinv.setflags(write=False)
         self.eigenvalues.setflags(write=False)
 
 
@@ -221,26 +219,25 @@ def laplacian(g: WeightedGraph, b: np.ndarray | None = None) -> np.ndarray:
 def spectral_bundle(g: WeightedGraph) -> SpectralBundle:
     """Spectral data of g, computed once and cached on the graph.
 
-    Raises SingularLaplacianError when L + 11^T/n is numerically singular
-    (see CONNECTIVITY_RTOL): always for a disconnected graph, and also for
-    a connected one whose weights are too large for the regularization.
+    L^+ = ((L/tau + 11^T/n)^{-1} - 11^T/n) / tau, tau = tr(L)/n: scaled to
+    unit mean diagonal, L meets 11^T/n on equal terms at any weight scale.
+    Raises SingularLaplacianError when lambda_2 <= CONNECTIVITY_RTOL * lambda_n.
     """
     cached = getattr(g, "_bundle")
     if cached is not None:
         return cached
     L = laplacian(g)
     eigvals = np.linalg.eigvalsh(L)
-    lam_n = max(float(eigvals[-1]), 0.0)
-    smallest = min(float(eigvals[1]), 1.0)
-    if smallest <= CONNECTIVITY_RTOL * max(lam_n, 1e-300):
+    lam_2, lam_n = float(eigvals[1]), float(eigvals[-1])
+    if lam_2 <= CONNECTIVITY_RTOL * lam_n:
         raise SingularLaplacianError(
-            "regularized Laplacian L + 11^T/n is numerically singular: its "
-            f"smallest eigenvalue min(lambda_2, 1) = {smallest:.3e} is at most "
-            f"{CONNECTIVITY_RTOL:g} * lambda_n = {lam_n:.3e} (the graph is "
-            "disconnected, or its weights are too large)"
+            f"Laplacian is numerically singular: lambda_2 = {lam_2:.3e} is at "
+            f"most {CONNECTIVITY_RTOL:g} * lambda_n = {lam_n:.3e} (the graph is "
+            "disconnected, or nearly so)"
         )
-    bundle = SpectralBundle(reg_inverse=np.linalg.inv(L + 1.0 / g.n),
-                            eigenvalues=eigvals)
+    tau = np.trace(L) / g.n
+    pinv = (np.linalg.inv(L / tau + 1.0 / g.n) - 1.0 / g.n) / tau
+    bundle = SpectralBundle(pinv=pinv, eigenvalues=eigvals)
     object.__setattr__(g, "_bundle", bundle)
     return bundle
 
@@ -252,7 +249,6 @@ def algebraic_connectivity(g: WeightedGraph) -> float:
 
 def resistance_matrix(g: WeightedGraph) -> np.ndarray:
     """All-pairs effective resistance matrix (zero diagonal); g must be connected."""
-    # The 11^T/n of the regularized inverse cancels in x_ii + x_jj - 2 x_ij.
-    x = spectral_bundle(g).reg_inverse
+    x = spectral_bundle(g).pinv
     d = np.diag(x)
     return d[:, None] + d[None, :] - 2.0 * x

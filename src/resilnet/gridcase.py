@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import WeightedGraph, _node_index, build_graph
+from .graphs import WeightedGraph, _is_integer, _node_index, build_graph
 
 __all__ = [
     "GENERATOR",
@@ -105,7 +105,10 @@ class GridCase:
         return len(self.buses)
 
     def node_of(self, bus_id: int) -> int:
-        """1-based node index of a bus id."""
+        """1-based node index of a bus id, a Python or numpy integer but not a
+        bool: the package's one bus-id check. Raises CaseError otherwise."""
+        if not _is_integer(bus_id):
+            raise CaseError(f"bus id must be an integer, got {bus_id!r}")
         try:
             return self._node_index[bus_id]
         except KeyError:

@@ -50,7 +50,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .designs import shortest_path_flow
-from .graphs import (DisconnectedGraphError, WeightedGraph, _is_integer, _node_index,
+from .graphs import (DisconnectedGraphError, WeightedGraph, _node_index,
                      _node_vector, algebraic_connectivity, laplacian)
 
 __all__ = [
@@ -133,12 +133,7 @@ class DesignProblem:
         _require_graph("topology", self.topology)
         if not self.v_prime:
             raise ValueError("v_prime must be a nonempty node set")
-        bad = [k for k in self.v_prime if not _is_integer(k)]
-        if bad:
-            raise ValueError(f"v_prime entries must be integers, got {bad[0]!r}")
-        vp = tuple(sorted(set(int(k) for k in self.v_prime)))
-        if vp[0] < 1 or vp[-1] > self.n:
-            raise ValueError(f"v_prime {vp} not contained in 1..{self.n}")
+        vp = tuple(sorted({_node_index(k, self.n) + 1 for k in self.v_prime}))
         object.__setattr__(self, "v_prime", vp)
         object.__setattr__(self, "epsilon", float(self.epsilon))
         # The 11^T/n direction of L + 11^T/n carries eigenvalue exactly 1,

@@ -279,6 +279,11 @@ def _report(case: GridCase, scenario: str, buses: list[int], gamma: float,
     )
 
 
+def _bus_ids(case: GridCase, ids: Iterable[int]) -> list[int]:
+    """Distinct bus ids in ascending order, each checked by ``case.node_of``."""
+    return [case.bus_of(k) for k in sorted({case.node_of(c) for c in ids})]
+
+
 def scenario_one(
     case: GridCase,
     candidates: tuple[int, ...] | list[int],
@@ -291,7 +296,7 @@ def scenario_one(
     spectral floor is unreachable are flagged and excluded from the "after"
     ranking, and the run continues.
     """
-    candidates = sorted(set(int(c) for c in candidates))
+    candidates = _bus_ids(case, candidates)
     if not candidates:
         raise ValueError("candidate set is empty")
     gens = set(case.generator_ids)
@@ -320,7 +325,7 @@ def scenario_two(
     InfeasibleDesignError, in physical units, when the spectral floor is
     unreachable.
     """
-    v_prime = sorted(set(int(c) for c in v_prime))
+    v_prime = _bus_ids(case, v_prime)
     if not v_prime:
         raise ValueError("v_prime is empty")
     problem, eps_phys = unit_budget_problem(case, v_prime, gamma, epsilon)

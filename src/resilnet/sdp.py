@@ -24,6 +24,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import IO
 
 import numpy as np
@@ -269,5 +270,6 @@ def write_sdpa(sdp: SdpData, path_or_file: str | IO[str]) -> None:
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     else:
+        Path(path_or_file).parent.mkdir(parents=True, exist_ok=True)
         with open(path_or_file, "w") as fh:
             fh.write(text)

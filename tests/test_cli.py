@@ -107,6 +107,7 @@ def test_design_infeasible_reports_physical_floor(tmp_path, capsys):
 def test_input_errors_exit_3(tmp_path, capsys):
     assert main(["measure", "--case", str(tmp_path / "nope.json")]) == 3
     assert main(["measure", "--case", K5, "--nodes", "1,99"]) == 3
+    assert "input error: unknown bus id 99" in capsys.readouterr().err
     assert main(["design", "--case", K5, "--mode", "bogus",
                  "--nodes", "1"]) == 3
     err = capsys.readouterr().err
@@ -173,6 +174,24 @@ def test_export_sdp(tmp_path):
     lines = [ln for ln in body.splitlines() if not ln.startswith("*")]
     # d = 2*6 + 10 + 5 = 27 across blocks 6,6,-10,5
     assert lines[2].split() == ["6", "6", "-10", "5"]
+
+
+def test_export_sdp_makes_its_directory(tmp_path):
+    out = tmp_path / "new" / "p.sdpa"
+    assert main(["export-sdp", "--case", K5, "--nodes", "all", "--out", str(out)]) == 0
+    assert out.read_text().startswith("*")
+
+
+def test_measure_exact_at_large_susceptance(tmp_path, capsys):
+    # Every K5 bus measures 1.6 at unit susceptance, so 1.6e-09 at x1e9.
+    from resilnet.gridcase import Branch, GridCase, load_case, write_case
+    k5 = load_case(K5)
+    big = GridCase(k5.name, k5.buses, tuple(
+        Branch(br.from_bus, br.to_bus, br.susceptance_pu * 1e9) for br in k5.branches))
+    write_case(big, tmp_path / "k5e9.json")
+    assert main(["measure", "--case", str(tmp_path / "k5e9.json")]) == 0
+    rows = [ln.split() for ln in capsys.readouterr().out.splitlines() if "generator" in ln]
+    assert [r[2] for r in rows] == ["1.6e-09"] * 5
 
 
 def test_simulate_writes_trajectories(tmp_path, capsys, monkeypatch):

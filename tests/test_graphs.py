@@ -139,8 +139,8 @@ def test_weights_are_immutable():
 
 
 def _bundle_pinv(g):
-    """L^+ as the bundle gives it: the regularized inverse minus 11^T/n."""
-    return spectral_bundle(g).reg_inverse - 1.0 / g.n
+    """L^+ as the bundle gives it."""
+    return spectral_bundle(g).pinv
 
 
 def test_bundle_single_edge():
@@ -161,8 +161,8 @@ def test_bundle_complete_graph_spectrum():
 def test_bundle_has_only_inverse_and_spectrum():
     g = build_graph(3, [(1, 2), (2, 3)], [0.5, 0.5])
     sb = spectral_bundle(g)
-    assert set(vars(sb)) == {"reg_inverse", "eigenvalues"}
-    for a in (sb.reg_inverse, sb.eigenvalues):
+    assert set(vars(sb)) == {"pinv", "eigenvalues"}
+    for a in (sb.pinv, sb.eigenvalues):
         with pytest.raises(ValueError):
             a[0] = 1.0
 
@@ -205,15 +205,22 @@ def test_bundle_disconnected_raises():
         spectral_bundle(g)
 
 
-def test_bundle_singular_error_names_conditioning_not_connectivity():
-    # P3 is connected; at weight 1e9 only L + 11^T/n is ill-conditioned.
+def test_bundle_singular_error_is_connectivity_at_any_scale():
+    # P3 at weight 1e9 is well conditioned: its end nodes measure 5/(9w).
     g = build_graph(3, [(1, 2), (2, 3)], [1e9, 1e9])
+    lp = spectral_bundle(g).pinv
+    assert lp[0, 0] == pytest.approx(5.0 / 9e9, rel=1e-12)
+    assert lp[1, 1] == pytest.approx(2.0 / 9e9, rel=1e-12)
+    # lambda_2 below CONNECTIVITY_RTOL * lambda_n: numerically disconnected.
+    weak = build_graph(3, [(1, 2), (2, 3)], [1.0, 1e-12])
     with pytest.raises(SingularLaplacianError) as exc:
-        spectral_bundle(g)
+        spectral_bundle(weak)
     msg = str(exc.value)
-    assert "min(lambda_2, 1) = 1.000e+00" in msg
-    assert "lambda_n = 3.000e+09" in msg
-    assert "disconnected, or its weights are too large" in msg
+    assert "Laplacian is numerically singular: lambda_2 = " in msg
+    assert "at most 1e-09 * lambda_n = 2.000e+00" in msg
+    assert "disconnected, or nearly so" in msg
+    with pytest.raises(SingularLaplacianError, match="lambda_n = 0.000e"):
+        spectral_bundle(g.with_weights([0.0, 0.0]))
 
 
 def test_bundle_is_cached():

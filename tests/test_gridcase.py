@@ -1,6 +1,7 @@
 """Case file parsing, validation, and serialization."""
 import importlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,13 @@ def test_node_bus_mapping_with_gapped_ids():
     assert case.node_of(3) == 1 and case.node_of(10) == 2
     assert case.bus_of(1) == 3 and case.bus_of(2) == 10
     assert case.edge_pairs() == ((2, 1),)
+    # numpy integers are bus ids; floats, bools and strings are not
+    assert case.node_of(np.int64(10)) == 2 and case.node_of(np.int32(3)) == 1
+    for bad in (3.0, True, "3", np.float64(10.0)):
+        with pytest.raises(CaseError, match=re.escape(f"bus id must be an integer, got {bad!r}")):
+            case.node_of(bad)
+    with pytest.raises(CaseError, match="unknown bus id 4"):
+        case.node_of(4)
 
 
 def test_graph_shares_one_topology(monkeypatch):

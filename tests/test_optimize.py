@@ -63,7 +63,7 @@ def test_designproblem_validation():
     assert DesignProblem(unit_graph(2, [(1, 2)]), v_prime=[1]).epsilon == pytest.approx(1e-4)
     # node ids are integers: no silent truncation, bools are not ids
     for bad in ([1.5], [True], [1, 2.0]):
-        with pytest.raises(ValueError, match=f"v_prime entries must be integers, got {bad[-1]}"):
+        with pytest.raises(ValueError, match=f"node must be an integer, got {bad[-1]}"):
             DesignProblem(path, v_prime=bad)
     p3 = DesignProblem(path, v_prime=[np.int64(3), 1])
     assert p3.v_prime == (1, 3)

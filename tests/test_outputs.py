@@ -38,15 +38,15 @@ def _digests(argv: list[str], out: Path, capsys) -> dict[str, str]:
         "stdout":
             "3b368da09eeda5ec1290ccfa02189b5b3ebc30cab90a1987c38d5a2b4d59bb7a",
         "figdata_bars.csv":
-            "b0f30912f158d3ce2331596a549950152eaddf7c9bc63f759bcb8a425792d447",
+            "35201dfb5bb173a9a5ff5f20850a3f771133a588ce3510d9854d500687f59264",
         "figdata_network_after.csv":
             "94acf9b98b62ea53194d72bb4ee60aaa506de9d11bcb13003844c6dcd83a2e52",
         "figdata_network_before.csv":
             "4cbefb1588dcd8e745ab059247905ba4d65adb4af83839d7b85ced07c3a29230",
         "measures.csv":
-            "29174b3189ae494c868301a159eabb482645ed499dc8dca0f6bf16e835f4f055",
+            "386f703389a6980adb389913f0f6006fe31fd97e5dbf1dfbfcba8d8409066e23",
         "report.json":
-            "c6dbb263146fe52bfb5a0a58b09dfc38becfa450eb8d713be7bbe6576dbd441c",
+            "f58112cd70bc5de4e8b5df16ce125f7e4d78d23d532633a57af89438984f8991",
         "weights.csv":
             "9453c62d5cbbca97a75fb0f630c577162fcbd17284681d9114ccd87a05236192",
     }),
@@ -54,15 +54,15 @@ def _digests(argv: list[str], out: Path, capsys) -> dict[str, str]:
         "stdout":
             "0f5965b440fbbf3a1264173c8aa143cfb0bd18d2955e39500875745fc2fea2cd",
         "figdata_bars.csv":
-            "2722a13a8b5526b3e8b74613c2bec7f6650125cd9bbf36ffc3f84929be6c8fa7",
+            "741cb2609c682e475b08d4acfe7ec3537b32afd451128562f458c7dc654430c6",
         "figdata_network_after.csv":
             "62ebc15cc2b14b72ae6e510c60a971d58f14e0930d32bf8288e70c20e54edfa1",
         "figdata_network_before.csv":
             "4cbefb1588dcd8e745ab059247905ba4d65adb4af83839d7b85ced07c3a29230",
         "measures.csv":
-            "e4b5e1f6c96036f3252f04f62d0f220264f11d9cccdd5cfff18af16413a5ab2a",
+            "4a442f18aa2d4fe405e31f98d7fb9b6496f0f26815b1980e9f3d0386bdba95e7",
         "report.json":
-            "d92468efc42be077430a72a21647537dbd7d6f6888c177576ba9c73632277155",
+            "b399401c8e3dd24100b1785c9f8a9e37b9223535562e476e2584590bc1255b10",
         "weights.csv":
             "1eaf724292233916ab8dfa7fc4efeb5f4fff6cc7ea1c986d5bf2f7239ae4cfe3",
     }),
@@ -71,15 +71,15 @@ def _digests(argv: list[str], out: Path, capsys) -> dict[str, str]:
         "stdout":
             "c091dd3d257eecbf36f01231e050f014a0b36bceb0499525b5234cf40e26434e",
         "figdata_bars.csv":
-            "4270fcf9c137f38533638d6ca1a7c0b8710059e94a66069b40790cdce716bcdd",
+            "9a3ed4a522104d24208ab967122ca1e721b10d93815c97039d2d08ff4ede61c3",
         "figdata_network_after.csv":
             "9c1f46a51814e6587adcf2c57d9306127008d31089ad3750244dcdcb3e2624eb",
         "figdata_network_before.csv":
             "4cbefb1588dcd8e745ab059247905ba4d65adb4af83839d7b85ced07c3a29230",
         "measures.csv":
-            "fb7a65849aae5e092b245bf4ef0bcc370cb20cbecd4ee6b322642b9ac687b7d9",
+            "c732750f2ae2b3bc59a6a3f46dac4d45d182a2c34c32858aab7bd5c371c73c7d",
         "report.json":
-            "376f4e36a0cc5126752a704359f4905996ae68c3e35597ebe101859dae7af0a9",
+            "f17c323f88556d27033ca937af089da4fe22d30b73e491bb259c936086522ef6",
         "weights.csv":
             "88f1b837b321ae1a20bbc3af53f81d9dbc67813478972a8fdfcbb033c2451786",
     }),
@@ -87,15 +87,15 @@ def _digests(argv: list[str], out: Path, capsys) -> dict[str, str]:
         "stdout":
             "db6a1841a6913d78b5ca5a66dfdce31c3528de18b1c87e682b9ee16e9651dd5c",
         "figdata_bars.csv":
-            "831452f4678b878b6e91f33103772ba5c789f2601660d2eedfff5e80dd4de127",
+            "5ab114f8026c0b197cb46fdef878321f3baca3f3bf3a18ca16604ec967f255c7",
         "figdata_network_after.csv":
             "9087c1baae45ce8694fa07a845a0b3c59d1f7a71d4f75009b7d8f90277521251",
         "figdata_network_before.csv":
             "85b883c32552d3c630ba9e9cdfe11989ff3f18e2297ac2b84073f1fddaf2f35e",
         "measures.csv":
-            "fd9db52bf637e487d71927e5789dffd6671f593566945d93e93b900a0a24694c",
+            "2845986497c1af182cea84030285f7c6aaae9e85c7a208e9a90ec24fcb28463f",
         "report.json":
-            "c9ff2fa3a443824d379d20ede33481e3f8c4e2d925a3f0459e249ea5d64d540d",
+            "4322c2b0affb803b8a921e9c05a946a323a04237e9824c15cf1de16fea98fbc7",
         "weights.csv":
             "8c840cd7e7523270056ebcdf3ab0a4e392198d0baa47c593ae8165b11da9f448",
     }),
@@ -103,15 +103,15 @@ def _digests(argv: list[str], out: Path, capsys) -> dict[str, str]:
         "stdout":
             "0f534b9235a5f30b425700618df08168e99ef16d3832f5b0a030d6b8424e1d20",
         "figdata_bars.csv":
-            "002910088dc3af061aaff4d100271035e6186e0609ef82925ac2f088335e09ca",
+            "e4ce57f1f50e2a18a4b66d56d56252d055638ea96f867bdc9959d6225b877479",
         "figdata_network_after.csv":
             "9818128f30ed423f8384cf02564f7e2d20b4a1a831df755393159b52e872c969",
         "figdata_network_before.csv":
             "85b883c32552d3c630ba9e9cdfe11989ff3f18e2297ac2b84073f1fddaf2f35e",
         "measures.csv":
-            "5c5e5fdda29d3f498f31afed3740c55f1b9f7ae261fea86103e690a655d05f0d",
+            "9430adef1baa04c2afc7b344cd433f4694ce81cdc8eba45448eac4bc88be7979",
         "report.json":
-            "76b87c41431319058d08929647f4749936bb30aea4795e2557c235bcb06dd889",
+            "77a83d18661c99cb8c8f95d26f7830aa2470ae92dd4b287b35713f5eddf33df1",
         "weights.csv":
             "09e9daf80759c33b862c2a27cb8fd3a8bdb3d755de1bfe2cffe6b71657019261",
     }),

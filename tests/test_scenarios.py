@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from resilnet import load_case, scenario_one, scenario_two, vulnerability_measure
-from resilnet.gridcase import Bus, Branch, GridCase
+from resilnet.gridcase import Bus, Branch, CaseError, GridCase
 from resilnet.scenarios import ScenarioReport, emit_report, unit_budget_problem
 from resilnet.optimize import solve_single_node
 from resilnet import build_graph, worst_case
@@ -26,6 +26,20 @@ def _p3_case():
                Bus(3, "generator", 0.0)),
         branches=(Branch(1, 2, 0.5), Branch(2, 3, 0.5)),
     )
+
+
+def test_scenarios_check_bus_ids_with_the_case():
+    ny57 = load_case(CASES_DIR / "ny57_substitute.json")
+    k5 = _k5_case()
+    for run, case, ids, bad in ((scenario_two, ny57, [True, 3], "True"),
+                                (scenario_two, k5, [2.6, 3], "2.6"),
+                                (scenario_one, k5, ["1"], "'1'")):
+        with pytest.raises(CaseError, match=f"bus id must be an integer, got {bad}"):
+            run(case, ids)
+    report = scenario_two(k5, [np.int64(3), 2, np.int32(3)])
+    assert [o.node for o in report.per_node] == [2, 3]
+    assert all(type(o.node) is int for o in report.per_node)
+    assert scenario_one(k5, [np.int64(4)]).best_node == 4
 
 
 def test_scenario_one_k5_toy():
