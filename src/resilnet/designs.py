@@ -4,13 +4,14 @@ Minimizing L+_kk over the unit weight simplex is a c-optimal design
 problem with c = e_k - 1/n, solved exactly by Elfving's theorem: the
 optimum is (mean hop distance from k)^2, attained by weights proportional
 to any shortest-path flow routing c (`shortest_path_flow`). Complete
-graphs (a uniform star centered at the node) and trees (square-root
-path-usage weights) are the special cases kept as independent closed
-forms. The per-edge certificate `gradient_l + measure >= 0` is sufficient
-for global optimality of any candidate point and is exposed for arbitrary
-graphs; a pass is a sufficient-condition verdict, never a necessary one.
-Node arguments are 1-based Python or numpy integers; bools, floats and
-nodes outside 1..n raise ValueError, as everywhere in the package.
+graphs (a uniform star centered at the node) and trees (weights
+proportional to subtree sizes) are the special cases kept as independent
+closed forms. The per-edge certificate `gradient_l + measure >= 0` is
+sufficient for global optimality of any candidate point and is exposed for
+arbitrary graphs; a pass is a sufficient-condition verdict, never a
+necessary one. Node arguments are 1-based Python or numpy integers; bools,
+floats and nodes outside 1..n raise ValueError, as everywhere in the
+package.
 """
 from __future__ import annotations
 
@@ -72,74 +73,47 @@ def _adjacency(g: WeightedGraph) -> list[list[tuple[int, int]]]:
     return adj
 
 
-def _tree_adjacency(tree: WeightedGraph) -> list[list[tuple[int, int]]]:
-    """Adjacency lists of a spanning tree; raises NotATreeError otherwise."""
+def _subtree_sizes(tree: WeightedGraph, k: int) -> np.ndarray:
+    """Per edge, the number of nodes whose unique path from k crosses it.
+
+    Removing edge l splits the tree; the count is the size of the part
+    without k. One breadth-first traversal from k finds every size, and
+    with m = n - 1 its reaching every node rules out cycles. Raises
+    NotATreeError unless the topology is a spanning tree.
+    """
     if tree.m != tree.n - 1:
         raise NotATreeError(
             f"tree needs m = n - 1 edges, got m={tree.m} with n={tree.n}"
         )
     adj = _adjacency(tree)
-    # m = n - 1 plus full reachability rules out cycles.
-    seen = [False] * tree.n
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for u, _ in adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                stack.append(u)
-    if not all(seen):
-        raise NotATreeError("edge structure is disconnected, not a spanning tree")
-    return adj
-
-
-def _path_usage(tree: WeightedGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-edge path usage (a, a_k) of a tree via subtree sizes.
-
-    a[l] counts node pairs whose unique path crosses edge l, and a_k[l]
-    counts nodes whose unique path from k crosses it: removing edge l
-    splits the tree into parts of sizes s and n - s, so a[l] = s * (n - s)
-    and a_k[l] is the size of the part not containing k.
-    """
     root = _node_index(k, tree.n)
-    adj = _tree_adjacency(tree)
-    # Iterative post-order from the reference node: subtree sizes looking
-    # away from k give the component that does not contain k.
-    parent_edge = [-1] * tree.n
-    order = []
-    stack = [(root, -1)]
-    while stack:
-        v, pe = stack.pop()
-        parent_edge[v] = pe
-        order.append(v)
+    up: list[tuple[int, int] | None] = [None] * tree.n  # (parent, edge to it)
+    order = [root]
+    for v in order:  # breadth-first: order grows while it is scanned
         for u, l in adj[v]:
-            if l != pe:
-                stack.append((u, l))
-    size = np.ones(tree.n, dtype=int)
-    a = np.zeros(tree.m)
-    a_k = np.zeros(tree.m)
-    for v in reversed(order):
-        l = parent_edge[v]
-        if l >= 0:
-            s = int(size[v])
-            a[l] = s * (tree.n - s)
-            a_k[l] = s
-            i, j = tree.edges[l]
-            up = i if j == v else j
-            size[up] += size[v]
-    return a, a_k
+            if u != root and up[u] is None:
+                up[u] = (v, l)
+                order.append(u)
+    if len(order) < tree.n:
+        raise NotATreeError("edge structure is disconnected, not a spanning tree")
+    size = [1] * tree.n
+    sizes = np.zeros(tree.m, dtype=int)
+    for v in reversed(order[1:]):
+        parent, l = up[v]
+        sizes[l] = size[v]
+        size[parent] += size[v]
+    return sizes
 
 
 def tree_optimum(tree: WeightedGraph, k: int) -> np.ndarray:
-    """Optimal tree weights for node k.
+    """Optimal tree weights for node k: proportional to subtree sizes.
 
-    Each edge gets weight proportional to sqrt(n * a_k[l] - a[l]) (see
-    ``_path_usage``); the certificate residuals vanish identically at this
-    point. Raises NotATreeError unless the topology is a spanning tree.
+    An edge that splits off s nodes away from k carries a_k = s paths from
+    k and a = s(n - s) paths in all, so the closed form sqrt(n a_k - a) is
+    s itself. The certificate residuals vanish identically at this point.
+    Raises NotATreeError unless the topology is a spanning tree.
     """
-    a, a_k = _path_usage(tree, k)
-    s = np.sqrt(tree.n * a_k - a)
+    s = _subtree_sizes(tree, k)
     return s / s.sum()
 
 

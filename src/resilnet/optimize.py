@@ -13,11 +13,14 @@ One rule solves every design (_solve, behind solve_single_node and
 solve_min_max): take the floor-free optimum if it meets the floor, since
 it is then optimal under the floor too and its bound still holds. For one
 target that is the flow design of resilnet.designs (Elfving), reported as
-exact with lower bound (mean hop)^2. For two or more it is the barrier
-method without the floor, run only when the uniform start meets the floor
-and abandoned at the first centering that ends below it. Otherwise the
-barrier method runs with the floor from the uniform start; its Newton
-steps add to any abandoned ones.
+exact with lower bound (mean hop)^2, and no barrier model is built. For
+two or more it is the barrier method without the floor, run only when the
+uniform start meets the floor and abandoned at the first centering that
+ends below it. Otherwise the barrier method runs with the floor from the
+uniform start; its Newton steps add to any abandoned ones. Every result
+reads its measures and floor slack from the design's spectral bundle
+(resilnet.graphs.spectral_bundle), like every other measure; the
+barrier's M^-1 stays inside path following.
 
 Barrier method: with M = L(b) + 11^T/n and f_k = e_k^T M^-1 e_k, path
 following (Boyd and Vandenberghe 2004, ch. 11) on the SDP min t s.t.
@@ -51,7 +54,7 @@ from numpy.linalg import LinAlgError
 
 from .designs import shortest_path_flow
 from .graphs import (DisconnectedGraphError, WeightedGraph, _node_index,
-                     _node_vector, algebraic_connectivity, laplacian)
+                     _node_vector, laplacian, spectral_bundle)
 
 __all__ = [
     "InfeasibleDesignError",
@@ -150,10 +153,12 @@ class DesignProblem:
 class SolverResult:
     """Optimal weights plus convergence and feasibility diagnostics.
 
-    ``objective`` and ``per_node`` are vulnerability measures; ``lower_bound``
-    certifies the optimum from below and ``kkt_gap`` is objective minus it.
-    ``feasibility`` is lambda_2(b_star) - epsilon; ``iterations`` counts the
-    Newton steps of ``method`` ("exact-flow" or "barrier").
+    ``objective`` and ``per_node`` are vulnerability measures, the diagonal
+    of L^+ from the spectral bundle of ``b_star``; ``lower_bound`` certifies
+    the optimum from below, at most ``objective``, and ``kkt_gap`` >= 0 is
+    objective minus it. ``feasibility`` is lambda_2(b_star) - epsilon, from
+    the same bundle; ``iterations`` counts the Newton steps of ``method``
+    ("exact-flow" or "barrier").
     """
 
     b_star: np.ndarray
@@ -420,16 +425,22 @@ def _follow_path(model, b: np.ndarray, state, scale: float, stop=None):
         previous, lower, s = objective, bound, s * PATH_STEP
 
 
-def _result(problem: DesignProblem, model: _MinMax, b: np.ndarray, state,
+def _result(problem: DesignProblem, targets: Sequence[int], b: np.ndarray,
             lower: float, iterations: int, method: str) -> SolverResult:
-    """Diagnostics of the point b with certified lower bound ``lower``."""
-    per_node = {int(k) + 1: float(fv) - 1.0 / problem.n
-                for k, fv in zip(model.targets, state[3])}
+    """Diagnostics of the point b, from its spectral bundle, with bound ``lower``.
+
+    ``targets`` are 0-based. The bound reported is min(lower, objective),
+    still a certified bound: an exact design's measure can round just below
+    its closed-form bound.
+    """
+    bundle = spectral_bundle(problem.topology.with_weights(b))
+    per_node = {k + 1: float(bundle.pinv[k, k]) for k in targets}
     objective = max(per_node.values())
+    lower = min(lower, objective)
     return SolverResult(
         b_star=b, objective=objective, per_node=per_node, iterations=iterations,
         kkt_gap=objective - lower,
-        feasibility=algebraic_connectivity(problem.topology.with_weights(b)) - problem.epsilon,
+        feasibility=float(bundle.eigenvalues[1]) - problem.epsilon,
         converged=objective - lower <= SOLVER_TOL * abs(objective),
         lower_bound=lower, method=method)
 
@@ -443,17 +454,17 @@ def _solve(problem: DesignProblem, targets: Sequence[int]) -> SolverResult:
     """
     eps, topology = problem.epsilon, problem.topology
     targets = sorted(set(int(k) - 1 for k in targets))
-    model = _MinMax(topology, targets, eps)
-    if model.l == 1:
+    if len(targets) == 1:
         try:
             flow = shortest_path_flow(topology, targets[0] + 1)
-            b = flow / flow.sum()
-            state = model.state(b)  # None when the flow design misses the floor
-        except DisconnectedGraphError:
-            state = None
-        if state is not None:
             # The flows sum to the mean hop distance; its square is Elfving's bound.
-            return _result(problem, model, b, state, float(flow.sum()) ** 2, 0, "exact-flow")
+            exact = _result(problem, targets, flow / flow.sum(), float(flow.sum()) ** 2,
+                            0, "exact-flow")
+        except DisconnectedGraphError:
+            exact = None
+        if exact is not None and exact.feasibility > 0.0:
+            return exact
+    model = _MinMax(topology, targets, eps)
     b = np.full(topology.m, 1.0 / topology.m)
     # spent: Newton steps of the abandoned floor-free path or of phase 1.
     state, spent = model.state(b), 0
@@ -462,11 +473,10 @@ def _solve(problem: DesignProblem, targets: Sequence[int]) -> SolverResult:
         b_free, _, _, lower, spent, missed = _follow_path(
             free, b, free.state(b), scale=model.objective(state),
             stop=lambda b, _: model.state(b) is None)
-        state_free = None if missed else model.state(b_free)
-        if state_free is not None:
+        if not missed and model.state(b_free) is not None:
             # A floor-free optimum that meets the floor is optimal under it,
             # and the floor-free bound still holds there.
-            return _result(problem, model, b_free, state_free, lower, spent, "barrier")
+            return _result(problem, targets, b_free, lower, spent, "barrier")
     if state is None:
         connectivity = _Connectivity(topology)
         b, _, attained, upper, spent, _ = _follow_path(
@@ -475,8 +485,8 @@ def _solve(problem: DesignProblem, targets: Sequence[int]) -> SolverResult:
         state = model.state(b)
         if state is None:
             raise InfeasibleDesignError(eps, -attained, -upper)
-    b, state, _, lower, steps, _ = _follow_path(model, b, state, scale=model.objective(state))
-    return _result(problem, model, b, state, lower, spent + steps, "barrier")
+    b, _, _, lower, steps, _ = _follow_path(model, b, state, scale=model.objective(state))
+    return _result(problem, targets, b, lower, spent + steps, "barrier")
 
 
 def solve_single_node(problem: DesignProblem, k: int) -> SolverResult:

@@ -72,9 +72,11 @@ class SolveDiagnostics:
     """How one design was solved; bounds, gap and floor slack in physical units.
 
     ``method`` is "exact-flow" or "barrier"; ``lower_bound`` is a certified
-    lower bound on the optimal objective and ``gap`` the objective minus it;
-    ``converged`` means the gap is at most optimize.SOLVER_TOL relative.
-    ``floor_slack`` is lambda_2 - epsilon of the design.
+    lower bound on the optimal objective, at most the design's objective,
+    and ``gap`` >= 0 the objective minus it; ``converged`` means the gap is
+    at most optimize.SOLVER_TOL relative. ``floor_slack`` is lambda_2 -
+    epsilon of the design; it and the objective behind the gap come from
+    the design's spectral bundle (SolverResult).
     """
 
     method: str
@@ -175,8 +177,9 @@ def unit_budget_problem(case: GridCase, buses: Iterable[int], gamma: float,
     ``epsilon`` is a physical floor in (0, total susceptance). When None,
     the unit-budget floor is max(epsilon_from_sync(omega, graph, gamma) /
     total susceptance, DEFAULT_EPSILON_SCALE), a heuristic (see
-    epsilon_from_sync). ``gamma`` must lie in (0, pi/2) either way. The
-    problem's weights and measures scale back by the total susceptance.
+    epsilon_from_sync), and must lie below one like a given floor. ``gamma``
+    must lie in (0, pi/2) either way. The problem's weights and measures
+    scale back by the total susceptance.
     """
     if not 0.0 < gamma < math.pi / 2:
         raise ValueError(f"gamma must lie in (0, pi/2), got {gamma}")
@@ -186,6 +189,11 @@ def unit_budget_problem(case: GridCase, buses: Iterable[int], gamma: float,
         sync = epsilon_from_sync(case.omega(), graph, gamma)
         eps_norm = max(sync / scale, DEFAULT_EPSILON_SCALE)
         epsilon = eps_norm * scale
+        if not eps_norm < 1.0:
+            raise ValueError(
+                f"spectral floor {epsilon:.6g}, derived at gamma {gamma:.6g}, must lie "
+                f"below {scale:.6g}, the total susceptance of {case.name}; lower "
+                "--gamma or give --epsilon")
     elif 0.0 < epsilon < scale:
         eps_norm = epsilon / scale
     else:

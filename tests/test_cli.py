@@ -136,6 +136,24 @@ def test_physical_floor_out_of_range_exit_3(tmp_path, capsys, epsilon):
         assert "1032.55" in err and "total susceptance" in err
 
 
+@pytest.mark.parametrize("command", FLOOR_COMMANDS, ids=["single", "minmax", "export-sdp"])
+def test_derived_floor_out_of_range_exit_3(command, tmp_path, capsys):
+    # Buses 1 and 3 of k5_toy at +50 and -50 derive a physical floor of
+    # 100 sin(pi/16) = 19.5, above the total susceptance of 1.
+    case = json.loads(Path(K5).read_text())
+    case["buses"][0]["power_pu"], case["buses"][2]["power_pu"] = 50.0, -50.0
+    case["buses"][2]["kind"] = "load"
+    path = tmp_path / "hot.json"
+    path.write_text(json.dumps(case))
+    out = tmp_path / "out"
+    assert main([*command, "--case", str(path), "--nodes", "generators",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "spectral floor 19.509, derived at gamma 0.19635, must lie below 1" in err
+    assert "total susceptance of k5_toy" in err and "--gamma" in err and "--epsilon" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("gamma", ["0", "1.6", "nan"])
 def test_gamma_out_of_range_exit_3_with_epsilon(tmp_path, capsys, gamma):
     # An explicit floor does not use gamma, but gamma is still range-checked.

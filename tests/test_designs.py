@@ -126,6 +126,10 @@ def test_path_usage_counts_rejects_non_tree():
     forest = build_graph(4, [(1, 2), (3, 4), (1, 3), (2, 4)], np.ones(4))
     with pytest.raises(NotATreeError):
         tree_optimum(forest, 1)
+    # n - 1 edges, but a triangle and an isolated node.
+    split = build_graph(4, [(1, 2), (2, 3), (1, 3)], np.ones(3))
+    with pytest.raises(NotATreeError, match="disconnected"):
+        tree_optimum(split, 1)
 
 
 def test_tree_optimum_examples():

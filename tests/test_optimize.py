@@ -157,6 +157,57 @@ def test_minmax_singleton_matches_single_node():
         assert (a.iterations == 0) == (method == "exact-flow")
 
 
+def test_results_read_the_design_bundle():
+    # per_node and feasibility are b_star's own vulnerability measures and
+    # lambda_2, bit for bit, whichever method found it.
+    ny57 = load_case(CASES_DIR / "ny57_substitute.json")
+    k5 = load_case(CASES_DIR / "k5_toy.json")
+    designs = []
+    for case, epsilon in ((ny57, None), (ny57, 4.5), (k5, None)):
+        problem, _ = unit_budget_problem(case, case.generator_ids, DEFAULT_GAMMA, epsilon)
+        designs.append((problem, solve_min_max(problem)))
+        if epsilon is None:
+            designs += [(problem, solve_single_node(problem, case.node_of(bus)))
+                        for bus in case.generator_ids[::6]]
+    assert {res.method for _, res in designs} == {"exact-flow", "barrier"}
+    for problem, res in designs:
+        g = problem.topology.with_weights(res.b_star)
+        assert res.per_node == {k: vulnerability_measure(g, k) for k in res.per_node}
+        assert res.feasibility == algebraic_connectivity(g) - problem.epsilon
+
+
+def test_exact_flow_bound_never_exceeds_its_objective():
+    # (mean hop)^2 can round above the measured optimum; the reported bound
+    # is clamped to the objective, so every certificate is consistent.
+    case = load_case(CASES_DIR / "ny57_substitute.json")
+    problem, _ = unit_budget_problem(case, case.generator_ids, DEFAULT_GAMMA, None)
+    for bus in case.generator_ids:
+        res = solve_single_node(problem, case.node_of(bus))
+        assert res.method == "exact-flow"
+        assert res.lower_bound <= res.objective and res.kkt_gap >= 0.0
+
+
+def test_exact_single_node_design_builds_no_barrier_model(monkeypatch):
+    built = []
+
+    class Counting(optimize._MinMax):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "_MinMax", Counting)
+    case = load_case(CASES_DIR / "ny57_substitute.json")
+    bus6, _ = unit_budget_problem(case, [6], DEFAULT_GAMMA, None)
+    assert solve_single_node(bus6, case.node_of(6)).method == "exact-flow"
+    assert built == []
+    # The floored fallback of test_solve_single_node_falls_back_when_floor_binds.
+    g = unit_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)])
+    exact = solve_single_node(DesignProblem(g, v_prime=[1]), 1)
+    lam2 = algebraic_connectivity(g.with_weights(exact.b_star))
+    floored = solve_single_node(DesignProblem(g, v_prime=[1], epsilon=1.2 * lam2), 1)
+    assert floored.method == "barrier" and len(built) == 1
+
+
 def test_minmax_k5_symmetric_optimum():
     prob = DesignProblem(unit_graph(5, complete_graph_edges(5)), v_prime=[1, 2, 3, 4, 5])
     res = solve_min_max(prob)
@@ -300,9 +351,9 @@ def _record_paths(monkeypatch) -> list:
 # sha256 of b_star's float64 bytes, objective, lower bound, Newton steps.
 FLOORED = {
     4.0: ("8a526166d009826f9a4a3805f2a1c78b4b8681221d322f1a755c93b9d322729e",
-          57.506844687853665, 57.50680882224688, 241),
+          57.50684468785368, 57.50680882224688, 241),
     4.5: ("3834c71fde8581a41f4bf50395f0903d92419604b0f1cb16ed271218c713bcf9",
-          63.36608026254591, 63.365823557483964, 126),
+          63.36608026254593, 63.365823557483964, 126),
 }
 
 

@@ -38,15 +38,15 @@ def _digests(argv: list[str], out: Path, capsys) -> dict[str, str]:
         "stdout":
             "3b368da09eeda5ec1290ccfa02189b5b3ebc30cab90a1987c38d5a2b4d59bb7a",
         "figdata_bars.csv":
-            "35201dfb5bb173a9a5ff5f20850a3f771133a588ce3510d9854d500687f59264",
+            "ce53b96652742956d784b6eb147128e2be7a6754c29438dde6cbc86adea898c2",
         "figdata_network_after.csv":
             "94acf9b98b62ea53194d72bb4ee60aaa506de9d11bcb13003844c6dcd83a2e52",
         "figdata_network_before.csv":
             "4cbefb1588dcd8e745ab059247905ba4d65adb4af83839d7b85ced07c3a29230",
         "measures.csv":
-            "386f703389a6980adb389913f0f6006fe31fd97e5dbf1dfbfcba8d8409066e23",
+            "548fb8ef611b0c09867ed10e71d047053ea63d6c0358acd0c91cc48231976f08",
         "report.json":
-            "f58112cd70bc5de4e8b5df16ce125f7e4d78d23d532633a57af89438984f8991",
+            "f32849495be7f0a5f1fd4a3b0e84adca219af0f0e2cc2cca2865be20557efb47",
         "weights.csv":
             "9453c62d5cbbca97a75fb0f630c577162fcbd17284681d9114ccd87a05236192",
     }),
@@ -54,15 +54,15 @@ def _digests(argv: list[str], out: Path, capsys) -> dict[str, str]:
         "stdout":
             "0f5965b440fbbf3a1264173c8aa143cfb0bd18d2955e39500875745fc2fea2cd",
         "figdata_bars.csv":
-            "741cb2609c682e475b08d4acfe7ec3537b32afd451128562f458c7dc654430c6",
+            "4746f20db9ac18faea0db62ed3d2ec46768a0b1289f3a556dabd4eaccf9d3108",
         "figdata_network_after.csv":
             "62ebc15cc2b14b72ae6e510c60a971d58f14e0930d32bf8288e70c20e54edfa1",
         "figdata_network_before.csv":
             "4cbefb1588dcd8e745ab059247905ba4d65adb4af83839d7b85ced07c3a29230",
         "measures.csv":
-            "4a442f18aa2d4fe405e31f98d7fb9b6496f0f26815b1980e9f3d0386bdba95e7",
+            "9f1758dfdc863d44c6f3853b2e7c44ac622f96b33931f5e7bd2fc3dd6771ed21",
         "report.json":
-            "b399401c8e3dd24100b1785c9f8a9e37b9223535562e476e2584590bc1255b10",
+            "dbd687337866448bc4dee51480e35c1148ef538766966de80cdf623f98bff924",
         "weights.csv":
             "1eaf724292233916ab8dfa7fc4efeb5f4fff6cc7ea1c986d5bf2f7239ae4cfe3",
     }),
@@ -71,15 +71,15 @@ def _digests(argv: list[str], out: Path, capsys) -> dict[str, str]:
         "stdout":
             "c091dd3d257eecbf36f01231e050f014a0b36bceb0499525b5234cf40e26434e",
         "figdata_bars.csv":
-            "9a3ed4a522104d24208ab967122ca1e721b10d93815c97039d2d08ff4ede61c3",
+            "6e10a5c6b79ed827710dbce27410d1410e7a16c212153cfbdc1247c7507eeae3",
         "figdata_network_after.csv":
             "9c1f46a51814e6587adcf2c57d9306127008d31089ad3750244dcdcb3e2624eb",
         "figdata_network_before.csv":
             "4cbefb1588dcd8e745ab059247905ba4d65adb4af83839d7b85ced07c3a29230",
         "measures.csv":
-            "c732750f2ae2b3bc59a6a3f46dac4d45d182a2c34c32858aab7bd5c371c73c7d",
+            "be482807703e16a34eaa1418b2707d4d4af660f2a4e5a63d9a40fc1deacdcaba",
         "report.json":
-            "f17c323f88556d27033ca937af089da4fe22d30b73e491bb259c936086522ef6",
+            "6b13b8f3800e3b2107dffb7607e53e3433b767aeeb8bb6bb4dd598fdc1fae1f4",
         "weights.csv":
             "88f1b837b321ae1a20bbc3af53f81d9dbc67813478972a8fdfcbb033c2451786",
     }),
@@ -87,15 +87,15 @@ def _digests(argv: list[str], out: Path, capsys) -> dict[str, str]:
         "stdout":
             "db6a1841a6913d78b5ca5a66dfdce31c3528de18b1c87e682b9ee16e9651dd5c",
         "figdata_bars.csv":
-            "5ab114f8026c0b197cb46fdef878321f3baca3f3bf3a18ca16604ec967f255c7",
+            "4cd93f7fa250481199166cf5eead9669f09b9485ffec20d2b91de415c80c8efc",
         "figdata_network_after.csv":
             "9087c1baae45ce8694fa07a845a0b3c59d1f7a71d4f75009b7d8f90277521251",
         "figdata_network_before.csv":
             "85b883c32552d3c630ba9e9cdfe11989ff3f18e2297ac2b84073f1fddaf2f35e",
         "measures.csv":
-            "2845986497c1af182cea84030285f7c6aaae9e85c7a208e9a90ec24fcb28463f",
+            "d93c534c649e47febe8bcde22054e4b45318052d4023490883b69e8d594804f8",
         "report.json":
-            "4322c2b0affb803b8a921e9c05a946a323a04237e9824c15cf1de16fea98fbc7",
+            "85a09fb185f2534c67ba557e813d33ba39d9aae9f56538d0ed3553659ec8d400",
         "weights.csv":
             "8c840cd7e7523270056ebcdf3ab0a4e392198d0baa47c593ae8165b11da9f448",
     }),
@@ -103,15 +103,15 @@ def _digests(argv: list[str], out: Path, capsys) -> dict[str, str]:
         "stdout":
             "0f534b9235a5f30b425700618df08168e99ef16d3832f5b0a030d6b8424e1d20",
         "figdata_bars.csv":
-            "e4ce57f1f50e2a18a4b66d56d56252d055638ea96f867bdc9959d6225b877479",
+            "054dde74e2d3b088365991eba90eae5b012ad654aa24f0c89a9c69464dabfaf0",
         "figdata_network_after.csv":
             "9818128f30ed423f8384cf02564f7e2d20b4a1a831df755393159b52e872c969",
         "figdata_network_before.csv":
             "85b883c32552d3c630ba9e9cdfe11989ff3f18e2297ac2b84073f1fddaf2f35e",
         "measures.csv":
-            "9430adef1baa04c2afc7b344cd433f4694ce81cdc8eba45448eac4bc88be7979",
+            "aab731af4f81bca66c881e21b2ab2aa299b0777d3be0e999053895cd5c79ab6b",
         "report.json":
-            "77a83d18661c99cb8c8f95d26f7830aa2470ae92dd4b287b35713f5eddf33df1",
+            "08f8d01f120b4d3db723aa93ee7e1dd220e93311dbd115a1624daf6f4a1c8076",
         "weights.csv":
             "09e9daf80759c33b862c2a27cb8fd3a8bdb3d755de1bfe2cffe6b71657019261",
     }),
