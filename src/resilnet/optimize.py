@@ -10,17 +10,17 @@ derives their floor with epsilon_from_sync). DesignProblem, posed on one
 WeightedGraph, takes the floor at unit budget as given.
 
 One rule solves every design (_solve, behind solve_single_node and
-solve_min_max): take the floor-free optimum if it meets the floor, since
-it is then optimal under the floor too and its bound still holds. For one
-target that is the flow design of resilnet.designs (Elfving), reported as
-exact with lower bound (mean hop)^2, and no barrier model is built. For
-two or more it is the barrier method without the floor, run only when the
-uniform start meets the floor and abandoned at the first centering that
-ends below it. Otherwise the barrier method runs with the floor from the
-uniform start; its Newton steps add to any abandoned ones. Every result
-reads its measures and floor slack from the design's spectral bundle
-(resilnet.graphs.spectral_bundle), like every other measure; the
-barrier's M^-1 stays inside path following.
+solve_min_max): take the floor-free optimum if its spectral bundle
+(resilnet.graphs.spectral_bundle) puts it above the floor, feasibility > 0,
+since it is then optimal under the floor too and its bound still holds.
+For one target that is the flow design of resilnet.designs (Elfving),
+exact with lower bound (mean hop)^2; no barrier model is built. For two or
+more it is the barrier without the floor, run only when the uniform start
+meets the floor and abandoned at the first centering that ends below it.
+Otherwise the barrier runs with the floor from the uniform start, adding
+to any abandoned Newton steps. The barrier's own floor tests (uniform
+start, centering ends, start after phase 1) factorize M - eps*I. Every
+result reads its measures and floor slack from the design's bundle.
 
 Barrier method: with M = L(b) + 11^T/n and f_k = e_k^T M^-1 e_k, path
 following (Boyd and Vandenberghe 2004, ch. 11) on the SDP min t s.t.
@@ -157,8 +157,8 @@ class SolverResult:
     of L^+ from the spectral bundle of ``b_star``; ``lower_bound`` certifies
     the optimum from below, at most ``objective``, and ``kkt_gap`` >= 0 is
     objective minus it. ``feasibility`` is lambda_2(b_star) - epsilon, from
-    the same bundle; ``iterations`` counts the Newton steps of ``method``
-    ("exact-flow" or "barrier").
+    the same bundle: the design's one floor verdict. ``iterations`` counts
+    the Newton steps of ``method`` ("exact-flow" or "barrier").
     """
 
     b_star: np.ndarray
@@ -377,11 +377,10 @@ def _lp_bound(c: np.ndarray, S: np.ndarray, z: np.ndarray | None = None,
 def _follow_path(model, b: np.ndarray, state, scale: float, stop=None):
     """Follow the central path of ``model`` plus -sum(log b) from b > 0 and its state.
 
-    Returns the best point visited, its state and objective, the best lower
-    bound, the Newton steps and whether ``stop(b, state)`` ended the path
-    early at the end of a centering.
+    Returns the best point and its objective, the best lower bound, the Newton
+    steps and whether ``stop(b, state)`` ended the path after a centering.
     """
-    best = (model.objective(state), b, state)
+    best = (model.objective(state), b)
     m, s = b.size, model.nu / scale
     lower, steps, previous = -math.inf, 0, math.inf
     while True:
@@ -414,14 +413,13 @@ def _follow_path(model, b: np.ndarray, state, scale: float, stop=None):
             else:
                 break
             b, state = cand, cand_state
-            if model.objective(state) < best[0]:
-                best = (model.objective(state), b, state)
+            best = min(best, (model.objective(state), b), key=lambda p: p[0])
         objective = model.objective(state)
         bound = max(lower, model.lower_bound(state, s))
         stopped = stop is not None and stop(b, state)
         if (stopped or steps >= MAX_ITERS
                 or max(previous - objective, bound - lower) <= STALL_RTOL * scale):
-            return best[1], best[2], best[0], bound, steps, stopped
+            return best[1], best[0], bound, steps, stopped
         previous, lower, s = objective, bound, s * PATH_STEP
 
 
@@ -446,46 +444,49 @@ def _result(problem: DesignProblem, targets: Sequence[int], b: np.ndarray,
 
 
 def _solve(problem: DesignProblem, targets: Sequence[int]) -> SolverResult:
-    """The floor-free optimum if it meets the floor, else the floored barrier.
+    """The floor-free candidate if its bundle meets the floor, else the floored barrier.
 
-    The floor-free candidate is a lone target's flow design, or the barrier
-    without the floor from a uniform start that meets it, abandoned at the
-    first centering that ends below the floor.
+    The candidate is a lone target's flow design, or the floor-free barrier
+    from a uniform start that meets the floor, abandoned once below it.
     """
     eps, topology = problem.epsilon, problem.topology
     targets = sorted(set(int(k) - 1 for k in targets))
+    b = np.full(topology.m, 1.0 / topology.m)
+    # spent: Newton steps of the abandoned floor-free path or of phase 1.
+    free, model, spent = None, None, 0
     if len(targets) == 1:
         try:
             flow = shortest_path_flow(topology, targets[0] + 1)
             # The flows sum to the mean hop distance; its square is Elfving's bound.
-            exact = _result(problem, targets, flow / flow.sum(), float(flow.sum()) ** 2,
-                            0, "exact-flow")
+            free = _result(problem, targets, flow / flow.sum(), float(flow.sum()) ** 2,
+                           0, "exact-flow")
         except DisconnectedGraphError:
-            exact = None
-        if exact is not None and exact.feasibility > 0.0:
-            return exact
-    model = _MinMax(topology, targets, eps)
-    b = np.full(topology.m, 1.0 / topology.m)
-    # spent: Newton steps of the abandoned floor-free path or of phase 1.
-    state, spent = model.state(b), 0
-    if state is not None and model.l > 1:
-        free = _MinMax(topology, targets)
-        b_free, _, _, lower, spent, missed = _follow_path(
-            free, b, free.state(b), scale=model.objective(state),
-            stop=lambda b, _: model.state(b) is None)
-        if not missed and model.state(b_free) is not None:
-            # A floor-free optimum that meets the floor is optimal under it,
-            # and the floor-free bound still holds there.
-            return _result(problem, targets, b_free, lower, spent, "barrier")
+            pass
+    else:
+        model = _MinMax(topology, targets, eps)
+        state = model.state(b)
+        if state is not None:
+            unfloored = _MinMax(topology, targets)
+            b_free, _, lower, spent, missed = _follow_path(
+                unfloored, b, unfloored.state(b), scale=model.objective(state),
+                stop=lambda b, _: model.state(b) is None)
+            if not missed:
+                free = _result(problem, targets, b_free, lower, spent, "barrier")
+    # Above the floor, the floor-free optimum and its bound hold under it too.
+    if free is not None and free.feasibility > 0.0:
+        return free
+    if model is None:
+        model = _MinMax(topology, targets, eps)
+        state = model.state(b)
     if state is None:
         connectivity = _Connectivity(topology)
-        b, _, attained, upper, spent, _ = _follow_path(
+        b, attained, upper, spent, _ = _follow_path(
             connectivity, b, connectivity.state(b), scale=eps,
             stop=lambda _, state: connectivity.objective(state) < -eps)
         state = model.state(b)
         if state is None:
             raise InfeasibleDesignError(eps, -attained, -upper)
-    b, _, _, lower, steps, _ = _follow_path(model, b, state, scale=model.objective(state))
+    b, _, lower, steps, _ = _follow_path(model, b, state, scale=model.objective(state))
     return _result(problem, targets, b, lower, spent + steps, "barrier")
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .dynamics import NoSynchronizedStateError, steady_state
-from .graphs import algebraic_connectivity
+from .graphs import spectral_bundle
 from .gridcase import GridCase
 from .optimize import (
     DEFAULT_EPSILON_SCALE,
@@ -75,8 +75,8 @@ class SolveDiagnostics:
     lower bound on the optimal objective, at most the design's objective,
     and ``gap`` >= 0 the objective minus it; ``converged`` means the gap is
     at most optimize.SOLVER_TOL relative. ``floor_slack`` is lambda_2 -
-    epsilon of the design; it and the objective behind the gap come from
-    the design's spectral bundle (SolverResult).
+    epsilon of the design from its spectral bundle (SolverResult), like the
+    objective behind the gap; SyncCheck reads its lambda_2 from it.
     """
 
     method: str
@@ -96,7 +96,8 @@ class SolveDiagnostics:
 
 @dataclass(frozen=True)
 class SyncCheck:
-    """Synchronization audit of the reported design."""
+    """Synchronization audit of the reported design. ``lambda2`` is its epsilon +
+    floor_slack (b0's own when b0 is reported); it warns of the floor iff slack < 0."""
 
     gamma: float
     epsilon: float
@@ -204,35 +205,28 @@ def unit_budget_problem(case: GridCase, buses: Iterable[int], gamma: float,
     return problem, epsilon
 
 
-def _sync_check(case: GridCase, weights_phys: tuple[float, ...],
-                gamma: float, eps_phys: float) -> SyncCheck:
-    graph = case.graph(weights_phys)
-    lam2 = algebraic_connectivity(graph)
-    warning = None
-    gap = None
+def _sync_check(case: GridCase, design: tuple[float, ...], gamma: float,
+                eps_phys: float, lam2: float, floor_slack: float) -> SyncCheck:
+    """Audit of the physical weights ``design``, whose bundle gave lam2 and floor_slack."""
+    warnings, gap = [], None
     try:
-        ss = steady_state(graph, case.omega())
-        gap = ss.max_angle_gap
+        gap = steady_state(case.graph(design), case.omega()).max_angle_gap
         if gap > gamma:
-            warning = (
-                f"steady-state angle gap {gap:.4g} exceeds gamma {gamma:.4g}"
-            )
+            warnings.append(f"steady-state angle gap {gap:.4g} exceeds gamma {gamma:.4g}")
     except NoSynchronizedStateError as exc:
-        warning = f"no synchronized steady state found: {exc}"
-    if lam2 < eps_phys:
-        extra = f"lambda_2 {lam2:.4g} below spectral floor {eps_phys:.4g}"
-        warning = extra if warning is None else f"{warning}; {extra}"
-    return SyncCheck(gamma=gamma, epsilon=eps_phys, lambda2=lam2,
-                     angle_gap=gap, warning=warning)
+        warnings.append(f"no synchronized steady state found: {exc}")
+    if floor_slack < 0.0:
+        warnings.append(f"lambda_2 {lam2:.4g} below spectral floor {eps_phys:.4g}")
+    return SyncCheck(gamma=gamma, epsilon=eps_phys, lambda2=lam2, angle_gap=gap,
+                     warning="; ".join(warnings) or None)
 
 
 def _reported_design(b_out: dict[str, tuple[float, ...]], best_node: int | None,
-                     b0: tuple[float, ...]) -> tuple[float, ...]:
-    """The design a report stands for: the shared min-max vector, else the
-    best candidate's, else b0 when every candidate's floor is unreachable."""
-    if "minmax" in b_out:
-        return b_out["minmax"]
-    return b0 if best_node is None else b_out[str(best_node)]
+                     b0: tuple[float, ...]) -> tuple[str | None, tuple[float, ...]]:
+    """b_out key and weights of the reported design: the shared min-max vector,
+    else the best candidate's, else (None, b0) when no floor is reachable."""
+    key = "minmax" if "minmax" in b_out else None if best_node is None else str(best_node)
+    return key, b0 if key is None else b_out[key]
 
 
 def _report(case: GridCase, scenario: str, buses: list[int], gamma: float,
@@ -265,6 +259,12 @@ def _report(case: GridCase, scenario: str, buses: list[int], gamma: float,
     best = _argmin_node(after) if after else None
     aggregate = min if scenario == "single" else max
     objective_before = aggregate(before.values())
+    solves = {key: SolveDiagnostics.of(res, scale) for key, res in designs.items()}
+    key, design = _reported_design(b_out, best, b0)
+    # b0's lambda_2 comes from the bundle behind the before measures.
+    lam2 = (float(spectral_bundle(graph0).eigenvalues[1]) if key is None
+            else eps_phys + solves[key].floor_slack)
+    floor_slack = lam2 - eps_phys if key is None else solves[key].floor_slack
     return ScenarioReport(
         scenario=scenario,
         case_name=case.name,
@@ -281,9 +281,8 @@ def _report(case: GridCase, scenario: str, buses: list[int], gamma: float,
         sum_after=sum(after.get(c, before[c]) for c in buses),
         b0=b0,
         b_out=b_out,
-        sync_check=_sync_check(case, _reported_design(b_out, best, b0), gamma,
-                               eps_phys),
-        solves={key: SolveDiagnostics.of(res, scale) for key, res in designs.items()},
+        sync_check=_sync_check(case, design, gamma, eps_phys, lam2, floor_slack),
+        solves=solves,
     )
 
 
@@ -369,7 +368,7 @@ def emit_report(report: ScenarioReport, out_dir: str | Path) -> dict[str, Path]:
              + ("" if o.after is None else f"{o.after:.17g}") for o in report.per_node]
     b0 = [f"{w:.17g}" for w in report.b0]
     b_star = [f"{w:.17g}" for w in
-              _reported_design(report.b_out, report.best_node, report.b0)]
+              _reported_design(report.b_out, report.best_node, report.b0)[1]]
     _write("measures.csv", "node,before,after", *nodes)
     _write("weights.csv", "edge,b0,b_star",
            *(f"{i}-{j},{w0},{ws}" for (i, j), w0, ws in zip(report.edges, b0, b_star)))

@@ -404,7 +404,7 @@ def test_minmax_abandons_the_floor_free_path_below_the_floor(monkeypatch):
     model = optimize._MinMax(prob.topology, [0, 1], prob.epsilon)
     uniform = np.full(4, 0.25)
     start = model.state(uniform)
-    b, _, _, lower, steps, _ = optimize._follow_path(
+    b, _, lower, steps, _ = optimize._follow_path(
         model, uniform, start, scale=model.objective(start))
     assert steps == 73
     floors = _record_paths(monkeypatch)

@@ -46,7 +46,7 @@ def _digests(argv: list[str], out: Path, capsys) -> dict[str, str]:
         "measures.csv":
             "548fb8ef611b0c09867ed10e71d047053ea63d6c0358acd0c91cc48231976f08",
         "report.json":
-            "f32849495be7f0a5f1fd4a3b0e84adca219af0f0e2cc2cca2865be20557efb47",
+            "9183d14a11165253fa06290a281d286c69faa0f890277b011583e80ce7d5da01",
         "weights.csv":
             "9453c62d5cbbca97a75fb0f630c577162fcbd17284681d9114ccd87a05236192",
     }),
@@ -62,7 +62,7 @@ def _digests(argv: list[str], out: Path, capsys) -> dict[str, str]:
         "measures.csv":
             "9f1758dfdc863d44c6f3853b2e7c44ac622f96b33931f5e7bd2fc3dd6771ed21",
         "report.json":
-            "dbd687337866448bc4dee51480e35c1148ef538766966de80cdf623f98bff924",
+            "7c517f86697742bb4b211276e9017041481cb1922dffe5f127b04160e48c3466",
         "weights.csv":
             "1eaf724292233916ab8dfa7fc4efeb5f4fff6cc7ea1c986d5bf2f7239ae4cfe3",
     }),
@@ -79,7 +79,7 @@ def _digests(argv: list[str], out: Path, capsys) -> dict[str, str]:
         "measures.csv":
             "be482807703e16a34eaa1418b2707d4d4af660f2a4e5a63d9a40fc1deacdcaba",
         "report.json":
-            "6b13b8f3800e3b2107dffb7607e53e3433b767aeeb8bb6bb4dd598fdc1fae1f4",
+            "c2db2fa446b8f6567d1b765dc5266b45c7e3eba2a2ebb6e2d2674b9c92493ca9",
         "weights.csv":
             "88f1b837b321ae1a20bbc3af53f81d9dbc67813478972a8fdfcbb033c2451786",
     }),
@@ -95,7 +95,7 @@ def _digests(argv: list[str], out: Path, capsys) -> dict[str, str]:
         "measures.csv":
             "d93c534c649e47febe8bcde22054e4b45318052d4023490883b69e8d594804f8",
         "report.json":
-            "85a09fb185f2534c67ba557e813d33ba39d9aae9f56538d0ed3553659ec8d400",
+            "888d52e9bc7111d1aec438c5f8820a9f977ad02b7cf10678672d6d68a9ab6444",
         "weights.csv":
             "8c840cd7e7523270056ebcdf3ab0a4e392198d0baa47c593ae8165b11da9f448",
     }),
@@ -111,7 +111,7 @@ def _digests(argv: list[str], out: Path, capsys) -> dict[str, str]:
         "measures.csv":
             "aab731af4f81bca66c881e21b2ab2aa299b0777d3be0e999053895cd5c79ab6b",
         "report.json":
-            "08f8d01f120b4d3db723aa93ee7e1dd220e93311dbd115a1624daf6f4a1c8076",
+            "5e14c28cdb6ec0eb9c6c4865a180f539e41f8b932196943726929334aa789e3f",
         "weights.csv":
             "09e9daf80759c33b862c2a27cb8fd3a8bdb3d755de1bfe2cffe6b71657019261",
     }),

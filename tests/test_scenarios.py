@@ -1,6 +1,6 @@
 """Scenario workflows and report emission."""
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +10,7 @@ from resilnet import load_case, scenario_one, scenario_two, vulnerability_measur
 from resilnet.gridcase import Bus, Branch, CaseError, GridCase
 from resilnet.scenarios import ScenarioReport, emit_report, unit_budget_problem
 from resilnet.optimize import solve_single_node
-from resilnet import build_graph, worst_case
+from resilnet import algebraic_connectivity, build_graph, optimize, worst_case
 
 CASES_DIR = Path(__file__).resolve().parents[1] / "cases"
 
@@ -128,6 +128,8 @@ def test_every_floor_unreachable_reports_case_weights(tmp_path):
     assert report.objective_after == report.objective_before
     assert report.sum_after == report.sum_before
     assert "below spectral floor 0.6" in report.sync_check.warning
+    # b0 is reported: lambda_2 of the case weights, from their spectral bundle.
+    assert report.sync_check.lambda2 == algebraic_connectivity(_k5_case().graph())
     paths = emit_report(report, tmp_path)
     rows = paths["weights.csv"].read_text().strip().splitlines()[1:]
     assert tuple(float(row.split(",")[2]) for row in rows) == report.b0
@@ -252,3 +254,72 @@ def test_solve_diagnostics_and_unconverged_buses(monkeypatch):
     monkeypatch.setattr(optimize, "MAX_ITERS", 1)
     report = scenario_one(case, [1, 2], epsilon=floor)
     assert report.unconverged() == [1, 2]
+
+
+def _assert_sync_check_reads_floor_slack(report):
+    """lambda_2 is epsilon + floor_slack of the reported design, and the floor
+    warning fires exactly when that slack is negative."""
+    key = "minmax" if report.scenario == "minmax" else str(report.best_node)
+    slack = report.solves[key].floor_slack
+    check = report.sync_check
+    assert check.lambda2 == report.epsilon + slack
+    assert ("below spectral floor" in (check.warning or "")) == (slack < 0.0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda ny57, k5: scenario_one(ny57, ny57.generator_ids[::6]),
+    lambda ny57, k5: scenario_two(ny57, ny57.generator_ids),
+    lambda ny57, k5: scenario_two(ny57, [4, 6], epsilon=5.05),
+    lambda ny57, k5: scenario_one(k5, k5.generator_ids),
+    lambda ny57, k5: scenario_two(k5, k5.generator_ids),
+], ids=["ny57-single", "ny57-minmax", "ny57-minmax-4,6-eps5.05", "k5-single",
+        "k5-minmax"])
+def test_sync_check_reads_the_reported_design_floor_slack(run):
+    ny57 = load_case(CASES_DIR / "ny57_substitute.json")
+    _assert_sync_check_reads_floor_slack(run(ny57, _k5_case()))
+
+
+def test_sync_check_flags_a_design_below_its_floor(monkeypatch):
+    from resilnet import scenarios
+    solve = scenarios.solve_min_max
+
+    def short_of_floor(problem):
+        return replace(solve(problem), feasibility=-1e-3)
+
+    monkeypatch.setattr(scenarios, "solve_min_max", short_of_floor)
+    report = scenario_two(_k5_case(), [1, 2])
+    assert report.solves["minmax"].floor_slack < 0.0
+    assert report.sync_check.lambda2 < report.epsilon
+    _assert_sync_check_reads_floor_slack(report)
+
+
+def test_scenario_one_makes_no_eigensolve_of_its_own(monkeypatch):
+    ny57 = load_case(CASES_DIR / "ny57_substitute.json")
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    scenario_one(ny57, ny57.generator_ids[::6])
+    # One spectral bundle per design and one for the case weights.
+    assert len(calls) == 6
+
+
+def test_floor_free_min_max_design_is_judged_by_its_bundle(monkeypatch):
+    ny57 = load_case(CASES_DIR / "ny57_substitute.json")
+    state = optimize._MinMax.state
+    floored = []
+
+    def counting_state(self, b):
+        if self.eps is not None:
+            floored.append(b)
+        return state(self, b)
+
+    monkeypatch.setattr(optimize._MinMax, "state", counting_state)
+    scenario_two(ny57, ny57.generator_ids)
+    # The uniform start and the end of each floor-free centering; the
+    # floor-free optimum itself is judged by its spectral bundle.
+    assert len(floored) == 13
