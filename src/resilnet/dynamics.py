@@ -239,6 +239,10 @@ class TrajectoryEnsemble:
     def __post_init__(self) -> None:
         if self.times.size < 2:
             raise ValueError(f"need at least 2 samples, got {self.times.size}")
+        if not (math.isfinite(self.times[1]) and self.times[1] > 0 and np.allclose(
+                self.times, np.arange(self.times.size) * self.times[1], rtol=1e-9, atol=0)):
+            raise ValueError(f"times must be 0, h, 2h, ... with finite h > 0, "
+                             f"got times[:3] = {self.times[:3].tolist()}")
         if self.theta.ndim != 3:
             raise ValueError(f"theta must have 3 axes (time, realization, node), "
                              f"got shape {self.theta.shape}")
@@ -265,19 +269,12 @@ class TrajectoryEnsemble:
         return freq
 
 
-def _too_stiff(h: float, lam_n: float) -> bool:
-    return h * lam_n >= STEP_STIFFNESS_LIMIT
-
-
 def stable_step(g: WeightedGraph) -> tuple[float, float]:
-    """The step ``resilnet simulate`` takes on g, and lambda_n, the largest
-    eigenvalue of L(b), which both integrators' guards read.
-
-    The step is DEFAULT_H, cut to 0.4 / lambda_n where DEFAULT_H * lambda_n
-    reaches STEP_STIFFNESS_LIMIT.
-    """
+    """The step ``resilnet simulate`` takes on g, DEFAULT_H cut to 0.4 / lambda_n
+    where DEFAULT_H * lambda_n reaches STEP_STIFFNESS_LIMIT, and lambda_n, the
+    largest eigenvalue of L(b), which both integrators' guards read."""
     lam_n = float(spectral_bundle(g).eigenvalues[-1])
-    return (0.4 / lam_n if _too_stiff(DEFAULT_H, lam_n) else DEFAULT_H), lam_n
+    return (0.4 / lam_n if DEFAULT_H * lam_n >= STEP_STIFFNESS_LIMIT else DEFAULT_H), lam_n
 
 
 def _horizon(g: WeightedGraph, noise: NoiseSpec, h: float, T: float, R: int,
@@ -293,7 +290,7 @@ def _horizon(g: WeightedGraph, noise: NoiseSpec, h: float, T: float, R: int,
     if steps < 1:
         raise ValueError(f"horizon T={T} holds no step of h={h}")
     lam_n = stable_step(g)[1]
-    if _too_stiff(h, lam_n):
+    if h * lam_n >= STEP_STIFFNESS_LIMIT:
         raise ValueError(f"step h={h} too large for stiffness lambda_n={lam_n:.4g}; "
                          f"use h < {STEP_STIFFNESS_LIMIT / lam_n:.4g}")
     return np.arange(steps + 1) * h, 1 if noise.kind == "box" else R, k0
@@ -395,21 +392,30 @@ def integrate_nonlinear(g: WeightedGraph, omega: Sequence[float], theta_init: Se
     return TrajectoryEnsemble(times, _stack(phases, times.size), noise.onset)
 
 
-def _linearized_run(g: WeightedGraph, steady: SteadyState, noise: NoiseSpec, h: float,
-                    T: float, R: int, seed: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """Checked run's times and gauged phase blocks: sample 0, then one per block."""
-    times, rows, k0 = _horizon(g, noise, h, T, R, seed)
+def _modes(g: WeightedGraph, steady: SteadyState, h: float, k: int) -> tuple[np.ndarray, ...]:
+    """(z, forcing, level, basis) of the linearized run at step h, target node k (0-based),
+    from one ``eigh`` of L_c = V diag(lam) V^T, the Laplacian of b cos(gap) at theta*.
+    Under noise eta held over a step, mode j advances exactly, c_j <- e^{-z_j} c_j + eta
+    forcing_j: z = lam h clipped at 0, forcing = h phi1(z) V[k], phi1(z) = (1 - e^{-z})/z.
+    L(b) - L_c, the Laplacian of b (1 - cos gap), is PSD, so the stiffness guard keeps
+    z < 0.5. The gauge is linear: the phases are level + c basis, theta* and V^T gauged."""
+    if not isinstance(steady, SteadyState):
+        raise TypeError(f"steady must be a SteadyState, got {type(steady).__name__}")
     theta0 = _node_vector("steady.theta0", steady.theta0, g.n)
     lam, V = np.linalg.eigh(laplacian(g, g.b * np.cos(theta0[g.ei] - theta0[g.ej])))
     z = np.clip(lam * h, 0.0, None)
     phi1 = np.where(z > 1e-8, (1.0 - np.exp(-z)) / np.where(z > 1e-8, z, 1.0), 1.0 - 0.5 * z)
-    # In a block, c_i = e^{-iz} (c_0 + sum_{s<i} e^{(s+1)z} eta_s h phi1 V[k]). L(b) - L_c
-    # is the Laplacian of b (1 - cos gap) >= 0, so lam <= lambda_n(L(b)) and the
-    # guard keeps z < 0.5: no factor exceeds e^{0.5 _STEP_BLOCK}.
+    return z, h * phi1 * V[k], theta0 - theta0.mean(), V.T - V.mean(axis=0)[:, None]
+
+
+def _linearized_run(g: WeightedGraph, steady: SteadyState, noise: NoiseSpec, h: float,
+                    T: float, R: int, seed: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """Checked run's times and gauged phase blocks: sample 0, then one per block."""
+    times, rows, k0 = _horizon(g, noise, h, T, R, seed)
+    z, forcing, level, basis = _modes(g, steady, h, k0)
+    # c_i = e^{-iz} (c_0 + sum_{s<i} e^{(s+1)z} eta_s forcing); factors < e^{_STEP_BLOCK/2}.
     powers = np.arange(1, _STEP_BLOCK + 1)[:, None, None] * z
-    grow, shrink = np.exp(powers) * (h * phi1 * V[k0]), np.exp(-powers)
-    # The gauge is linear, so it is applied once, to theta* and to each mode.
-    level, basis = theta0 - theta0.mean(), V.T - V.mean(axis=0)[:, None]
+    grow, shrink = np.exp(powers) * forcing, np.exp(-powers)
 
     def phases() -> Iterator[np.ndarray]:
         c, modes = np.zeros((rows, g.n)), np.empty((_STEP_BLOCK, rows, g.n))
@@ -429,17 +435,11 @@ def _linearized_run(g: WeightedGraph, steady: SteadyState, noise: NoiseSpec, h: 
 def integrate_linearized(g: WeightedGraph, steady: SteadyState, noise: NoiseSpec,
                          h: float = DEFAULT_H, T: float = DEFAULT_T, R: int = DEFAULT_R,
                          seed: int = 0) -> TrajectoryEnsemble:
-    """Integrate the linearization around the steady state.
-
-    The system matrix is the Laplacian L_c = V diag(lam) V^T with weights
-    b_ij cos(gap_ij). Under noise held constant over a step each mode advances
-    exactly, c_j <- e^{-z_j} c_j + eta h phi1(z_j) V[k, j] with z_j = lam_j h,
-    phi1(z) = (1 - e^{-z})/z, a block at a time; a block's gauged phases are
-    theta* + c V^T, one matmul. The update is stable for any h, but the RK4
-    guard is kept, on lambda_n of L(b) (``stable_step``) and not of L_c, so
-    both integrators refuse the same h. Storage, box handling and checks
-    (``steady.theta0`` as ``omega``) are as in ``integrate_nonlinear``.
-    """
+    """Integrate the linearization around the steady state: each mode of L_c, the Laplacian
+    of b_ij cos(gap_ij), advances exactly under noise held over a step, from one ``eigh``
+    (``_modes``) and one matmul per block. Stable for any h, it still applies the RK4 guard
+    on lambda_n of L(b) (``stable_step``), so both integrators refuse the same h. Checks
+    (``steady.theta0`` as ``omega``), storage and box pulses are ``integrate_nonlinear``'s."""
     times, phases = _linearized_run(g, steady, noise, h, T, R, seed)
     return TrajectoryEnsemble(times, _stack(phases, times.size), noise.onset)
 

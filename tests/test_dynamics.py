@@ -30,7 +30,7 @@ from resilnet.dynamics import (
     export_trajectories_csv,
     stable_step,
 )
-from resilnet.graphs import WeightedGraph
+from resilnet.graphs import SingularLaplacianError, WeightedGraph
 
 from conftest import reference_laplacian
 
@@ -257,6 +257,33 @@ def test_linearized_rejects_steady_state_of_another_graph():
         with pytest.raises(ValueError,
                            match=rf"steady.theta0 has shape \({m},\), expected \({n},\)"):
             integrate_linearized(g, ss, spec, h=0.01, T=1.0, R=1, seed=0)
+
+
+@pytest.mark.parametrize("steady", [np.zeros(3), [0.0, 0.0, 0.0], None],
+                         ids=["ndarray", "list", "none"])
+def test_linearized_requires_a_steady_state(steady):
+    g = build_graph(3, [(1, 2), (2, 3)], [0.5, 0.5])
+    spec = NoiseSpec.box(node=1, t0=0.0, duration=1.0)
+    with pytest.raises(TypeError, match=f"steady must be a SteadyState, "
+                                        f"got {type(steady).__name__}"):
+        integrate_linearized(g, steady, spec, h=0.01, T=1.0, R=1, seed=0)
+
+
+def test_integrators_refuse_a_disconnected_network(tmp_path):
+    # Edges (2, 3) and (1, 4) of the 4-cycle carry no weight: L(b) is singular,
+    # and the stiffness guard's spectral bundle refuses it before any output.
+    g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)], [1.0, 0.0, 1.0, 0.0])
+    spec = NoiseSpec.box(node=1)
+    zeros = np.zeros(4)
+    with pytest.raises(SingularLaplacianError):
+        integrate_nonlinear(g, zeros, zeros, spec, h=0.01, T=1.0, R=1, seed=0)
+    with pytest.raises(SingularLaplacianError):
+        integrate_linearized(g, dynamics.SteadyState(zeros, 0.0, 0.0), spec,
+                             h=0.01, T=1.0, R=1, seed=0)
+    with pytest.raises(SingularLaplacianError):
+        dynamics.simulate(g, zeros, zeros, spec, tmp_path / "out" / "trajectories.csv",
+                          h=0.01, T=1.0, R=1, seed=0)
+    assert not (tmp_path / "out").exists()
 
 
 def test_linearized_flat_state_matrix_is_minus_laplacian():
@@ -808,10 +835,28 @@ def test_estimator_and_csv_never_build_full_freq(monkeypatch):
     (np.arange(1) * 0.1, np.zeros((1, 1, 2)), "need at least 2 samples, got 1"),
     (np.arange(3) * 0.1, np.zeros((3, 2)),
      r"theta must have 3 axes \(time, realization, node\), got shape \(3, 2\)"),
-], ids=["samples-mismatch", "one-sample", "not-3-axes"])
+    # times[1] is the step the frequencies divide by, so times must be
+    # arange(len(times)) * times[1].
+    (np.array([1.0, 1.5, 2.0]), np.zeros((3, 1, 2)), r"got times\[:3\] = \[1.0, 1.5, 2.0\]"),
+    (np.array([0.0, 0.5, 2.0]), np.zeros((3, 1, 2)), r"got times\[:3\] = \[0.0, 0.5, 2.0\]"),
+    (np.zeros(3), np.zeros((3, 1, 2)), r"finite h > 0, got times\[:3\] = \[0.0, 0.0, 0.0\]"),
+    (np.arange(3) * -0.1, np.zeros((3, 1, 2)), r"finite h > 0"),
+    (np.array([0.0, np.inf, np.inf]), np.zeros((3, 1, 2)), r"finite h > 0"),
+    (np.array([0.0, np.nan, 0.2]), np.zeros((3, 1, 2)), r"finite h > 0"),
+    (np.arange(5) * 0.1 + [0, 0, 0, 1e-6, 0], np.zeros((5, 1, 2)), "times must be 0, h, 2h"),
+], ids=["samples-mismatch", "one-sample", "not-3-axes", "first-not-zero", "non-uniform",
+        "zero-step", "negative-step", "infinite-step", "nan-step", "one-sample-off"])
 def test_trajectory_ensemble_rejects_mismatched_inputs(times, theta, message):
     with pytest.raises(ValueError, match=message):
         TrajectoryEnsemble(times=times, theta=theta, onset=0.0)
+
+
+def test_trajectory_ensemble_accepts_times_up_to_rounding():
+    # A quotient and a running sum of the step differ from arange * h only by rounding.
+    for times in (np.arange(1000) / 3.0, np.r_[0.0, np.cumsum(np.full(999, 0.01))]):
+        assert not np.array_equal(times, np.arange(times.size) * times[1])
+        theta = np.zeros((times.size, 1, 2))
+        assert TrajectoryEnsemble(times=times, theta=theta, onset=0.0).times is times
 
 
 @pytest.mark.parametrize("samples", [2, 3, 5])
